@@ -8,51 +8,21 @@ with Y = {y : v(y) <= 0} compact.  Two drivers are provided: the classical
 exchange loop (solve the discretized problem, add the worst index, repeat)
 and a variant that additionally carries first-order models of the
 lower-level solution maps, which restores local quadratic convergence.
+
+The package exports the documented API below; everything else stays
+importable from its own module.
 """
-from .diagnostics import (LinearizationGaps, OrderEstimate, PerturbationParams,
-                          StationarityReport, compute_perturbation_params,
-                          estimate_order, feasibility_measure,
-                          linearization_gaps, perturbation_params,
-                          stationarity_residual)
-from .driver import (DiscretizationState, DriverOptions, IterateRecord,
-                     RunResult, check_termination, run_blankenship_falk,
-                     run_qcad)
+from .driver import (DriverOptions, IterateRecord, RunResult,
+                     run_blankenship_falk, run_qcad)
 from .expressions import SpecParseError
-from .lower_level import (LlOptions, LowerLevelError, LowerLevelSolution,
-                          RegularityFlags, check_regularity,
-                          solve_all_lower_levels, solve_lower_level_global)
-from .model import (FieldEvaluationError, ScalarField, SipProblem,
-                    ValidationReport, restrict_to_x, restrict_to_y,
-                    validate_problem, verify_derivatives)
-from .nlp import (NlpOptions, NlpProblem, NlpSolution, QpResult, solve_nlp,
-                  solve_qp)
-from .problems import REGISTRY, design_centering, example1, example2, \
-    get_problem, list_problems
-from .sensitivity import (KktSensitivity, LinearizedConstraint,
-                          SensitivityError, compute_sensitivity,
-                          linearization_field, linearized_value_and_gradient,
-                          make_linearized_constraint)
-from .specfile import (ProblemSpecFile, SpecFileError, compile_spec,
-                       load_problem, parse_spec)
+from .model import ScalarField, SipProblem
+from .problems import get_problem, list_problems
+from .specfile import SpecFileError, load_problem
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiscretizationState", "DriverOptions", "FieldEvaluationError",
-    "IterateRecord", "KktSensitivity", "LinearizationGaps",
-    "LinearizedConstraint", "LlOptions", "LowerLevelError",
-    "LowerLevelSolution", "NlpOptions", "NlpProblem", "NlpSolution",
-    "OrderEstimate", "PerturbationParams", "ProblemSpecFile", "QpResult",
-    "REGISTRY", "RegularityFlags", "RunResult", "ScalarField",
-    "SensitivityError", "SipProblem", "SpecFileError", "SpecParseError",
-    "StationarityReport", "ValidationReport", "check_regularity",
-    "check_termination", "compile_spec", "compute_perturbation_params",
-    "compute_sensitivity", "design_centering", "estimate_order", "example1",
-    "example2", "feasibility_measure", "get_problem", "linearization_field",
-    "linearization_gaps", "linearized_value_and_gradient", "list_problems",
-    "load_problem", "make_linearized_constraint", "parse_spec",
-    "perturbation_params", "restrict_to_x", "restrict_to_y",
-    "run_blankenship_falk", "run_qcad", "solve_all_lower_levels",
-    "solve_lower_level_global", "solve_nlp", "solve_qp",
-    "stationarity_residual", "validate_problem", "verify_derivatives",
+    "DriverOptions", "IterateRecord", "RunResult", "ScalarField",
+    "SipProblem", "SpecFileError", "SpecParseError", "get_problem",
+    "list_problems", "load_problem", "run_blankenship_falk", "run_qcad",
 ]

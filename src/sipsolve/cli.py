@@ -23,8 +23,9 @@ import numpy as np
 
 from .diagnostics import estimate_order, feasibility_measure, stationarity_residual
 from .driver import DriverOptions, RunResult, run_blankenship_falk, run_qcad
-from .model import SipProblem, validate_problem, verify_derivatives
-from .expressions import SpecParseError
+from .model import (FieldEvaluationError, SipProblem, validate_problem,
+                    verify_derivatives)
+from .expressions import DomainError, SpecParseError
 from .problems import REGISTRY, get_problem
 from .specfile import SpecFileError, load_problem
 
@@ -92,13 +93,18 @@ def _order_estimate(result: RunResult):
             "pairs_used": est.pairs_used}
 
 
+def _iterations(result: RunResult) -> int:
+    """Index of the last recorded iterate; 0 when a run failed before any."""
+    return result.final.k if result.history else 0
+
+
 def _summarize(result: RunResult) -> dict:
-    final = result.final
+    final = result.final if result.history else None
     return {
         "algorithm": result.algorithm,
         "final_status": result.final_status,
-        "iterations": final.k,
-        "final": {
+        "iterations": _iterations(result),
+        "final": None if final is None else {
             "x": [float(v) for v in final.x],
             "objective": final.objective,
             "feasibility": final.feasibility,
@@ -113,9 +119,9 @@ def _summarize(result: RunResult) -> dict:
 
 def _print_history(result: RunResult) -> None:
     print(f"[{result.algorithm}] {result.problem_name}: "
-          f"{result.final_status} after {result.final.k} iterations")
+          f"{result.final_status} after {_iterations(result)} iterations")
     head = f"{'k':>3} {'objective':>16} {'feasibility':>13} {'stationarity':>13}"
-    if result.history[0].dist_to_known is not None:
+    if result.history and result.history[0].dist_to_known is not None:
         head += f" {'dist':>13}"
     print(head)
     for rec in result.history:
@@ -140,6 +146,8 @@ def cmd_run(args) -> int:
         raise ConfigError(
             f"problem {problem.name!r} has no known solution; "
             "use --mode practical")
+    if problem.start is None:
+        raise ConfigError(f"problem {problem.name} has no start point (x0)")
     opts = DriverOptions(
         mode=args.mode, tol_dist=args.tol_dist, tol_feas=args.tol_feas,
         tol_stat=args.tol_stat, max_iter=args.max_iter,
@@ -153,8 +161,8 @@ def cmd_run(args) -> int:
     for alg in algorithms:
         _print_history(results[alg])
     if args.alg == "both":
-        bf_k = results["bf"].final.k
-        q_k = results["qcad"].final.k
+        bf_k = _iterations(results["bf"])
+        q_k = _iterations(results["qcad"])
         print(f"comparison: qcad {q_k} vs bf {bf_k} iterations")
 
     if args.csv:
@@ -168,8 +176,8 @@ def cmd_run(args) -> int:
                "runs": {alg: _summarize(results[alg]) for alg in algorithms}}
         if args.alg == "both":
             doc["comparison"] = {
-                "bf_iterations": results["bf"].final.k,
-                "qcad_iterations": results["qcad"].final.k,
+                "bf_iterations": bf_k,
+                "qcad_iterations": q_k,
             }
         path = Path(args.summary)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -200,7 +208,12 @@ def cmd_verify(args) -> int:
                    for j, c in enumerate(problem.finite_constraints)]
     for label, fld, arity in all_fields:
         pts = [rng.uniform(-0.9, 0.9, arity) for _ in range(4)]
-        err = verify_derivatives(fld, pts)
+        try:
+            err = verify_derivatives(fld, pts)
+        except FieldEvaluationError as exc:
+            print(f"derivatives {label}: {exc} [FAIL]")
+            failures.append(f"evaluation failed in {label}")
+            continue
         status = "ok" if err <= 1e-5 else "MISMATCH"
         print(f"derivatives {label}: max FD error {err:.3e} [{status}]")
         if err > 1e-5:
@@ -208,14 +221,19 @@ def cmd_verify(args) -> int:
 
     if problem.known_solution is not None:
         x_star = problem.known_solution
-        feas = feasibility_measure(problem, x_star)
-        rep = stationarity_residual(problem, x_star)
-        print(f"known solution: feasibility {feas:.3e}, "
-              f"stationarity residual {rep.residual:.3e}")
-        if feas > 1e-6:
-            failures.append("known solution violates feasibility (> 1e-6)")
-        if rep.residual > 1e-5:
-            failures.append("known solution fails stationarity (> 1e-5)")
+        try:
+            feas = feasibility_measure(problem, x_star)
+            rep = stationarity_residual(problem, x_star)
+        except (DomainError, FieldEvaluationError) as exc:
+            print(f"known solution: {exc}")
+            failures.append("known solution cannot be evaluated")
+        else:
+            print(f"known solution: feasibility {feas:.3e}, "
+                  f"stationarity residual {rep.residual:.3e}")
+            if feas > 1e-6:
+                failures.append("known solution violates feasibility (> 1e-6)")
+            if rep.residual > 1e-5:
+                failures.append("known solution fails stationarity (> 1e-5)")
 
     if failures:
         for f in failures:

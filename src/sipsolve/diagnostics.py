@@ -13,12 +13,14 @@ from typing import Optional
 
 import numpy as np
 
-from .lower_level import LlOptions, LowerLevelError, solve_all_lower_levels
+from .lower_level import LowerLevelError, solve_all_lower_levels
 from .model import SipProblem
 from .sensitivity import LinearizedConstraint, linearized_value_and_gradient
 from .nlp import solve_qp
 
 Array = np.ndarray
+
+TOL_ACT = 1e-6      # a maximum, constraint or bound counts as active within this
 
 
 @dataclass
@@ -73,20 +75,18 @@ class LinearizationGaps:
     step4: float
 
 
-def feasibility_measure(problem: SipProblem, x,
-                        ll_solutions=None,
-                        opts: Optional[LlOptions] = None) -> float:
+def feasibility_measure(problem: SipProblem, x, ll_solutions=None) -> float:
     """max_i phi_i(x) with phi_i the optimal lower-level value.
 
     Negative values mean strict feasibility of every semi-infinite
     constraint.  Pass precomputed lower-level solutions to avoid re-solving.
     """
     if ll_solutions is None:
-        ll_solutions = solve_all_lower_levels(problem, x, opts)
+        ll_solutions = solve_all_lower_levels(problem, x)
     return max(s.value for s in ll_solutions)
 
 
-def _active_columns(problem: SipProblem, x, ll_solutions, tol_act):
+def _active_columns(problem: SipProblem, x, ll_solutions):
     """Gradient columns of all near-active constraints at x."""
     x = np.asarray(x, dtype=float)
     n = problem.n
@@ -97,7 +97,7 @@ def _active_columns(problem: SipProblem, x, ll_solutions, tol_act):
         entries = []
         seen = []
         for y_loc, value in sol.local_maxima:
-            if value < -tol_act:
+            if value < -TOL_ACT:
                 continue
             if any(np.linalg.norm(y_loc - s) < 1e-8 for s in seen):
                 continue
@@ -108,17 +108,17 @@ def _active_columns(problem: SipProblem, x, ll_solutions, tol_act):
             labels.append(("si", i, tuple(np.round(y_loc, 12))))
         active_indices.append(entries)
     for j, c in enumerate(problem.finite_constraints):
-        if c.value(x) >= -tol_act:
+        if c.value(x) >= -TOL_ACT:
             columns.append(c.gradient(x))
             labels.append(("finite", j, None))
     for j in range(n):
         lo, hi = problem.x_bounds[j]
-        if np.isfinite(lo) and x[j] - lo <= tol_act:
+        if np.isfinite(lo) and x[j] - lo <= TOL_ACT:
             e = np.zeros(n)
             e[j] = -1.0
             columns.append(e)
             labels.append(("lower_bound", j, None))
-        if np.isfinite(hi) and hi - x[j] <= tol_act:
+        if np.isfinite(hi) and hi - x[j] <= TOL_ACT:
             e = np.zeros(n)
             e[j] = 1.0
             columns.append(e)
@@ -126,9 +126,8 @@ def _active_columns(problem: SipProblem, x, ll_solutions, tol_act):
     return columns, labels, active_indices
 
 
-def stationarity_residual(problem: SipProblem, x, tol_act: float = 1e-6,
-                          ll_solutions=None,
-                          opts: Optional[LlOptions] = None) -> StationarityReport:
+def stationarity_residual(problem: SipProblem, x,
+                          ll_solutions=None) -> StationarityReport:
     """Nonnegative least-squares fit of -grad f by active constraint gradients.
 
     residual = min_{lambda >= 0} || grad f(x) + sum_c lambda_c grad c(x) ||
@@ -137,10 +136,9 @@ def stationarity_residual(problem: SipProblem, x, tol_act: float = 1e-6,
     """
     x = np.asarray(x, dtype=float)
     if ll_solutions is None:
-        ll_solutions = solve_all_lower_levels(problem, x, opts)
+        ll_solutions = solve_all_lower_levels(problem, x)
     fgrad = problem.objective.gradient(x)
-    columns, labels, active_indices = _active_columns(
-        problem, x, ll_solutions, tol_act)
+    columns, labels, active_indices = _active_columns(problem, x, ll_solutions)
 
     if not columns:
         return StationarityReport(
@@ -248,8 +246,7 @@ def estimate_order(errors) -> OrderEstimate:
 
 
 def linearization_gaps(problem: SipProblem, i: int, x_prev, x_curr,
-                       lc: LinearizedConstraint,
-                       opts: Optional[LlOptions] = None) -> LinearizationGaps:
+                       lc: LinearizedConstraint) -> LinearizationGaps:
     """Gap between the linearized constraint at x_curr and the true values.
 
     value_gap should scale like ||step||^4 and gradient_gap like ||step||^2
@@ -259,7 +256,7 @@ def linearization_gaps(problem: SipProblem, i: int, x_prev, x_curr,
 
     x_prev = np.asarray(x_prev, dtype=float)
     x_curr = np.asarray(x_curr, dtype=float)
-    sol = solve_lower_level_global(problem, i, x_curr, opts)
+    sol = solve_lower_level_global(problem, i, x_curr)
     if not sol.regularity.all_ok:
         raise LowerLevelError(
             f"lower level {i} is not regular at the evaluation point")

@@ -25,9 +25,10 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import perturbation_params, stationarity_residual
-from .lower_level import LlOptions, LowerLevelError, solve_all_lower_levels
-from .model import SipProblem, restrict_to_x
-from .nlp import NlpOptions, NlpProblem, solve_nlp
+from .expressions import DomainError
+from .lower_level import LowerLevelError, solve_all_lower_levels
+from .model import FieldEvaluationError, SipProblem, restrict_to_x
+from .nlp import NlpProblem, solve_nlp
 from .sensitivity import (SensitivityError, compute_sensitivity,
                           linearization_field, make_linearized_constraint)
 
@@ -44,11 +45,7 @@ class DriverOptions:
     tol_feas: float = 1e-6              # practical mode: SIP feasibility
     tol_stat: float = 1e-6              # practical mode: stationarity residual
     max_iter: int = 50
-    tol_act: float = 1e-6               # active-index threshold in diagnostics
-    trust_radius: Optional[float] = 2.0  # sup-norm cap on each master step
-    ll_options: LlOptions = field(default_factory=LlOptions)
-    nlp_options: NlpOptions = field(default_factory=NlpOptions)
-    collect_perturbation: bool = True
+    trust_radius: float = 2.0           # sup-norm cap on each master step
 
 
 @dataclass
@@ -135,8 +132,7 @@ def check_termination(history, opts: DriverOptions) -> Optional[str]:
 
 
 def _master_problem(problem: SipProblem, disc: DiscretizationState,
-                    lin_fields, center: Array,
-                    trust_radius: Optional[float]) -> tuple:
+                    lin_fields, center: Array, trust_radius: float) -> tuple:
     """Discretized NLP and, per row, the family tags for multiplier sums.
 
     The linearized constraints are local models, valid near the iterate
@@ -157,11 +153,8 @@ def _master_problem(problem: SipProblem, disc: DiscretizationState,
     for j, c in enumerate(problem.finite_constraints):
         constraints.append(c)
         tags.append(("finite", j))
-    lower = problem.x_bounds[:, 0]
-    upper = problem.x_bounds[:, 1]
-    if trust_radius is not None:
-        lower = np.maximum(lower, center - trust_radius)
-        upper = np.minimum(upper, center + trust_radius)
+    lower = np.maximum(problem.x_bounds[:, 0], center - trust_radius)
+    upper = np.minimum(problem.x_bounds[:, 1], center + trust_radius)
     nlp = NlpProblem(
         dim=problem.n,
         objective=problem.objective,
@@ -203,8 +196,7 @@ def _snap_to_bounds(nlp: NlpProblem, sol, snap_tol: float = 1e-4):
     return sol
 
 
-def _solve_master(nlp: NlpProblem, warm: Array, cold: Array,
-                  opts: NlpOptions):
+def _solve_master(nlp: NlpProblem, warm: Array, cold: Array):
     """Solve from the warm start and from the run's original start.
 
     The master is nonconvex in general; a warm start close to a spurious
@@ -212,9 +204,9 @@ def _solve_master(nlp: NlpProblem, warm: Array, cold: Array,
     feasible, objective) and the best is kept, preferring the warm one on
     ties.
     """
-    candidates = [_snap_to_bounds(nlp, solve_nlp(nlp, warm, opts))]
+    candidates = [_snap_to_bounds(nlp, solve_nlp(nlp, warm))]
     if np.linalg.norm(warm - cold) > 1e-12:
-        candidates.append(_snap_to_bounds(nlp, solve_nlp(nlp, cold, opts)))
+        candidates.append(_snap_to_bounds(nlp, solve_nlp(nlp, cold)))
 
     def rank(sol):
         return (0 if sol.converged else 1,
@@ -237,6 +229,10 @@ def _aggregate_multipliers(n_si: int, tags, multipliers) -> Array:
 def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
          opts: DriverOptions, use_linearization: bool,
          algorithm: str) -> RunResult:
+    if x0 is None:
+        x0 = problem.start
+    if x0 is None:
+        raise ValueError(f"problem {problem.name} has no start point (x0)")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},), got {x.shape}")
@@ -256,127 +252,132 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
     stagnant = 0
     status = "max_iter"
 
-    for k in range(opts.max_iter + 1):
-        t0 = time.perf_counter()
-        try:
-            ll = solve_all_lower_levels(problem, x, opts.ll_options)
-        except LowerLevelError as exc:
-            warnings.append(f"iteration {k}: lower-level solve failed: {exc}")
-            status = "subsolver_failure"
-            break
+    try:
+        for k in range(opts.max_iter + 1):
+            t0 = time.perf_counter()
+            try:
+                ll = solve_all_lower_levels(problem, x)
+            except LowerLevelError as exc:
+                warnings.append(f"iteration {k}: lower-level solve failed: {exc}")
+                status = "subsolver_failure"
+                break
 
-        rec_warnings = []
-        for sol in ll:
-            if sol.multiple_global:
-                msg = (f"iteration {k}: constraint {sol.index} has multiple "
-                       "global lower-level maximizers")
-                rec_warnings.append(msg)
-                warnings.append(msg)
+            rec_warnings = []
+            for sol in ll:
+                if sol.multiple_global:
+                    msg = (f"iteration {k}: constraint {sol.index} has multiple "
+                           "global lower-level maximizers")
+                    rec_warnings.append(msg)
+                    warnings.append(msg)
 
-        feasibility = max(s.value for s in ll)
-        report = stationarity_residual(problem, x, tol_act=opts.tol_act,
-                                       ll_solutions=ll)
-        dist = None
-        if problem.known_solution is not None:
-            dist = float(np.linalg.norm(x - problem.known_solution))
+            feasibility = max(s.value for s in ll)
+            report = stationarity_residual(problem, x, ll_solutions=ll)
+            dist = None
+            if problem.known_solution is not None:
+                dist = float(np.linalg.norm(x - problem.known_solution))
 
-        beta_norm = None
-        alpha_max = None
-        lambda_bar = prev_lambda_bar
-        if opts.collect_perturbation and lambda_bar is not None:
-            params = perturbation_params(problem, x, ll, lambda_bar)
-            beta_norm = params.beta_norm
-            alpha_max = params.alpha_max
+            beta_norm = None
+            alpha_max = None
+            lambda_bar = prev_lambda_bar
+            if lambda_bar is not None:
+                params = perturbation_params(problem, x, ll, lambda_bar)
+                beta_norm = params.beta_norm
+                alpha_max = params.alpha_max
 
-        rec = IterateRecord(
-            k=k, x=x.copy(),
-            objective=problem.objective.value(x),
-            feasibility=feasibility,
-            stationarity_residual=report.residual,
-            dist_to_known=dist,
-            step_norm=(float(np.linalg.norm(x - prev_x))
-                       if prev_x is not None else None),
-            beta_norm=beta_norm, alpha_max=alpha_max,
-            n_constraints_in_master=prev_n_master,
-            wall_time_ms=None,
-            lower_level=ll,
-            lambda_bar=lambda_bar,
-            warnings=rec_warnings)
-        history.append(rec)
+            rec = IterateRecord(
+                k=k, x=x.copy(),
+                objective=problem.objective.value(x),
+                feasibility=feasibility,
+                stationarity_residual=report.residual,
+                dist_to_known=dist,
+                step_norm=(float(np.linalg.norm(x - prev_x))
+                           if prev_x is not None else None),
+                beta_norm=beta_norm, alpha_max=alpha_max,
+                n_constraints_in_master=prev_n_master,
+                wall_time_ms=None,
+                lower_level=ll,
+                lambda_bar=lambda_bar,
+                warnings=rec_warnings)
+            history.append(rec)
 
-        decided = check_termination(history, opts)
-        if decided is not None:
-            status = decided
-            rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-            break
+            decided = check_termination(history, opts)
+            if decided is not None:
+                status = decided
+                rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
+                break
 
-        # refinement step: add this iteration's maximizers
-        added_any = False
-        for sol in ll:
-            if disc.add(sol.index, sol.y):
-                added_any = True
+            # refinement step: add this iteration's maximizers
+            added_any = False
+            for sol in ll:
+                if disc.add(sol.index, sol.y):
+                    added_any = True
 
-        improved = feasibility < best_feasibility - 1e-12
-        best_feasibility = min(best_feasibility, feasibility)
-        if not added_any and not improved:
-            stagnant += 1
-            if stagnant >= _STAGNATION_LIMIT:
-                msg = (f"iteration {k}: no new discretization points and no "
-                       "feasibility progress for "
-                       f"{_STAGNATION_LIMIT} iterations")
+            improved = feasibility < best_feasibility - 1e-12
+            best_feasibility = min(best_feasibility, feasibility)
+            if not added_any and not improved:
+                stagnant += 1
+                if stagnant >= _STAGNATION_LIMIT:
+                    msg = (f"iteration {k}: no new discretization points and no "
+                           "feasibility progress for "
+                           f"{_STAGNATION_LIMIT} iterations")
+                    warnings.append(msg)
+                    status = "subsolver_failure"
+                    rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
+                    break
+            else:
+                stagnant = 0
+
+            lin_fields = {}
+            if use_linearization:
+                for i, sol in enumerate(ll):
+                    if not sol.regularity.all_ok:
+                        flags = sol.regularity
+                        msg = (f"iteration {k}: regularity failed for "
+                               f"constraint {i} (licq={flags.licq}, "
+                               "strict_complementarity="
+                               f"{flags.strict_complementarity}, "
+                               f"sosc={flags.sosc}); no linearization this "
+                               "iteration")
+                        rec.warnings.append(msg)
+                        warnings.append(msg)
+                        continue
+                    try:
+                        sens = compute_sensitivity(problem, i, x, sol)
+                    except SensitivityError as exc:
+                        msg = (f"iteration {k}: sensitivity failed for "
+                               f"constraint {i}: {exc}")
+                        rec.warnings.append(msg)
+                        warnings.append(msg)
+                        continue
+                    lc = make_linearized_constraint(problem, i, x, sol, sens)
+                    rec.linearizations[i] = lc
+                    lin_fields[i] = linearization_field(lc, problem)
+
+            disc.k += 1
+            nlp, tags = _master_problem(problem, disc, lin_fields, x,
+                                        opts.trust_radius)
+            master = _solve_master(nlp, x, x_start)
+            if master.status == "qp_failure":
+                msg = f"iteration {k}: master NLP failed ({master.status})"
                 warnings.append(msg)
                 status = "subsolver_failure"
                 rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
                 break
-        else:
-            stagnant = 0
+            if master.status == "max_iter":
+                msg = (f"iteration {k}: master NLP hit its iteration limit "
+                       f"(kkt residual {master.kkt_residual:.3e})")
+                rec.warnings.append(msg)
+                warnings.append(msg)
 
-        lin_fields = {}
-        if use_linearization:
-            for i, sol in enumerate(ll):
-                if not sol.regularity.all_ok:
-                    flags = sol.regularity
-                    msg = (f"iteration {k}: regularity failed for constraint "
-                           f"{i} (licq={flags.licq}, "
-                           f"strict_complementarity={flags.strict_complementarity}, "
-                           f"sosc={flags.sosc}); no linearization this iteration")
-                    rec.warnings.append(msg)
-                    warnings.append(msg)
-                    continue
-                try:
-                    sens = compute_sensitivity(problem, i, x, sol)
-                except SensitivityError as exc:
-                    msg = (f"iteration {k}: sensitivity failed for "
-                           f"constraint {i}: {exc}")
-                    rec.warnings.append(msg)
-                    warnings.append(msg)
-                    continue
-                lc = make_linearized_constraint(problem, i, x, sol, sens)
-                rec.linearizations[i] = lc
-                lin_fields[i] = linearization_field(lc, problem)
-
-        disc.k += 1
-        nlp, tags = _master_problem(problem, disc, lin_fields, x,
-                                    opts.trust_radius)
-        master = _solve_master(nlp, x, x_start, opts.nlp_options)
-        if master.status == "qp_failure":
-            msg = f"iteration {k}: master NLP failed ({master.status})"
-            warnings.append(msg)
-            status = "subsolver_failure"
+            prev_x = x
+            x = master.z.copy()
+            prev_lambda_bar = _aggregate_multipliers(problem.n_si, tags,
+                                                     master.multipliers)
+            prev_n_master = len(nlp.constraints)
             rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-            break
-        if master.status == "max_iter":
-            msg = (f"iteration {k}: master NLP hit its iteration limit "
-                   f"(kkt residual {master.kkt_residual:.3e})")
-            rec.warnings.append(msg)
-            warnings.append(msg)
-
-        prev_x = x
-        x = master.z.copy()
-        prev_lambda_bar = _aggregate_multipliers(problem.n_si, tags,
-                                                 master.multipliers)
-        prev_n_master = len(nlp.constraints)
-        rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
+    except (DomainError, FieldEvaluationError) as exc:
+        warnings.append(f"iteration {k}: field evaluation failed: {exc}")
+        status = "subsolver_failure"
 
     return RunResult(history=history, final_status=status,
                      final_discretization=disc, warnings=warnings,
@@ -388,8 +389,6 @@ def run_blankenship_falk(problem: SipProblem, x0=None,
                          opts: Optional[DriverOptions] = None) -> RunResult:
     """Classical adaptive discretization: discretize, solve, refine."""
     opts = opts or DriverOptions()
-    if x0 is None:
-        x0 = problem.start
     return _run(problem, x0, d0, opts, use_linearization=False,
                 algorithm="blankenship_falk")
 
@@ -404,7 +403,5 @@ def run_qcad(problem: SipProblem, x0=None,
     discretization rows, which restores local quadratic convergence.
     """
     opts = opts or DriverOptions()
-    if x0 is None:
-        x0 = problem.start
     return _run(problem, x0, d0, opts, use_linearization=True,
                 algorithm="qcad")

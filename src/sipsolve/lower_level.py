@@ -16,14 +16,23 @@ lexicographically smallest maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .model import ScalarField, SipProblem, negated, restrict_to_y
-from .nlp import NlpOptions, NlpProblem, solve_nlp
+from .model import SipProblem, grid_nodes as _grid_nodes, negated, restrict_to_y
+from .nlp import NlpProblem, solve_nlp
 
 Array = np.ndarray
+
+GRID_PER_DIM = 64           # grid nodes per index dimension
+N_STARTS = 8                # local SQP runs from the best distinct grid nodes
+DEDUP_SPACING = 1e-3        # minimum distance between two starts
+LOCAL_MAX_ITER = 60         # SQP iteration cap of one local run
+TOL_FEAS = 1e-9             # index-set feasibility of grid nodes and maxima
+TOL_ACT = 1e-7              # index constraint counted active above -TOL_ACT
+TIE_TOL = 1e-9              # value gap under which two maxima tie
+SCAN_PER_DIM = 129          # hull scan of an unrecognized index set ...
+SCAN_HALF_WIDTH = 10.0      # ... over [-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH]^m
 
 _LICQ_SVD_CUTOFF = 1e-8
 _SOSC_EIG_CUTOFF = 1e-8
@@ -32,19 +41,6 @@ _STRICT_COMP_TOL = 1e-6
 
 class LowerLevelError(RuntimeError):
     """The lower-level problem could not be solved (e.g. empty index set)."""
-
-
-@dataclass(frozen=True)
-class LlOptions:
-    grid_per_dim: int = 64
-    n_starts: int = 8
-    tol_feas: float = 1e-9
-    tol_kkt: float = 1e-9
-    tol_act: float = 1e-7
-    dedup_spacing: float = 1e-3
-    tie_tol: float = 1e-9
-    scan_per_dim: int = 129
-    scan_half_width: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -71,12 +67,11 @@ class LowerLevelSolution:
     kkt_residual: float
     regularity: RegularityFlags
     local_maxima: list          # [(y, value)] of distinct local solutions
-    multiple_global: bool       # value tie within tie_tol among distinct maxima
+    multiple_global: bool       # value tie within TIE_TOL among distinct maxima
 
 
-def index_set_box(problem: SipProblem, opts: Optional[LlOptions] = None):
+def index_set_box(problem: SipProblem):
     """Bounding box of the index set: (box (m, 2), recognized_exact flag)."""
-    opts = opts or LlOptions()
     m = problem.m
     lo = np.full(m, -np.inf)
     hi = np.full(m, np.inf)
@@ -104,10 +99,8 @@ def index_set_box(problem: SipProblem, opts: Optional[LlOptions] = None):
         return np.stack([lo, hi], axis=1), True
 
     # scan a large box for the feasible hull
-    width = opts.scan_half_width
-    axis = np.linspace(-width, width, opts.scan_per_dim)
-    grids = np.meshgrid(*([axis] * m), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=1)
+    width = SCAN_HALF_WIDTH
+    nodes = _grid_nodes([[-width, width]] * m, SCAN_PER_DIM)
     feasible = np.ones(len(nodes), dtype=bool)
     for v in problem.index_constraints:
         feasible &= v.value_batch(nodes) <= 1e-9
@@ -124,12 +117,6 @@ def index_set_box(problem: SipProblem, opts: Optional[LlOptions] = None):
     return np.stack([lo, hi], axis=1), False
 
 
-def _grid_nodes(box: Array, per_dim: int):
-    axes = [np.linspace(box[j, 0], box[j, 1], per_dim) for j in range(len(box))]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
 def _lagrangian_hessian(problem: SipProblem, i: int, x: Array, y: Array,
                         mu: Array) -> Array:
     n = problem.n
@@ -142,7 +129,7 @@ def _lagrangian_hessian(problem: SipProblem, i: int, x: Array, y: Array,
 
 
 def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, mu: Array,
-                active: list, opts: LlOptions):
+                active: list):
     """Newton iterations on the active-set KKT system; None when unusable."""
     n, m = problem.n, problem.m
     g = problem.si_constraints[i]
@@ -192,7 +179,7 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, mu: Array,
         return None
     # the polished point must still satisfy the inactive constraints
     for l, v in enumerate(vs):
-        if l not in active and v.value(y) > opts.tol_feas:
+        if l not in active and v.value(y) > TOL_FEAS:
             return None
     mu_out = np.zeros(len(vs))
     for l, mul in zip(active, mu_a):
@@ -246,25 +233,23 @@ def check_regularity(problem: SipProblem, i: int,
     return RegularityFlags(licq, strict, sosc)
 
 
-def solve_lower_level_global(problem: SipProblem, i: int, x,
-                             opts: Optional[LlOptions] = None) -> LowerLevelSolution:
+def solve_lower_level_global(problem: SipProblem, i: int, x) -> LowerLevelSolution:
     """Grid multistart with local refinement; value dominates the grid.
 
     Guarantee: the returned value is >= the best value over the feasible
-    grid nodes (up to 1e-12).  Value ties within ``tie_tol`` among distinct
+    grid nodes (up to 1e-12).  Value ties within ``TIE_TOL`` among distinct
     local maxima are flagged via ``multiple_global``.
     """
-    opts = opts or LlOptions()
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
     g = problem.si_constraints[i]
     vs = problem.index_constraints
 
-    box, recognized = index_set_box(problem, opts)
-    nodes = _grid_nodes(box, opts.grid_per_dim)
+    box, recognized = index_set_box(problem)
+    nodes = _grid_nodes(box, GRID_PER_DIM)
     feasible = np.ones(len(nodes), dtype=bool)
     for v in vs:
-        feasible &= v.value_batch(nodes) <= max(opts.tol_feas, 1e-10)
+        feasible &= v.value_batch(nodes) <= TOL_FEAS
     if not feasible.any():
         raise LowerLevelError(
             f"lower level {i}: no feasible grid node (empty or degenerate index set)")
@@ -276,9 +261,9 @@ def solve_lower_level_global(problem: SipProblem, i: int, x,
     starts = []
     for k in order:
         node = nodes[feas_idx[k]]
-        if all(np.linalg.norm(node - s) >= opts.dedup_spacing for s in starts):
+        if all(np.linalg.norm(node - s) >= DEDUP_SPACING for s in starts):
             starts.append(node)
-        if len(starts) >= opts.n_starts:
+        if len(starts) >= N_STARTS:
             break
     grid_best = float(values.max())
 
@@ -286,28 +271,26 @@ def solve_lower_level_global(problem: SipProblem, i: int, x,
     nlp_lo = box[:, 0] - 0.05 * width
     nlp_hi = box[:, 1] + 0.05 * width
     local = NlpProblem(m, negated(g_y), vs, nlp_lo, nlp_hi)
-    nlp_opts = NlpOptions(tol_kkt=opts.tol_kkt, tol_feas=opts.tol_feas,
-                          tol_comp=opts.tol_kkt, max_iter=60)
 
     candidates = []   # (value, y, mu)
     for start in starts:
-        sol = solve_nlp(local, start, nlp_opts)
+        sol = solve_nlp(local, start, max_iter=LOCAL_MAX_ITER)
         y_loc = sol.z
         feas = max((v.value(y_loc) for v in vs), default=0.0)
-        if feas > 10 * opts.tol_feas:
+        if feas > 10 * TOL_FEAS:
             continue
         mu = sol.multipliers.copy()
-        active = [l for l, v in enumerate(vs) if v.value(y_loc) >= -opts.tol_act]
-        polished = _polish_kkt(problem, i, x, y_loc, mu, active, opts)
+        active = [l for l, v in enumerate(vs) if v.value(y_loc) >= -TOL_ACT]
+        polished = _polish_kkt(problem, i, x, y_loc, mu, active)
         if polished is None and active:
             # retry without weakly-active rows picked up by the tolerance
             strong = [l for l in active if mu[l] > _STRICT_COMP_TOL]
             if strong != active:
-                polished = _polish_kkt(problem, i, x, y_loc, mu, strong, opts)
+                polished = _polish_kkt(problem, i, x, y_loc, mu, strong)
         if polished is not None:
             y_loc, mu = polished
         else:
-            mu = np.where([v.value(y_loc) >= -opts.tol_act for v in vs], mu, 0.0)
+            mu = np.where([v.value(y_loc) >= -TOL_ACT for v in vs], mu, 0.0)
         candidates.append((float(g_y.value(y_loc)), y_loc, mu))
 
     if not candidates:
@@ -326,11 +309,11 @@ def solve_lower_level_global(problem: SipProblem, i: int, x,
         raise LowerLevelError(
             f"lower level {i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
-    tied = [c for c in clusters if c[0] >= best_value - opts.tie_tol]
+    tied = [c for c in clusters if c[0] >= best_value - TIE_TOL]
     winner = min(tied, key=lambda c: tuple(c[1]))
     value, y_star, mu = winner
 
-    active = tuple(l for l, v in enumerate(vs) if v.value(y_star) >= -opts.tol_act)
+    active = tuple(l for l, v in enumerate(vs) if v.value(y_star) >= -TOL_ACT)
     mu = np.array([mu[l] if l in active else 0.0 for l in range(len(vs))])
     sol = LowerLevelSolution(
         index=i, x=x.copy(), y=y_star, multipliers=mu, value=value,
@@ -344,8 +327,7 @@ def solve_lower_level_global(problem: SipProblem, i: int, x,
     return sol
 
 
-def solve_all_lower_levels(problem: SipProblem, x,
-                           opts: Optional[LlOptions] = None) -> list:
+def solve_all_lower_levels(problem: SipProblem, x) -> list:
     """One global lower-level solve per semi-infinite constraint."""
-    return [solve_lower_level_global(problem, i, x, opts)
+    return [solve_lower_level_global(problem, i, x)
             for i in range(problem.n_si)]

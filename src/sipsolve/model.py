@@ -177,6 +177,16 @@ def negated(field: ScalarField) -> ScalarField:
                        hess, batch, name=f"-({field.name})")
 
 
+def grid_nodes(box, per_dim: int) -> Array:
+    """Tensor grid with ``per_dim`` nodes per axis over an ``(m, 2)`` box.
+
+    Rows are the nodes in C order (last coordinate fastest).
+    """
+    axes = [np.linspace(lo, hi, per_dim) for lo, hi in box]
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
 @dataclass(frozen=True)
 class SipProblem:
     """A semi-infinite program.
@@ -320,9 +330,7 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     ok_index = all(v.arity == m for v in problem.index_constraints)
     if problem.index_constraints and ok_index and m <= 3:
         width = 10.0
-        axis = np.linspace(-width, width, 33)
-        grids = np.meshgrid(*([axis] * m), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1)
+        nodes = grid_nodes([[-width, width]] * m, 33)
         feasible = np.ones(len(nodes), dtype=bool)
         try:
             for v in problem.index_constraints:

@@ -14,7 +14,7 @@ constraint index.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,12 @@ import numpy as np
 from .model import ScalarField
 
 Array = np.ndarray
+
+TOL_KKT = 1e-9          # converged: Lagrangian gradient norm ...
+TOL_FEAS = 1e-9         # ... constraint violation ...
+TOL_COMP = 1e-9         # ... and complementarity at most these
+ELASTIC_RHO = 1e4       # initial slack penalty of the elastic QP
+LS_MAX = 50             # step halvings per line search
 
 _QP_FEAS_TOL = 1e-11
 _QP_ZERO_STEP = 1e-12
@@ -43,16 +49,6 @@ class NlpProblem:
         hi = self.upper if self.upper is not None else np.full(self.dim, np.inf)
         object.__setattr__(self, "lower", np.asarray(lo, dtype=float).reshape(self.dim))
         object.__setattr__(self, "upper", np.asarray(hi, dtype=float).reshape(self.dim))
-
-
-@dataclass(frozen=True)
-class NlpOptions:
-    tol_kkt: float = 1e-9
-    tol_feas: float = 1e-9
-    tol_comp: float = 1e-9
-    max_iter: int = 200
-    elastic_rho: float = 1e4
-    ls_max: int = 50
 
 
 @dataclass
@@ -283,21 +279,21 @@ def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
     return 0.5 * (B + B.T)
 
 
-def solve_nlp(problem: NlpProblem, z0, options: Optional[NlpOptions] = None) -> NlpSolution:
+def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     """Damped-BFGS SQP with an l1 merit line search.
 
     Returns status 'converged' when the KKT residual, feasibility, and
     complementarity all meet their tolerances; 'max_iter' with the best
-    iterate otherwise; 'qp_failure' if even the elastic QP cannot be solved.
+    iterate otherwise; 'qp_failure' if even the elastic QP cannot be solved
+    or the Hessian approximation stops being numerically positive definite.
     """
-    opts = options or NlpOptions()
     d = problem.dim
     lo, hi = problem.lower, problem.upper
     z = np.clip(np.asarray(z0, dtype=float).reshape(d), lo, hi)
 
     B = np.eye(d)
     sigma = 1.0
-    rho = opts.elastic_rho
+    rho = ELASTIC_RHO
     merit_history: list = []
     fgrad = problem.objective.gradient(z)
     fval = problem.objective.value(z)
@@ -311,26 +307,29 @@ def solve_nlp(problem: NlpProblem, z0, options: Optional[NlpOptions] = None) -> 
                            float(kkt), float(viol), status, iterations,
                            float(fval), merit_history)
 
-    for iterations in range(1, opts.max_iter + 1):
+    def qp_failure():
+        return snapshot("qp_failure", np.zeros(len(problem.constraints)),
+                        np.zeros(d), np.zeros(d), np.inf,
+                        max(0.0, cvals.max(initial=0.0)))
+
+    for iterations in range(1, max_iter + 1):
         qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z)
         if qp.status == "infeasible":
             qp = _solve_qp_elastic(B, fgrad, jac, -cvals, lo - z, hi - z, rho)
             rho *= 2.0
         if qp.status != "optimal":
-            lam = np.zeros(len(problem.constraints))
-            return snapshot("qp_failure", lam, np.zeros(d), np.zeros(d),
-                            np.inf, max(0.0, cvals.max(initial=0.0)))
+            return qp_failure()
 
         lam = qp.multipliers
         grad_lagrangian = fgrad + jac.T @ lam - qp.lower_multipliers + qp.upper_multipliers
         kkt = np.linalg.norm(grad_lagrangian)
         viol = max(0.0, cvals.max(initial=0.0))
         comp = np.abs(lam * cvals).max(initial=0.0)
-        if kkt <= opts.tol_kkt and viol <= opts.tol_feas and comp <= opts.tol_comp:
+        if kkt <= TOL_KKT and viol <= TOL_FEAS and comp <= TOL_COMP:
             return snapshot("converged", lam, qp.lower_multipliers,
                             qp.upper_multipliers, kkt, viol)
 
-        key = (viol > opts.tol_feas, viol, fval)
+        key = (viol > TOL_FEAS, viol, fval)
         if best is None or key < best[0]:
             best = (key, z.copy(), fval)
 
@@ -352,12 +351,14 @@ def solve_nlp(problem: NlpProblem, z0, options: Optional[NlpOptions] = None) -> 
 
         alpha = 1.0
         accepted = False
-        for _ in range(opts.ls_max):
+        for _ in range(LS_MAX):
             z_new = np.clip(z + alpha * step, lo, hi)
             f_new = problem.objective.value(z_new)
             c_new = _constraint_values(problem, z_new)
             merit_new = f_new + sigma * np.maximum(c_new, 0.0).sum()
-            if merit_new <= merit0 + 1e-4 * alpha * descent:
+            # a trial point with non-finite values is a rejected step
+            if np.isfinite(merit_new) \
+                    and merit_new <= merit0 + 1e-4 * alpha * descent:
                 accepted = True
                 break
             alpha *= 0.5
@@ -376,15 +377,20 @@ def solve_nlp(problem: NlpProblem, z0, options: Optional[NlpOptions] = None) -> 
         grad_new = fgrad_new + jac_new.T @ lam
         s = z_new - z
         B = _damped_bfgs(B, s, grad_new - grad_old)
-        assert np.linalg.eigvalsh(B)[0] > 0.0
 
         z = z_new
         fval, fgrad = f_new, fgrad_new
         cvals, jac = c_new, jac_new
+        # The damped update is positive definite in exact arithmetic, but
+        # curvature that grows without bound (a log or 1/x singularity)
+        # rounds its smallest eigenvalue to zero; the next QP would not be
+        # convex.
+        if not np.linalg.eigvalsh(B)[0] > 0.0:
+            return qp_failure()
 
     # not converged: report honest residuals at the best iterate found
     if best is not None and tuple(best[1]) != tuple(z):
-        candidate_key = (max(0.0, cvals.max(initial=0.0)) > opts.tol_feas,
+        candidate_key = (max(0.0, cvals.max(initial=0.0)) > TOL_FEAS,
                          max(0.0, cvals.max(initial=0.0)), fval)
         if best[0] < candidate_key:
             z = best[1]

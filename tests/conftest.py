@@ -6,8 +6,8 @@ from collections import namedtuple
 
 import pytest
 
-from sipsolve import (DriverOptions, design_centering, example1, example2,
-                      run_blankenship_falk, run_qcad)
+from sipsolve import DriverOptions, run_blankenship_falk, run_qcad
+from sipsolve.problems import design_centering, example1, example2
 
 TimedRun = namedtuple("TimedRun", "result seconds")
 

@@ -1,7 +1,7 @@
 """Small synthetic problems and oracles shared across the test modules."""
 import numpy as np
 
-from sipsolve import solve_lower_level_global
+from sipsolve.lower_level import solve_lower_level_global
 from sipsolve.model import ScalarField, SipProblem
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from sipsolve.cli import main
 from sipsolve.diagnostics import estimate_order, linearization_gaps
-from sipsolve.lower_level import (LlOptions, _grid_nodes, index_set_box,
+from sipsolve.lower_level import (GRID_PER_DIM, _grid_nodes, index_set_box,
                                   solve_lower_level_global)
 from sipsolve.problems import get_problem
 from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
@@ -201,7 +201,7 @@ def test_criterion_08_stationarity_of_limits(qcad_practical):
 def test_criterion_09_global_dominance_over_fine_grid():
     rng = np.random.default_rng(7)
     worst = -np.inf
-    per_dim = 10 * LlOptions().grid_per_dim
+    per_dim = 10 * GRID_PER_DIM
     for name in ("example1", "example2", "design_centering"):
         problem = get_problem(name)
         box, _ = index_set_box(problem)

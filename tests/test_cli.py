@@ -9,6 +9,12 @@ MINIMAL_SPEC = ("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n"
                 "  - -y1^2 - x1\nindex_constraints:\n  - y1^2 - 1\n"
                 "x_bounds:\n  - [-2, 2]\nx0: [1]\n")
 
+# log(x1) is undefined for x1 <= 0, inside the box; the problem is unbounded
+# below as x1 -> 0+
+LOG_SPEC = ("n: 2\nm: 1\nobjective: log(x1) + x2\nsi_constraints:\n"
+            "  - -y1^2 + 2*y1*x1 - x2\nindex_constraints:\n  - y1 - 1\n"
+            "  - -y1 - 1\nx_bounds: [[-1, 2], [-1, 1]]\n")
+
 EXPECTED_HEADER = ("k,x_1,x_2,objective,feasibility,stationarity_residual,"
                    "dist_to_known,step_norm,beta_norm,alpha_max,"
                    "n_master_constraints,wall_time_ms")
@@ -146,6 +152,16 @@ class TestRun:
         assert main(["run", "--spec", str(spec), "--mode", "known"]) == 2
         assert "no known solution" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("x0", ["[0.1, 0.9]", "[2, 1]"])
+    def test_nonfinite_objective_ends_in_subsolver_failure(self, tmp_path,
+                                                           capsys, x0):
+        spec = tmp_path / "log.yaml"
+        spec.write_text(LOG_SPEC + f"x0: {x0}\n")
+        assert main(["run", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert "subsolver_failure" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_csv_identical_across_runs(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -169,6 +185,23 @@ class TestVerify:
         spec.write_text(MINIMAL_SPEC.replace("n: 1", "n: 0"))
         assert main(["verify", "--spec", str(spec)]) == 2
         assert "n must be an integer >= 1" in capsys.readouterr().err
+
+    def test_spec_without_start_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "nostart.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("x0: [1]\n", ""))
+        assert main(["run", "--spec", str(spec)]) == 2
+        assert ("error: problem nostart has no start point (x0)"
+                in capsys.readouterr().err)
+
+    def test_field_evaluation_failure_fails_verification(self, tmp_path,
+                                                         capsys):
+        spec = tmp_path / "log.yaml"
+        spec.write_text(LOG_SPEC)
+        assert main(["verify", "--spec", str(spec)]) == 1
+        captured = capsys.readouterr()
+        assert "derivatives objective: evaluation failure" in captured.out
+        assert "FAIL: evaluation failed in objective" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_parse_error_spec_exits_2_with_position(self, tmp_path, capsys):
         spec = tmp_path / "bad.yaml"

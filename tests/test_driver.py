@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
+from sipsolve.model import ScalarField
 
-from helpers import always_violated_problem, onestep_problem
+from helpers import (always_violated_problem, onestep_problem,
+                     pinned_index_problem)
 
 
 class TestDiscretizationState:
@@ -189,3 +193,20 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_blankenship_falk(always_violated_problem(),
                                  opts=DriverOptions(mode="known"))
+
+    def test_problem_without_start_needs_x0(self):
+        with pytest.raises(ValueError, match="has no start point"):
+            run_qcad(pinned_index_problem())
+
+
+class TestFieldFailures:
+    def test_field_error_ends_in_subsolver_failure(self):
+        # the gradient has the wrong shape, so evaluating it raises
+        # FieldEvaluationError at the first iterate
+        bad = ScalarField(1, lambda x: x[0], lambda x: np.zeros(2),
+                          name="f_bad")
+        problem = replace(onestep_problem(), objective=bad)
+        r = run_qcad(problem)
+        assert r.final_status == "subsolver_failure"
+        assert any(w.startswith("iteration 0: field evaluation failed")
+                   and "f_bad" in w for w in r.warnings)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sipsolve.lower_level import (LlOptions, LowerLevelError, check_regularity,
+from sipsolve.lower_level import (LowerLevelError, check_regularity,
                                   index_set_box, solve_all_lower_levels,
                                   solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem

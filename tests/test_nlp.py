@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sipsolve.model import ScalarField
-from sipsolve.nlp import NlpOptions, NlpProblem, solve_nlp, solve_qp
+from sipsolve.nlp import NlpProblem, solve_nlp, solve_qp
 
 
 # ---------------------------------------------------------------------------
@@ -228,5 +228,14 @@ class TestSolveNlp:
 
     def test_respects_iteration_budget(self):
         p = NlpProblem(2, _quadratic_objective())
-        sol = solve_nlp(p, np.array([3.0, 4.0]), NlpOptions(max_iter=1))
+        sol = solve_nlp(p, np.array([3.0, 4.0]), max_iter=1)
         assert sol.iterations <= 1
+
+    def test_nonfinite_trial_point_is_rejected(self):
+        # log(z) is -inf at the lower bound, where the first full step lands
+        obj = ScalarField(1, lambda z: np.log(z[0]) if z[0] > 0 else -np.inf,
+                          lambda z: np.array([1.0 / z[0]]))
+        p = NlpProblem(1, obj, lower=np.array([0.0]), upper=np.array([2.0]))
+        sol = solve_nlp(p, np.array([1.0]))
+        assert sol.z[0] > 0.0
+        assert np.isfinite(sol.objective_value)
