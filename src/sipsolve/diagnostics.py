@@ -211,16 +211,6 @@ def perturbation_params(problem: SipProblem, x, ll_solutions,
     return PerturbationParams(beta=beta, alpha=alpha)
 
 
-def compute_perturbation_params(problem: SipProblem, record) -> PerturbationParams:
-    """Perturbation parameters for a driver iterate record.
-
-    The record must carry ``x``, per-family ``lower_level`` solutions and
-    aggregated master multipliers ``lambda_bar``.
-    """
-    return perturbation_params(problem, record.x, record.lower_level,
-                               record.lambda_bar)
-
-
 def estimate_order(errors) -> OrderEstimate:
     """Convergence order as the LS slope of log e_{k+1} against log e_k.
 

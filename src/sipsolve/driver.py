@@ -53,11 +53,10 @@ class DiscretizationState:
     """Per-family point lists; grows by set union, never shrinks."""
 
     points: list
-    k: int = 0
 
     @classmethod
     def empty(cls, n_families: int) -> "DiscretizationState":
-        return cls(points=[[] for _ in range(n_families)], k=0)
+        return cls(points=[[] for _ in range(n_families)])
 
     def add(self, i: int, y) -> bool:
         """Add y to family i unless a copy is already present."""
@@ -70,7 +69,7 @@ class DiscretizationState:
 
     def copy(self) -> "DiscretizationState":
         return DiscretizationState(
-            points=[[y.copy() for y in fam] for fam in self.points], k=self.k)
+            points=[[y.copy() for y in fam] for fam in self.points])
 
     def n_points(self, i: int) -> int:
         return len(self.points[i])
@@ -353,7 +352,6 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                     rec.linearizations[i] = lc
                     lin_fields[i] = linearization_field(lc, problem)
 
-            disc.k += 1
             nlp, tags = _master_problem(problem, disc, lin_fields, x,
                                         opts.trust_radius)
             master = _solve_master(nlp, x, x_start)

@@ -2,9 +2,13 @@
 
 Strategy: evaluate g_i on a uniform grid over a bounding box of the index
 set, refine the best feasible nodes with the local SQP solver, then polish
-the winner with Newton steps on the active-set KKT system (exact second
-derivatives are available, so the polished point carries KKT residuals near
-machine precision -- the sensitivity computations downstream need that).
+each local solution with Newton steps on the active-set KKT system (exact
+second derivatives are available, so the polished point carries KKT
+residuals near machine precision -- the sensitivity computations downstream
+need that).  A local solution whose polish fails is kept unpolished, with the
+multipliers of its inactive constraints zeroed.  That KKT system is built
+only by ``kkt_residual`` and ``kkt_jacobian``; the polish, ``check_regularity``
+and ``sensitivity.compute_sensitivity`` share them.
 
 The bounding box is read off the index constraints when they are recognized
 as interval bounds (affine with a +/- unit-vector gradient); otherwise a
@@ -117,59 +121,60 @@ def index_set_box(problem: SipProblem):
     return np.stack([lo, hi], axis=1), False
 
 
-def _lagrangian_hessian(problem: SipProblem, i: int, x: Array, y: Array,
-                        mu: Array) -> Array:
+def kkt_residual(problem: SipProblem, i: int, x: Array, y: Array, active,
+                 mu_a: Array) -> Array:
+    """Residual [grad_y g_i - sum_{l in A} mu_l grad v_l ; v_A(y)] of the
+    active-set KKT system; ``mu_a`` holds the multipliers of ``active`` only.
+    """
     n = problem.n
-    z = np.concatenate([x, y])
-    h = problem.si_constraints[i].hessian(z)[n:, n:].copy()
-    for l, v in enumerate(problem.index_constraints):
-        if mu[l] != 0.0:
-            h -= mu[l] * v.hessian(y)
-    return h
-
-
-def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, mu: Array,
-                active: list):
-    """Newton iterations on the active-set KKT system; None when unusable."""
-    n, m = problem.n, problem.m
-    g = problem.si_constraints[i]
     vs = problem.index_constraints
-    y = y.copy()
-    mu_a = np.array([mu[l] for l in active], dtype=float)
+    grad_y = problem.si_constraints[i].gradient(np.concatenate([x, y]))[n:]
+    for l, mul in zip(active, mu_a):
+        grad_y = grad_y - mul * vs[l].gradient(y)
+    return np.concatenate([grad_y, [vs[l].value(y) for l in active]])
 
-    def residual(y_cur, mu_cur):
-        grad_y = g.gradient(np.concatenate([x, y_cur]))[n:]
-        for l, mul in zip(active, mu_cur):
-            grad_y = grad_y - mul * vs[l].gradient(y_cur)
-        vals = np.array([vs[l].value(y_cur) for l in active])
-        return np.concatenate([grad_y, vals])
 
-    res = residual(y, mu_a)
-    best = (np.linalg.norm(res), y.copy(), mu_a.copy())
+def kkt_jacobian(problem: SipProblem, i: int, x: Array, y: Array, active,
+                 mu_a: Array):
+    """``(jac, D2_yx g_i)``: jac = [[D2_yy L, -Dv_A^T], [Dv_A, 0]] is the
+    Jacobian of ``kkt_residual`` in (y, mu_A), L = g_i - sum_A mu_l v_l."""
+    n, m = problem.n, problem.m
+    vs = problem.index_constraints
+    h = problem.si_constraints[i].hessian(np.concatenate([x, y]))
+    a = len(active)
+    jac = np.zeros((m + a, m + a))
+    jac[:m, :m] = h[n:, n:]
+    for l, mul in zip(active, mu_a):
+        if mul != 0.0:
+            jac[:m, :m] -= mul * vs[l].hessian(y)
+    if a:
+        va = np.stack([vs[l].gradient(y) for l in active])
+        jac[:m, m:] = -va.T
+        jac[m:, :m] = va
+    return jac, h[n:, :n]
+
+
+def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
+                mu_a: Array):
+    """Newton iterations on the active-set KKT system: (y, mu_A) or None."""
+    m = problem.m
+    vs = problem.index_constraints
+    res = kkt_residual(problem, i, x, y, active, mu_a)
+    best = (np.linalg.norm(res), y, mu_a)
     for _ in range(8):
         if np.linalg.norm(res) <= 1e-13 * (1.0 + np.linalg.norm(res)):
             break
-        mu_full = np.zeros(len(vs))
-        for l, mul in zip(active, mu_a):
-            mu_full[l] = mul
-        h = _lagrangian_hessian(problem, i, x, y, mu_full)
-        a = len(active)
-        kkt = np.zeros((m + a, m + a))
-        kkt[:m, :m] = h
-        if a:
-            va = np.stack([vs[l].gradient(y) for l in active])
-            kkt[:m, m:] = -va.T
-            kkt[m:, :m] = va
+        jac, _ = kkt_jacobian(problem, i, x, y, active, mu_a)
         try:
-            delta = np.linalg.solve(kkt, -res)
+            delta = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
             return None
         y = y + delta[:m]
         mu_a = mu_a + delta[m:]
-        res = residual(y, mu_a)
+        res = kkt_residual(problem, i, x, y, active, mu_a)
         norm = np.linalg.norm(res)
         if norm < best[0]:
-            best = (norm, y.copy(), mu_a.copy())
+            best = (norm, y, mu_a)
         if norm <= 1e-13:
             break
     norm, y, mu_a = best
@@ -181,19 +186,7 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, mu: Array,
     for l, v in enumerate(vs):
         if l not in active and v.value(y) > TOL_FEAS:
             return None
-    mu_out = np.zeros(len(vs))
-    for l, mul in zip(active, mu_a):
-        mu_out[l] = max(mul, 0.0)
-    return y, mu_out
-
-
-def _kkt_residual(problem: SipProblem, i: int, x: Array, y: Array, mu: Array) -> float:
-    n = problem.n
-    grad_y = problem.si_constraints[i].gradient(np.concatenate([x, y]))[n:]
-    for l, v in enumerate(problem.index_constraints):
-        if mu[l] != 0.0:
-            grad_y = grad_y - mu[l] * v.gradient(y)
-    return float(np.linalg.norm(grad_y))
+    return y, np.maximum(mu_a, 0.0)
 
 
 def check_regularity(problem: SipProblem, i: int,
@@ -205,30 +198,29 @@ def check_regularity(problem: SipProblem, i: int,
     negative definite (min eigenvalue of the sign-flipped projection >= 1e-8).
     """
     y, mu = sol.y, sol.multipliers
-    vs = problem.index_constraints
+    m = len(y)
     active = list(sol.active_set)
+    jac, _ = kkt_jacobian(problem, i, sol.x, y, active, mu[active])
+    va = jac[m:, :m]
 
     licq = True
     if active:
-        va = np.stack([vs[l].gradient(y) for l in active])
         svals = np.linalg.svd(va, compute_uv=False)
-        licq = bool(len(active) <= len(y) and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
+        licq = bool(len(active) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
 
     strict = all(mu[l] >= _STRICT_COMP_TOL for l in active)
 
-    strong = [l for l in active if mu[l] > _STRICT_COMP_TOL]
+    strong = [row for row, l in enumerate(active) if mu[l] > _STRICT_COMP_TOL]
     if strong:
-        vs_strong = np.stack([vs[l].gradient(y) for l in strong])
-        _, svals, vt = np.linalg.svd(vs_strong)
+        _, svals, vt = np.linalg.svd(va[strong])
         rank = int((svals >= _LICQ_SVD_CUTOFF * max(svals.max(), 1.0)).sum())
         null_basis = vt[rank:].T
     else:
-        null_basis = np.eye(len(y))
+        null_basis = np.eye(m)
     if null_basis.shape[1] == 0:
         sosc = True
     else:
-        h = _lagrangian_hessian(problem, i, sol.x, y, mu)
-        projected = -(null_basis.T @ h @ null_basis)
+        projected = -(null_basis.T @ jac[:m, :m] @ null_basis)
         sosc = bool(np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
     return RegularityFlags(licq, strict, sosc)
 
@@ -275,22 +267,18 @@ def solve_lower_level_global(problem: SipProblem, i: int, x) -> LowerLevelSoluti
     candidates = []   # (value, y, mu)
     for start in starts:
         sol = solve_nlp(local, start, max_iter=LOCAL_MAX_ITER)
-        y_loc = sol.z
-        feas = max((v.value(y_loc) for v in vs), default=0.0)
-        if feas > 10 * TOL_FEAS:
+        y_loc, mu = sol.z, sol.multipliers
+        v_loc = np.array([v.value(y_loc) for v in vs])
+        if max(v_loc, default=0.0) > 10 * TOL_FEAS:
             continue
-        mu = sol.multipliers.copy()
-        active = [l for l, v in enumerate(vs) if v.value(y_loc) >= -TOL_ACT]
-        polished = _polish_kkt(problem, i, x, y_loc, mu, active)
-        if polished is None and active:
-            # retry without weakly-active rows picked up by the tolerance
-            strong = [l for l in active if mu[l] > _STRICT_COMP_TOL]
-            if strong != active:
-                polished = _polish_kkt(problem, i, x, y_loc, mu, strong)
+        active = [l for l in range(len(vs)) if v_loc[l] >= -TOL_ACT]
+        polished = _polish_kkt(problem, i, x, y_loc, active, mu[active])
         if polished is not None:
-            y_loc, mu = polished
+            y_loc, mu_a = polished
+            mu = np.zeros(len(vs))
+            mu[active] = mu_a
         else:
-            mu = np.where([v.value(y_loc) >= -TOL_ACT for v in vs], mu, 0.0)
+            mu = np.where(v_loc >= -TOL_ACT, mu, 0.0)
         candidates.append((float(g_y.value(y_loc)), y_loc, mu))
 
     if not candidates:
@@ -318,7 +306,8 @@ def solve_lower_level_global(problem: SipProblem, i: int, x) -> LowerLevelSoluti
     sol = LowerLevelSolution(
         index=i, x=x.copy(), y=y_star, multipliers=mu, value=value,
         active_set=active,
-        kkt_residual=_kkt_residual(problem, i, x, y_star, mu),
+        kkt_residual=float(np.linalg.norm(
+            kkt_residual(problem, i, x, y_star, active, mu[list(active)]))),
         regularity=RegularityFlags(False, False, False),
         local_maxima=[(c[1], c[0]) for c in clusters],
         multiple_global=len(tied) > 1,

@@ -96,12 +96,6 @@ class ScalarField:
                 f"expected ({self.arity}, {self.arity})")
         return h
 
-    def eval(self, z):
-        """Return ``(value, gradient, hessian_or_None)`` at ``z``."""
-        z = _as_point(z, self.arity)
-        h = self.hessian(z) if self.has_hessian else None
-        return self.value(z), self.gradient(z), h
-
     def value_batch(self, points) -> Array:
         """Values at every row of an ``(N, arity)`` array."""
         points = np.asarray(points, dtype=float)
@@ -134,8 +128,7 @@ def restrict_to_x(field: ScalarField, n: int, y) -> ScalarField:
             Y = np.tile(y, (X.shape[0], 1))
             return field.value_batch(np.hstack([X, Y]))
 
-    return ScalarField(n, val, grad, hess, batch,
-                       name=f"{field.name}|y={np.array2string(y, precision=6)}")
+    return ScalarField(n, val, grad, hess, batch, name=f"{field.name}|y fixed")
 
 
 def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lower_level import LowerLevelSolution, _lagrangian_hessian
+from .lower_level import LowerLevelSolution, kkt_jacobian
 from .model import ScalarField, SipProblem
 
 Array = np.ndarray
@@ -68,7 +68,7 @@ def compute_sensitivity(problem: SipProblem, i: int, x,
     """Solve the differentiated KKT system at a regular maximizer.
 
     With A the active set, differentiating {grad_y L = 0, v_A(y) = 0} in x
-    gives
+    gives, with the matrix of ``lower_level.kkt_jacobian``,
 
         [ D2_yy L   -Dv_A^T ] [ Dy   ]   [ -D2_yx g_i ]
         [ Dv_A         0    ] [ Dmu_A] = [      0     ]
@@ -78,21 +78,10 @@ def compute_sensitivity(problem: SipProblem, i: int, x,
     """
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
-    vs = problem.index_constraints
     active = list(sol.active_set)
-    a = len(active)
-
-    h_full = problem.si_constraints[i].hessian(np.concatenate([x, sol.y]))
-    d2_yx = h_full[n:, :n]
-    h_lag = _lagrangian_hessian(problem, i, x, sol.y, sol.multipliers)
-
-    kkt = np.zeros((m + a, m + a))
-    kkt[:m, :m] = h_lag
-    if a:
-        va = np.stack([vs[l].gradient(sol.y) for l in active])
-        kkt[:m, m:] = -va.T
-        kkt[m:, :m] = va
-    rhs = np.zeros((m + a, n))
+    kkt, d2_yx = kkt_jacobian(problem, i, x, sol.y, active,
+                              sol.multipliers[active])
+    rhs = np.zeros((m + len(active), n))
     rhs[:m] = -d2_yx
 
     cond = float(np.linalg.cond(kkt)) if kkt.size else 0.0
@@ -109,9 +98,8 @@ def compute_sensitivity(problem: SipProblem, i: int, x,
             f"constraint {i} (condition estimate {cond:.3e})")
 
     dy_dx = sol_mat[:m]
-    dmu_dx = np.zeros((len(vs), n))
-    for row, l in enumerate(active):
-        dmu_dx[l] = sol_mat[m + row]
+    dmu_dx = np.zeros((len(problem.index_constraints), n))
+    dmu_dx[active] = sol_mat[m:]
     return KktSensitivity(dy_dx=dy_dx, dmu_dx=dmu_dx, condition_estimate=cond)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sipsolve import lower_level
 from sipsolve.lower_level import (LowerLevelError, check_regularity,
                                   index_set_box, solve_all_lower_levels,
                                   solve_lower_level_global)
@@ -87,6 +88,35 @@ class TestGlobalMaximizer:
         tops = sorted((round(y[0], 6), round(v, 6))
                       for y, v in sol.local_maxima)
         assert tops == [(-1.0, -1.0), (1.0, -1.0)]
+
+    def test_failed_polish_keeps_local_solution(self, dc, monkeypatch):
+        # from the grid node (-0.8348, 0.5074) the local SQP returns its
+        # start and the Newton polish of that start fails; the candidate
+        # then keeps the SQP point with its multipliers masked to the
+        # active rows, and the winner must be unaffected
+        x = np.array([1.6647114202107154, -0.3334434839090681,
+                      2.3100340905999035, 0.6665565160909319,
+                      -1.328949451599116])
+        polish = lower_level._polish_kkt
+        failures = []
+
+        def counting_polish(*args):
+            out = polish(*args)
+            failures.append(out is None)
+            return out
+
+        monkeypatch.setattr(lower_level, "_polish_kkt", counting_polish)
+        sol = solve_lower_level_global(dc, 0, x)
+        assert sum(failures) >= 1
+        assert abs(np.linalg.norm(sol.y) - 1.0) <= 1e-12
+        assert sol.kkt_residual <= 1e-8
+        assert sol.regularity.all_ok
+        box, _ = index_set_box(dc)
+        nodes = lower_level._grid_nodes(box, lower_level.GRID_PER_DIM)
+        nodes = nodes[dc.index_constraints[0].value_batch(nodes)
+                      <= lower_level.TOL_FEAS]
+        z = np.column_stack([np.broadcast_to(x, (len(nodes), 5)), nodes])
+        assert sol.value >= dc.si_constraints[0].value_batch(z).max()
 
     def test_pinned_point_index_set(self):
         # y <= 0 and -y <= 0 pin Y to the origin

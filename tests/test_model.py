@@ -25,7 +25,8 @@ class TestScalarField:
 
     def test_eval_bundle(self):
         f = quad_field()
-        v, g, h = f.eval(np.array([3.0, 0.0]))
+        z = np.array([3.0, 0.0])
+        v, g, h = f.value(z), f.gradient(z), f.hessian(z)
         assert v == 9.0 and g[0] == 6.0 and h[1, 1] == 2.0
 
     def test_missing_hessian(self):
@@ -33,8 +34,6 @@ class TestScalarField:
         assert not f.has_hessian
         with pytest.raises(FieldEvaluationError):
             f.hessian(np.zeros(1))
-        v, g, h = f.eval(np.zeros(1))
-        assert h is None
 
     def test_arity_enforced(self):
         f = quad_field()
