@@ -26,7 +26,7 @@ import numpy as np
 
 from .diagnostics import perturbation_params, stationarity_residual
 from .expressions import DomainError
-from .lower_level import LowerLevelError, solve_all_lower_levels
+from .lower_level import LowerLevelError, index_grid, solve_all_lower_levels
 from .model import FieldEvaluationError, SipProblem, restrict_to_x
 from .nlp import NlpProblem, solve_nlp
 from .sensitivity import (SensitivityError, compute_sensitivity,
@@ -250,12 +250,15 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
     best_feasibility = np.inf
     stagnant = 0
     status = "max_iter"
+    grid = None         # the lower-level grid, built at the first iteration
 
     try:
         for k in range(opts.max_iter + 1):
             t0 = time.perf_counter()
             try:
-                ll = solve_all_lower_levels(problem, x)
+                if grid is None:
+                    grid = index_grid(problem)
+                ll = solve_all_lower_levels(problem, x, grid)
             except LowerLevelError as exc:
                 warnings.append(f"iteration {k}: lower-level solve failed: {exc}")
                 status = "subsolver_failure"

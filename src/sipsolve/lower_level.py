@@ -10,9 +10,18 @@ multipliers of its inactive constraints zeroed.  That KKT system is built
 only by ``kkt_residual`` and ``kkt_jacobian``; the polish, ``check_regularity``
 and ``sensitivity.compute_sensitivity`` share them.
 
+One local run per basin: a start is skipped when the straight segment from
+it to a maximizer already found, sampled one grid step apart, stays in the
+index set and never lets g_i fall by more than ``TIE_TOL`` -- the local run
+would climb to that maximizer again (the second rule of multi-level single
+linkage, Rinnooy Kan & Timmer, Math. Programming 39, 1987).  The best start
+always runs, so the returned value still dominates the grid.
+
 The bounding box is read off the index constraints when they are recognized
 as interval bounds (affine with a +/- unit-vector gradient); otherwise a
 coarse scan of a large box locates the feasible hull, which is then padded.
+The box and the feasible grid nodes depend on the problem only
+(``index_grid``); the drivers build them once per run.
 
 Deterministic by construction: fixed grid order, ties broken toward the
 lexicographically smallest maximizer.
@@ -20,6 +29,7 @@ lexicographically smallest maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,7 +39,7 @@ from .nlp import NlpProblem, solve_nlp
 Array = np.ndarray
 
 GRID_PER_DIM = 64           # grid nodes per index dimension
-N_STARTS = 8                # local SQP runs from the best distinct grid nodes
+N_STARTS = 8                # best distinct grid nodes tried as local SQP starts
 DEDUP_SPACING = 1e-3        # minimum distance between two starts
 LOCAL_MAX_ITER = 60         # SQP iteration cap of one local run
 TOL_FEAS = 1e-9             # index-set feasibility of grid nodes and maxima
@@ -72,6 +82,30 @@ class LowerLevelSolution:
     regularity: RegularityFlags
     local_maxima: list          # [(y, value)] of distinct local solutions
     multiple_global: bool       # value tie within TIE_TOL among distinct maxima
+
+
+@dataclass(frozen=True)
+class IndexGrid:
+    """The lower-level grid of one problem: its box, the feasible nodes in
+    grid order, and the node spacing per axis."""
+
+    box: Array
+    nodes: Array
+    step: Array
+
+
+def index_grid(problem: SipProblem) -> IndexGrid:
+    """Feasible ``GRID_PER_DIM``-per-axis grid over the index-set box."""
+    box, _ = index_set_box(problem)
+    nodes = _grid_nodes(box, GRID_PER_DIM)
+    feasible = np.ones(len(nodes), dtype=bool)
+    for v in problem.index_constraints:
+        feasible &= v.value_batch(nodes) <= TOL_FEAS
+    if not feasible.any():
+        raise LowerLevelError(
+            "no feasible grid node (empty or degenerate index set)")
+    return IndexGrid(box, nodes[feasible],
+                     (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
 
 
 def index_set_box(problem: SipProblem):
@@ -225,40 +259,50 @@ def check_regularity(problem: SipProblem, i: int,
     return RegularityFlags(licq, strict, sosc)
 
 
-def solve_lower_level_global(problem: SipProblem, i: int, x) -> LowerLevelSolution:
+def _ascends_to(g_y, vs, start: Array, y: Array, step: Array) -> bool:
+    """Whether g_y never falls by more than ``TIE_TOL`` along the feasible
+    segment from ``start`` to ``y``, sampled about one grid step apart."""
+    delta = y - start
+    in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
+    t = np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(in_steps))) + 2)
+    pts = start + t[:, None] * delta
+    if any((v.value_batch(pts) > TOL_FEAS).any() for v in vs):
+        return False
+    return bool((np.diff(g_y.value_batch(pts)) >= -TIE_TOL).all())
+
+
+def solve_lower_level_global(
+        problem: SipProblem, i: int, x,
+        grid: Optional[IndexGrid] = None) -> LowerLevelSolution:
     """Grid multistart with local refinement; value dominates the grid.
 
     Guarantee: the returned value is >= the best value over the feasible
     grid nodes (up to 1e-12).  Value ties within ``TIE_TOL`` among distinct
-    local maxima are flagged via ``multiple_global``.
+    local maxima are flagged via ``multiple_global``.  ``grid`` is
+    ``index_grid(problem)``, built here when not given.
     """
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
     g = problem.si_constraints[i]
     vs = problem.index_constraints
+    if grid is None:
+        grid = index_grid(problem)
 
-    box, recognized = index_set_box(problem)
-    nodes = _grid_nodes(box, GRID_PER_DIM)
-    feasible = np.ones(len(nodes), dtype=bool)
-    for v in vs:
-        feasible &= v.value_batch(nodes) <= TOL_FEAS
-    if not feasible.any():
-        raise LowerLevelError(
-            f"lower level {i}: no feasible grid node (empty or degenerate index set)")
-    feas_idx = np.flatnonzero(feasible)
+    nodes = grid.nodes
     g_y = restrict_to_y(g, n, x)
-    values = g_y.value_batch(nodes[feas_idx])
+    values = g_y.value_batch(nodes)
 
-    order = np.lexsort((feas_idx, -values))   # by value desc, then grid order
+    order = np.argsort(-values, kind="stable")   # by value desc, then grid order
     starts = []
     for k in order:
-        node = nodes[feas_idx[k]]
+        node = nodes[k]
         if all(np.linalg.norm(node - s) >= DEDUP_SPACING for s in starts):
             starts.append(node)
         if len(starts) >= N_STARTS:
             break
     grid_best = float(values.max())
 
+    box = grid.box
     width = box[:, 1] - box[:, 0]
     nlp_lo = box[:, 0] - 0.05 * width
     nlp_hi = box[:, 1] + 0.05 * width
@@ -266,6 +310,10 @@ def solve_lower_level_global(problem: SipProblem, i: int, x) -> LowerLevelSoluti
 
     candidates = []   # (value, y, mu)
     for start in starts:
+        # a start on an ascent path to a known maximizer would climb to it
+        if any(_ascends_to(g_y, vs, start, c[1], grid.step)
+               for c in candidates):
+            continue
         sol = solve_nlp(local, start, max_iter=LOCAL_MAX_ITER)
         y_loc, mu = sol.z, sol.multipliers
         v_loc = np.array([v.value(y_loc) for v in vs])
@@ -316,7 +364,10 @@ def solve_lower_level_global(problem: SipProblem, i: int, x) -> LowerLevelSoluti
     return sol
 
 
-def solve_all_lower_levels(problem: SipProblem, x) -> list:
+def solve_all_lower_levels(problem: SipProblem, x,
+                           grid: Optional[IndexGrid] = None) -> list:
     """One global lower-level solve per semi-infinite constraint."""
-    return [solve_lower_level_global(problem, i, x)
+    if grid is None:
+        grid = index_grid(problem)
+    return [solve_lower_level_global(problem, i, x, grid)
             for i in range(problem.n_si)]

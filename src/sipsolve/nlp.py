@@ -284,8 +284,9 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 
     Returns status 'converged' when the KKT residual, feasibility, and
     complementarity all meet their tolerances; 'max_iter' with the best
-    iterate otherwise; 'qp_failure' if even the elastic QP cannot be solved
-    or the Hessian approximation stops being numerically positive definite.
+    iterate otherwise; 'qp_failure' if even the elastic QP cannot be
+    solved.  A Hessian approximation that stops being numerically positive
+    definite is reset to the identity.
     """
     d = problem.dim
     lo, hi = problem.lower, problem.upper
@@ -382,11 +383,12 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         fval, fgrad = f_new, fgrad_new
         cvals, jac = c_new, jac_new
         # The damped update is positive definite in exact arithmetic, but
-        # curvature that grows without bound (a log or 1/x singularity)
-        # rounds its smallest eigenvalue to zero; the next QP would not be
-        # convex.
+        # rounding can take its smallest eigenvalue to zero or below (steep
+        # curvature along one direction, or unbounded curvature near a log
+        # or 1/x singularity); the next QP would not be convex.  Restart
+        # from the identity, as after a failed line search.
         if not np.linalg.eigvalsh(B)[0] > 0.0:
-            return qp_failure()
+            B = np.eye(d)
 
     # not converged: report honest residuals at the best iterate found
     if best is not None and tuple(best[1]) != tuple(z):

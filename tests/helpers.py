@@ -68,6 +68,26 @@ def tie_problem():
                       start=np.array([0.5]), name="tie")
 
 
+def three_peak_problem():
+    """g(x, y) = cos(3 pi y) - x y on [-1,1]: local maxima near -2/3, 0, 2/3.
+
+    At x = 0 the three tie at value 1; x > 0 tilts the left one to the top.
+    """
+    w = 3.0 * np.pi
+    f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),
+                    hessian=lambda x: np.zeros((1, 1)), name="f_peaks")
+    g = ScalarField(
+        2, lambda z: np.cos(w * z[1]) - z[0] * z[1],
+        lambda z: np.array([-z[1], -w * np.sin(w * z[1]) - z[0]]),
+        hessian=lambda z: np.array([[0.0, -1.0],
+                                    [-1.0, -w * w * np.cos(w * z[1])]]),
+        value_batch=lambda pts: np.cos(w * pts[:, 1]) - pts[:, 0] * pts[:, 1],
+        name="g_peaks")
+    return SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
+                      index_constraints=interval_index_fields(),
+                      x_bounds=np.array([[-1.0, 1.0]]), name="three_peaks")
+
+
 def pinned_index_problem():
     """Y = {0} written as y <= 0 and -y <= 0: dependent active gradients."""
     f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),

@@ -166,6 +166,16 @@ class TestConvergenceBehavior:
             prev = dc_bf_known.result.history[rec.k - 1]
             assert np.abs(rec.x - prev.x).max() <= 2.0 + 1e-9
 
+    def test_indefinite_bfgs_matrix_restarts(self, dc):
+        # in the first master from this start, rounding takes the smallest
+        # BFGS eigenvalue to -2.6e-14 (largest 2.5e5); the SQP restarts
+        # from the identity instead of ending in qp_failure
+        x0 = [0.05663372243244269, 0.2706774314584631, 0.5504147567809613,
+              0.6823188888562653, -0.3241708295993819]
+        r = run_qcad(dc, x0, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert r.final_status == "tolerance_met"
+        assert r.final.k == 2
+
 
 class TestPreseeding:
     def test_seeded_points_survive_and_dedup(self, ex1):

@@ -8,7 +8,8 @@ from sipsolve.lower_level import (LowerLevelError, check_regularity,
 from sipsolve.model import ScalarField, SipProblem
 from sipsolve.problems import design_centering, example1, example2
 
-from helpers import interval_index_fields, pinned_index_problem, tie_problem
+from helpers import (interval_index_fields, pinned_index_problem,
+                     three_peak_problem, tie_problem)
 
 
 class TestGlobalMaximizer:
@@ -90,10 +91,10 @@ class TestGlobalMaximizer:
         assert tops == [(-1.0, -1.0), (1.0, -1.0)]
 
     def test_failed_polish_keeps_local_solution(self, dc, monkeypatch):
-        # from the grid node (-0.8348, 0.5074) the local SQP returns its
-        # start and the Newton polish of that start fails; the candidate
-        # then keeps the SQP point with its multipliers masked to the
-        # active rows, and the winner must be unaffected
+        # the Newton polish fails on its first call (no input is known to
+        # reach this path on its own); the candidate then keeps the SQP
+        # point with its multipliers masked to the active rows, and the
+        # winner must still be the maximizer on the circle
         x = np.array([1.6647114202107154, -0.3334434839090681,
                       2.3100340905999035, 0.6665565160909319,
                       -1.328949451599116])
@@ -101,7 +102,7 @@ class TestGlobalMaximizer:
         failures = []
 
         def counting_polish(*args):
-            out = polish(*args)
+            out = polish(*args) if failures else None
             failures.append(out is None)
             return out
 
@@ -125,6 +126,53 @@ class TestGlobalMaximizer:
         assert abs(sol.y[0]) == 0.0
         assert sol.value == 0.0
         assert sol.active_set == (0, 1)
+
+
+@pytest.fixture
+def local_runs(monkeypatch):
+    """Count the local SQP runs of the lower level."""
+    runs = []
+    solve_nlp = lower_level.solve_nlp
+
+    def counting_solve_nlp(*args, **kwargs):
+        runs.append(1)
+        return solve_nlp(*args, **kwargs)
+
+    monkeypatch.setattr(lower_level, "solve_nlp", counting_solve_nlp)
+    return runs
+
+
+class TestStartSelection:
+    def test_one_local_run_per_family_at_start(self, dc, local_runs):
+        # every family of the disk has a single basin at the start: the
+        # seven starts after the best lie on its ascent path
+        x = np.asarray(dc.start)
+        for i in range(dc.n_si):
+            local_runs.clear()
+            solve_lower_level_global(dc, i, x)
+            assert len(local_runs) == 1
+
+    def test_three_basins_tie(self, local_runs):
+        sol = solve_lower_level_global(three_peak_problem(), 0,
+                                       np.array([0.0]))
+        assert len(local_runs) == 3
+        tops = sorted((y[0], v) for y, v in sol.local_maxima)
+        assert np.allclose([t[0] for t in tops], [-2 / 3, 0.0, 2 / 3],
+                           atol=1e-10)
+        assert np.allclose([t[1] for t in tops], 1.0, atol=1e-12)
+        assert sol.multiple_global
+        assert sol.y == pytest.approx([-2 / 3], abs=1e-10)
+
+    def test_three_basins_tilted(self, local_runs):
+        sol = solve_lower_level_global(three_peak_problem(), 0,
+                                       np.array([0.05]))
+        assert len(local_runs) == 3
+        values = sorted((v for _, v in sol.local_maxima), reverse=True)
+        assert values == pytest.approx([1.033347, 1.000014, 0.966681],
+                                       abs=1e-6)
+        assert not sol.multiple_global
+        assert sol.y == pytest.approx([-0.66723], abs=1e-5)
+        assert sol.value == pytest.approx(values[0], abs=1e-15)
 
 
 class TestRegularity:
