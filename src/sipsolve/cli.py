@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,12 @@ def _csv_path_for(base: Path, algorithm: str, both: bool) -> Path:
     return base.with_name(f"{base.stem}_{algorithm}{base.suffix or '.csv'}")
 
 
+def run_options(args) -> DriverOptions:
+    """The driver options of parsed ``run`` arguments (same field names)."""
+    return DriverOptions(**{f.name: getattr(args, f.name)
+                            for f in fields(DriverOptions)})
+
+
 def cmd_run(args) -> int:
     problem = _load(args)
     if args.mode == "known" and problem.known_solution is None:
@@ -148,10 +155,7 @@ def cmd_run(args) -> int:
             "use --mode practical")
     if problem.start is None:
         raise ConfigError(f"problem {problem.name} has no start point (x0)")
-    opts = DriverOptions(
-        mode=args.mode, tol_dist=args.tol_dist, tol_feas=args.tol_feas,
-        tol_stat=args.tol_stat, max_iter=args.max_iter,
-        trust_radius=args.trust_radius)
+    opts = run_options(args)
     algorithms = ["bf", "qcad"] if args.alg == "both" else [args.alg]
     results = {}
     for alg in algorithms:
@@ -271,17 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="solve a problem")
     add_source(run_p)
+    defaults = DriverOptions()
     run_p.add_argument("--alg", choices=["bf", "qcad", "both"], default="qcad")
     run_p.add_argument("--mode", choices=["practical", "known"],
-                       default="practical")
-    run_p.add_argument("--tol-dist", type=float, default=1e-4,
-                       help="known mode: stop at this distance (default 1e-4)")
-    run_p.add_argument("--tol-feas", type=float, default=1e-6,
+                       default=defaults.mode)
+    run_p.add_argument("--tol-dist", type=float, default=defaults.tol_dist,
+                       help="known mode: stop at this distance (default %(default)s)")
+    run_p.add_argument("--tol-feas", type=float, default=defaults.tol_feas,
                        help="practical mode: feasibility tolerance")
-    run_p.add_argument("--tol-stat", type=float, default=1e-6,
+    run_p.add_argument("--tol-stat", type=float, default=defaults.tol_stat,
                        help="practical mode: stationarity tolerance")
-    run_p.add_argument("--max-iter", type=int, default=50)
-    run_p.add_argument("--trust-radius", type=float, default=2.0,
+    run_p.add_argument("--max-iter", type=int, default=defaults.max_iter)
+    run_p.add_argument("--trust-radius", type=float, default=defaults.trust_radius,
                        help="sup-norm cap on each master step")
     run_p.add_argument("--csv", help="iterate history CSV output path")
     run_p.add_argument("--summary", help="JSON summary output path")

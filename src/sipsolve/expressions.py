@@ -6,8 +6,10 @@ the functions sin, cos, exp, log, sqrt, numeric literals, and variables named
 or the literal 0.5; ``abs`` is deliberately not part of the grammar (it would
 break the smoothness assumptions of the solvers downstream).
 
-Derivatives come from forward-mode automatic differentiation carrying value,
-gradient, and Hessian together, so compiled fields are exact to rounding.
+Derivatives are symbolic: :func:`derivative` turns an expression into its
+partial derivative, built from the same node types, and the one evaluator
+:func:`eval_value` evaluates values and derivatives alike, so compiled fields
+are exact to rounding.
 """
 from __future__ import annotations
 
@@ -264,9 +266,10 @@ def _print(node: Expression, parent_prec: int, right_side: bool) -> str:
             return f"({text})"
         return text
     prec = _PREC[node.op]
-    left = _print(node.left, prec, False)
-    # -, / and ^ need parentheses around same-precedence right children
-    right = _print(node.right, prec, node.op in "-/^")
+    # the parser groups left to right and takes only a literal exponent, so
+    # a same-precedence right operand and a power as a base need parentheses
+    left = _print(node.left, prec, node.op == "^")
+    right = _print(node.right, prec, True)
     text = f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
     if prec < parent_prec or (right_side and prec == parent_prec):
         return f"({text})"
@@ -283,19 +286,18 @@ def variables(expr: Expression) -> set:
         return set()
     if isinstance(expr, Var):
         return {(expr.kind, expr.index)}
-    if isinstance(expr, Neg):
-        return variables(expr.arg)
-    if isinstance(expr, Call):
+    if isinstance(expr, (Neg, Call)):
         return variables(expr.arg)
     return variables(expr.left) | variables(expr.right)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: plain values (scalar or numpy-broadcast) and forward AD
+# Evaluation (scalar or numpy-broadcast) and derivatives built as expressions
 # ---------------------------------------------------------------------------
 
 def eval_value(expr: Expression, env):
-    """Evaluate with ``env[(kind, index)]`` giving scalars or numpy arrays."""
+    """Evaluate with ``env[(kind, index)]`` giving scalars or numpy arrays;
+    out-of-domain points give nan or inf, never an error or a complex."""
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -307,6 +309,11 @@ def eval_value(expr: Expression, env):
         with np.errstate(divide="ignore", invalid="ignore"):
             return getattr(np, expr.fn)(arg)
     left = eval_value(expr.left, env)
+    if expr.op == "^":
+        with np.errstate(invalid="ignore"):
+            if expr.right.value == 0.5:
+                return np.sqrt(left)
+            return left ** expr.right.value
     right = eval_value(expr.right, env)
     if expr.op == "+":
         return left + right
@@ -314,119 +321,126 @@ def eval_value(expr: Expression, env):
         return left - right
     if expr.op == "*":
         return left * right
-    if expr.op == "/":
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return left / right
-    with np.errstate(invalid="ignore"):
-        return left ** right
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return left / right
 
 
-class Taylor2:
-    """Value together with gradient and Hessian w.r.t. d seed variables."""
-
-    __slots__ = ("v", "g", "h")
-
-    def __init__(self, v: float, g, h):
-        self.v = v
-        self.g = g
-        self.h = h
-
-    @staticmethod
-    def constant(value: float, d: int) -> "Taylor2":
-        return Taylor2(float(value), np.zeros(d), np.zeros((d, d)))
-
-    @staticmethod
-    def seed(value: float, slot: int, d: int) -> "Taylor2":
-        g = np.zeros(d)
-        g[slot] = 1.0
-        return Taylor2(float(value), g, np.zeros((d, d)))
-
-    def __add__(self, other):
-        return Taylor2(self.v + other.v, self.g + other.g, self.h + other.h)
-
-    def __sub__(self, other):
-        return Taylor2(self.v - other.v, self.g - other.g, self.h - other.h)
-
-    def __neg__(self):
-        return Taylor2(-self.v, -self.g, -self.h)
-
-    def __mul__(self, other):
-        cross = np.outer(self.g, other.g)
-        return Taylor2(self.v * other.v,
-                       self.v * other.g + other.v * self.g,
-                       self.v * other.h + other.v * self.h + cross + cross.T)
-
-    def __truediv__(self, other):
-        if other.v == 0.0:
-            raise DomainError("division by zero")
-        q = self.v / other.v
-        gq = (self.g - q * other.g) / other.v
-        cross = np.outer(gq, other.g)
-        hq = (self.h - q * other.h - cross - cross.T) / other.v
-        return Taylor2(q, gq, hq)
-
-    def chain(self, f0: float, f1: float, f2: float) -> "Taylor2":
-        """Compose with a scalar map given f(v), f'(v), f''(v)."""
-        return Taylor2(f0, f1 * self.g, f1 * self.h + f2 * np.outer(self.g, self.g))
+_ZERO = Num(0.0)
 
 
-def _taylor_pow(base: Taylor2, exponent: float) -> Taylor2:
-    if exponent == 0.5:
-        if base.v <= 0.0:
-            raise DomainError("sqrt of a nonpositive value")
-        r = np.sqrt(base.v)
-        return base.chain(r, 0.5 / r, -0.25 / r ** 3)
-    p = int(exponent)
-    if p == 0:
-        d = len(base.g)
-        return Taylor2.constant(1.0, d)
-    if p == 1:
-        return Taylor2(base.v, base.g.copy(), base.h.copy())
-    f1 = p * base.v ** (p - 1)
-    f2 = p * (p - 1) * base.v ** (p - 2)
-    return base.chain(base.v ** p, f1, f2)
+def _is(node: Expression, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
 
 
-def _taylor_call(fn: str, arg: Taylor2) -> Taylor2:
-    v = arg.v
-    if fn == "sin":
-        return arg.chain(np.sin(v), np.cos(v), -np.sin(v))
-    if fn == "cos":
-        return arg.chain(np.cos(v), -np.sin(v), -np.cos(v))
-    if fn == "exp":
-        e = np.exp(v)
-        return arg.chain(e, e, e)
-    if fn == "log":
-        if v <= 0.0:
-            raise DomainError("log of a nonpositive value")
-        return arg.chain(np.log(v), 1.0 / v, -1.0 / v ** 2)
-    if fn == "sqrt":
-        if v <= 0.0:
-            raise DomainError("sqrt of a nonpositive value")
-        r = np.sqrt(v)
-        return arg.chain(r, 0.5 / r, -0.25 / r ** 3)
-    raise ValueError(f"unknown function {fn!r}")
+def _neg(a):
+    return a if _is(a, 0.0) else Neg(a)
 
 
-def eval_taylor2(expr: Expression, env: dict, d: int) -> Taylor2:
-    """Forward AD sweep; ``env[(kind, index)]`` maps to (slot, value) pairs."""
+def _add(a, b):
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else Bin("+", a, b)
+
+
+def _sub(a, b):
+    return _neg(b) if _is(a, 0.0) else a if _is(b, 0.0) else Bin("-", a, b)
+
+
+def _mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else Bin("*", a, b)
+
+
+# f'(u) as an expression, given the call node f(u)
+_OUTER = {"sin": lambda e: Call("cos", e.arg),
+          "cos": lambda e: Neg(Call("sin", e.arg)),
+          "exp": lambda e: e,
+          "log": lambda e: Bin("/", Num(1.0), e.arg),
+          "sqrt": lambda e: Bin("/", Num(0.5), e)}
+
+
+def derivative(expr: Expression, var: tuple) -> Expression:
+    """Partial derivative of ``expr`` in the variable ``var = (kind, index)``.
+
+    Product, quotient and chain rules, with only the exact simplifications
+    ``a + 0``, ``a * 1`` and ``a * 0`` (a zero numerator counts as ``a * 0``).
+    """
     if isinstance(expr, Num):
-        return Taylor2.constant(expr.value, d)
+        return _ZERO
     if isinstance(expr, Var):
-        slot, value = env[(expr.kind, expr.index)]
-        return Taylor2.seed(value, slot, d)
+        return Num(1.0) if (expr.kind, expr.index) == var else _ZERO
     if isinstance(expr, Neg):
-        return -eval_taylor2(expr.arg, env, d)
+        return _neg(derivative(expr.arg, var))
     if isinstance(expr, Call):
-        return _taylor_call(expr.fn, eval_taylor2(expr.arg, env, d))
+        return _mul(_OUTER[expr.fn](expr), derivative(expr.arg, var))
+    u, w = expr.left, expr.right
+    du = derivative(u, var)
     if expr.op == "^":
-        return _taylor_pow(eval_taylor2(expr.left, env, d), expr.right.value)
-    left = eval_taylor2(expr.left, env, d)
-    right = eval_taylor2(expr.right, env, d)
+        p = w.value
+        if p == 0.5:
+            return _mul(_OUTER["sqrt"](expr), du)
+        if p == 0.0:
+            return _ZERO
+        if p == 1.0:
+            return du
+        # p * u^(p-1) * du, with u^1 written as u
+        return _mul(_mul(w, u if p == 2.0 else Bin("^", u, Num(p - 1.0))), du)
+    dw = derivative(w, var)
     if expr.op == "+":
-        return left + right
+        return _add(du, dw)
     if expr.op == "-":
-        return left - right
+        return _sub(du, dw)
     if expr.op == "*":
-        return left * right
-    return left / right
+        return _add(_mul(u, dw), _mul(w, du))
+    # (du - (u / w) * dw) / w
+    quotient = _sub(du, _mul(expr, dw))
+    return _ZERO if _is(quotient, 0.0) else Bin("/", quotient, w)
+
+
+def _domain_checks(expr: Expression) -> list:
+    """``(argument, operation)`` of every log, sqrt, ``^0.5`` and division in
+    ``expr``, in the order an evaluation reaches them."""
+    if isinstance(expr, (Num, Var)):
+        return []
+    if isinstance(expr, Neg):
+        return _domain_checks(expr.arg)
+    if isinstance(expr, Call):
+        own = [(expr.arg, expr.fn)] if expr.fn in ("log", "sqrt") else []
+        return _domain_checks(expr.arg) + own
+    own = []
+    if expr.op == "/":
+        own = [(expr.right, "/")]
+    elif expr.op == "^" and expr.right.value == 0.5:
+        own = [(expr.left, "sqrt")]
+    return _domain_checks(expr.left) + _domain_checks(expr.right) + own
+
+
+def derivative_tables(expr: Expression, keys: list) -> list:
+    """Gradient and Hessian of ``expr`` in the variables ``keys``, each as a
+    table ``(shape, nonzero (positions, expression) entries, domain checks)``.
+    The Hessian's upper triangle is mirrored, so it is exactly symmetric."""
+    d = len(keys)
+    checks = tuple(_domain_checks(expr))
+    grad = [derivative(expr, key) for key in keys]
+    hess = [(((i, j), (j, i)), derivative(grad[i], keys[j]))
+            for i in range(d) for j in range(i, d)]
+    return [((d,), tuple(((i,), e) for i, e in enumerate(grad)
+                         if not _is(e, 0.0)), checks),
+            ((d, d), tuple(p for p in hess if not _is(p[1], 0.0)), checks)]
+
+
+def eval_taylor2(table: tuple, env: dict) -> np.ndarray:
+    """Evaluate a table of :func:`derivative_tables` at the scalar point
+    ``env``; raise :class:`DomainError` at its first failing domain check.
+    (``perfbench/tracing.py`` times derivative evaluation under this name.)"""
+    shape, entries, checks = table
+    for arg, op in checks:
+        v = eval_value(arg, env)
+        if v == 0.0 or (v < 0.0 and op != "/"):
+            raise DomainError("division by zero" if op == "/"
+                              else f"{op} of a nonpositive value")
+    out = np.zeros(shape)
+    for positions, e in entries:
+        v = eval_value(e, env)
+        for pos in positions:
+            out[pos] = v
+    return out

@@ -33,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import SipProblem, grid_nodes as _grid_nodes, negated, restrict_to_y
+from .model import (SipProblem, grid_nodes as _grid_nodes, index_set_nodes,
+                    negated, restrict_to_y)
 from .nlp import NlpProblem, solve_nlp
 
 Array = np.ndarray
@@ -97,15 +98,11 @@ class IndexGrid:
 def index_grid(problem: SipProblem) -> IndexGrid:
     """Feasible ``GRID_PER_DIM``-per-axis grid over the index-set box."""
     box, _ = index_set_box(problem)
-    nodes = _grid_nodes(box, GRID_PER_DIM)
-    feasible = np.ones(len(nodes), dtype=bool)
-    for v in problem.index_constraints:
-        feasible &= v.value_batch(nodes) <= TOL_FEAS
-    if not feasible.any():
+    nodes = index_set_nodes(problem, box, GRID_PER_DIM, TOL_FEAS)
+    if not len(nodes):
         raise LowerLevelError(
             "no feasible grid node (empty or degenerate index set)")
-    return IndexGrid(box, nodes[feasible],
-                     (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
+    return IndexGrid(box, nodes, (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
 
 
 def index_set_box(problem: SipProblem):
@@ -138,15 +135,11 @@ def index_set_box(problem: SipProblem):
 
     # scan a large box for the feasible hull
     width = SCAN_HALF_WIDTH
-    nodes = _grid_nodes([[-width, width]] * m, SCAN_PER_DIM)
-    feasible = np.ones(len(nodes), dtype=bool)
-    for v in problem.index_constraints:
-        feasible &= v.value_batch(nodes) <= 1e-9
-    if not feasible.any():
+    pts = index_set_nodes(problem, [[-width, width]] * m, SCAN_PER_DIM, TOL_FEAS)
+    if not len(pts):
         raise LowerLevelError(
             "no feasible point of the index set in the scan box "
             f"[-{width}, {width}]^{m}")
-    pts = nodes[feasible]
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     pad = np.maximum(0.05 * (hi - lo), 1e-6)

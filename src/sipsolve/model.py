@@ -180,6 +180,16 @@ def grid_nodes(box, per_dim: int) -> Array:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def index_set_nodes(problem: SipProblem, box, per_dim: int, tol: float) -> Array:
+    """The nodes of ``grid_nodes(box, per_dim)``, in grid order, at which
+    every index constraint ``v_l`` is at most ``tol``."""
+    nodes = grid_nodes(box, per_dim)
+    feasible = np.ones(len(nodes), dtype=bool)
+    for v in problem.index_constraints:
+        feasible &= v.value_batch(nodes) <= tol
+    return nodes[feasible]
+
+
 @dataclass(frozen=True)
 class SipProblem:
     """A semi-infinite program.
@@ -290,28 +300,17 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     y_probe = np.zeros(m)
     z_probe = np.concatenate([x_probe, y_probe])
 
-    if problem.objective.arity != n:
-        issues.append(f"objective: dimension mismatch (arity {problem.objective.arity}, expected {n})")
-    else:
-        _probe_field(problem.objective, x_probe, "objective", issues, need_hessian=False)
-    for k, g in enumerate(problem.si_constraints):
-        label = f"si_constraints[{k}]"
-        if g.arity != n + m:
-            issues.append(f"{label}: dimension mismatch (arity {g.arity}, expected {n + m})")
-        else:
-            _probe_field(g, z_probe, label, issues, need_hessian=True)
-    for k, v in enumerate(problem.index_constraints):
-        label = f"index_constraints[{k}]"
-        if v.arity != m:
-            issues.append(f"{label}: dimension mismatch (arity {v.arity}, expected {m})")
-        else:
-            _probe_field(v, y_probe, label, issues, need_hessian=True)
-    for k, c in enumerate(problem.finite_constraints):
-        label = f"finite_constraints[{k}]"
-        if c.arity != n:
-            issues.append(f"{label}: dimension mismatch (arity {c.arity}, expected {n})")
-        else:
-            _probe_field(c, x_probe, label, issues, need_hessian=False)
+    groups = [("objective", [problem.objective], x_probe, False),
+              ("si_constraints", problem.si_constraints, z_probe, True),
+              ("index_constraints", problem.index_constraints, y_probe, True),
+              ("finite_constraints", problem.finite_constraints, x_probe, False)]
+    for key, group, probe, need_hessian in groups:
+        for k, f in enumerate(group):
+            label = key if key == "objective" else f"{key}[{k}]"
+            if f.arity != len(probe):
+                issues.append(f"{label}: dimension mismatch (arity {f.arity}, expected {len(probe)})")
+            else:
+                _probe_field(f, probe, label, issues, need_hessian)
 
     if problem.known_solution is not None and problem.known_solution.shape != (n,):
         issues.append("known_solution: dimension mismatch")
@@ -323,17 +322,14 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     ok_index = all(v.arity == m for v in problem.index_constraints)
     if problem.index_constraints and ok_index and m <= 3:
         width = 10.0
-        nodes = grid_nodes([[-width, width]] * m, 33)
-        feasible = np.ones(len(nodes), dtype=bool)
         try:
-            for v in problem.index_constraints:
-                feasible &= v.value_batch(nodes) <= 1e-9
+            pts = index_set_nodes(problem, [[-width, width]] * m, 33, 1e-9)
         except Exception as exc:  # noqa: BLE001
             issues.append(f"index set probe failed ({exc})")
         else:
-            if not feasible.any():
+            if not len(pts):
                 issues.append("index set appears empty (no feasible point in scan box)")
-            elif np.any(np.abs(nodes[feasible]).max(axis=1) >= width - 1e-12):
+            elif np.any(np.abs(pts).max(axis=1) >= width - 1e-12):
                 issues.append("unbounded index set (feasible points on scan-box edge)")
 
     return ValidationReport(not issues, issues)

@@ -18,19 +18,20 @@ Schema (see README for a complete example)::
     known_objective: -0.1666        # optional reference value
 
 Expressions use variables x1..xn / y1..ym, the operators + - * / ^ and the
-functions sin, cos, exp, log, sqrt.  Compiled fields get exact gradients and
-Hessians via forward-mode AD.
+functions sin, cos, exp, log, sqrt.  Compiling a field differentiates it once
+into gradient and Hessian expressions, so derivatives are exact to rounding.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
 import yaml
 
-from .expressions import (Expression, SpecParseError, eval_taylor2, eval_value,
-                          parse_expression, variables)
+from .expressions import (Expression, SpecParseError, derivative_tables,
+                          eval_taylor2, eval_value, parse_expression, variables)
 from .model import ScalarField, SipProblem
 
 
@@ -163,51 +164,37 @@ def _compile_field(ast: Expression, n: int, m: int, layout: str, name: str) -> S
     layout 'xy': arity n+m with x in z[:n], y in z[n:];
     layout 'x': arity n; layout 'y': arity m.
     """
-    if layout == "xy":
-        arity = n + m
-        slots = {("x", i + 1): i for i in range(n)}
-        slots.update({("y", j + 1): n + j for j in range(m)})
-    elif layout == "x":
-        arity = n
-        slots = {("x", i + 1): i for i in range(n)}
-    else:
-        arity = m
-        slots = {("y", j + 1): j for j in range(m)}
-
-    def taylor(z):
-        env = {key: (slot, z[slot]) for key, slot in slots.items()}
-        return eval_taylor2(ast, env, arity)
+    xs = [("x", i + 1) for i in range(n)]
+    ys = [("y", j + 1) for j in range(m)]
+    keys = {"xy": xs + ys, "x": xs, "y": ys}[layout]
+    grad, hess = derivative_tables(ast, keys)
 
     def value(z):
-        env = {key: z[slot] for key, slot in slots.items()}
-        return float(eval_value(ast, env))
+        return float(eval_value(ast, dict(zip(keys, z))))
 
     def batch(Z):
-        env = {key: Z[:, slot] for key, slot in slots.items()}
-        return np.broadcast_to(eval_value(ast, env), (Z.shape[0],))
+        return np.broadcast_to(eval_value(ast, dict(zip(keys, Z.T))), (Z.shape[0],))
 
-    return ScalarField(arity, value,
-                       lambda z: taylor(z).g,
-                       lambda z: taylor(z).h,
+    return ScalarField(len(keys), value,
+                       lambda z: eval_taylor2(grad, dict(zip(keys, z))),
+                       lambda z: eval_taylor2(hess, dict(zip(keys, z))),
                        batch, name=name)
 
 
 def compile_spec(spec: ProblemSpecFile) -> SipProblem:
     """Compile a parsed document into a solvable problem instance."""
     n, m = spec.n, spec.m
-    objective = _compile_field(spec.asts[("objective", 0)], n, m, "x", "objective")
-    si = tuple(_compile_field(spec.asts[("si_constraints", k)], n, m, "xy", f"g{k + 1}")
-               for k in range(len(spec.si_constraints)))
-    index = tuple(_compile_field(spec.asts[("index_constraints", k)], n, m, "y", f"v{k + 1}")
-                  for k in range(len(spec.index_constraints)))
-    finite = tuple(_compile_field(spec.asts[("finite_constraints", k)], n, m, "x", f"c{k + 1}")
-                   for k in range(len(spec.finite_constraints)))
+
+    def fields(key, layout, prefix):
+        return tuple(_compile_field(spec.asts[(key, k)], n, m, layout, f"{prefix}{k + 1}")
+                     for k in range(len(getattr(spec, key))))
+
     return SipProblem(
         n=n, m=m,
-        objective=objective,
-        si_constraints=si,
-        index_constraints=index,
-        finite_constraints=finite,
+        objective=_compile_field(spec.asts[("objective", 0)], n, m, "x", "objective"),
+        si_constraints=fields("si_constraints", "xy", "g"),
+        index_constraints=fields("index_constraints", "y", "v"),
+        finite_constraints=fields("finite_constraints", "x", "c"),
         x_bounds=np.asarray(spec.x_bounds, dtype=float) if spec.x_bounds else None,
         known_solution=spec.known_solution,
         known_objective=spec.known_objective,
@@ -218,12 +205,8 @@ def compile_spec(spec: ProblemSpecFile) -> SipProblem:
 
 def load_problem(path) -> SipProblem:
     """Read, parse, and compile a problem document from ``path``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    spec = parse_spec(text)
-    problem = compile_spec(spec)
+    path = Path(path)
+    problem = compile_spec(parse_spec(path.read_text(encoding="utf-8")))
     if not problem.name:
-        import os
-        stem = os.path.splitext(os.path.basename(str(path)))[0]
-        object.__setattr__(problem, "name", stem)
+        object.__setattr__(problem, "name", path.stem)
     return problem

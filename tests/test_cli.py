@@ -1,9 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from sipsolve.cli import main
+from sipsolve import DriverOptions
+from sipsolve.cli import build_parser, main, run_options
 
 MINIMAL_SPEC = ("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n"
                 "  - -y1^2 - x1\nindex_constraints:\n  - y1^2 - 1\n"
@@ -161,6 +163,24 @@ class TestRun:
         captured = capsys.readouterr()
         assert "subsolver_failure" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    def test_half_power_of_negative_constant_ends_in_subsolver_failure(
+            self, tmp_path, capsys):
+        # (0 - 2)^0.5 is nan, never a complex number whose imaginary part a
+        # grid scan would drop
+        spec = tmp_path / "sqrt.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("- -y1^2 - x1",
+                                             "- -y1^2 - x1 + (0 - 2)^0.5"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--spec", str(spec)]) == 1
+        assert "subsolver_failure" in capsys.readouterr().out
+        assert not [w for w in caught
+                    if w.category.__name__ == "ComplexWarning"]
+
+    def test_defaults_are_the_driver_defaults(self):
+        args = build_parser().parse_args(["run", "--problem", "example1"])
+        assert run_options(args) == DriverOptions()
 
     def test_csv_identical_across_runs(self, tmp_path):
         a = tmp_path / "a.csv"

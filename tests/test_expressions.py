@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from sipsolve.expressions import (DomainError, SpecParseError, eval_taylor2,
+from sipsolve.expressions import (DomainError, SpecParseError, derivative,
                                   eval_value, parse_expression, to_string,
                                   variables)
+from sipsolve.specfile import _compile_field
 
 
 class TestParseErrors:
@@ -58,6 +59,13 @@ class TestEvaluation:
         e = parse_expression("x1^0.5")
         assert eval_value(e, {("x", 1): 4.0}) == 2.0
 
+    def test_half_power_of_negative_base_is_nan(self):
+        # a Python-float base would give a complex number under **
+        assert np.isnan(eval_value(parse_expression("(0 - 2)^0.5"), {}))
+        vals = eval_value(parse_expression("x1^0.5"),
+                          {("x", 1): np.array([-4.0, 4.0])})
+        assert np.isnan(vals[0]) and vals[1] == 2.0
+
     def test_integer_power_chain(self):
         e = parse_expression("x1^3")
         assert eval_value(e, {("x", 1): -2.0}) == -8.0
@@ -70,26 +78,33 @@ class TestEvaluation:
         assert np.isnan(vals[0]) and vals[1] == 0.0
 
 
+def compiled(text: str, n: int = 2, m: int = 0):
+    """The spec-file field of ``text`` over (x1..xn, y1..ym)."""
+    return _compile_field(parse_expression(text), n, m, "xy", text)
+
+
 class TestTaylor2:
+    """Second-order data of compiled fields: value, gradient and Hessian."""
+
     def test_polynomial_value_gradient_hessian(self):
-        e = parse_expression("-y1^2 + 2*y1*x1 - x2")
-        env = {("x", 1): (0, 0.5), ("x", 2): (1, 0.0), ("y", 1): (2, 0.3)}
-        t = eval_taylor2(e, env, 3)
-        assert t.v == pytest.approx(0.21, abs=1e-15)
-        assert np.allclose(t.g, [0.6, -1.0, 0.4])
-        assert np.allclose(t.h, [[0.0, 0.0, 2.0],
-                                 [0.0, 0.0, 0.0],
-                                 [2.0, 0.0, -2.0]])
+        f = compiled("-y1^2 + 2*y1*x1 - x2", n=2, m=1)
+        z = np.array([0.5, 0.0, 0.3])
+        assert f.value(z) == pytest.approx(0.21, abs=1e-15)
+        assert np.allclose(f.gradient(z), [0.6, -1.0, 0.4])
+        assert np.allclose(f.hessian(z), [[0.0, 0.0, 2.0],
+                                          [0.0, 0.0, 0.0],
+                                          [2.0, 0.0, -2.0]])
 
     def test_constant_has_zero_derivatives(self):
-        t = eval_taylor2(parse_expression("3"), {}, 2)
-        assert t.v == 3.0
-        assert np.array_equal(t.g, np.zeros(2))
-        assert np.array_equal(t.h, np.zeros((2, 2)))
+        f = compiled("3")
+        z = np.zeros(2)
+        assert f.value(z) == 3.0
+        assert np.array_equal(f.gradient(z), np.zeros(2))
+        assert np.array_equal(f.hessian(z), np.zeros((2, 2)))
 
     def test_square_hessian(self):
-        t = eval_taylor2(parse_expression("x1^2"), {("x", 1): (0, 1.7)}, 1)
-        assert np.allclose(t.h, [[2.0]])
+        f = compiled("x1^2", n=1)
+        assert np.allclose(f.hessian([1.7]), [[2.0]])
 
     @pytest.mark.parametrize("text,value,fragment", [
         ("log(x1)", -1.0, "log of a nonpositive value"),
@@ -99,10 +114,38 @@ class TestTaylor2:
         ("1 / x1", 0.0, "division by zero"),
     ])
     def test_domain_errors(self, text, value, fragment):
-        e = parse_expression(text)
-        with pytest.raises(DomainError) as exc:
-            eval_taylor2(e, {("x", 1): (0, value)}, 1)
-        assert fragment in str(exc.value)
+        f = compiled(text, n=1)
+        for derivative_of in (f.gradient, f.hessian):
+            with pytest.raises(DomainError) as exc:
+                derivative_of([value])
+            assert fragment in str(exc.value)
+        # values stay permissive
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(f.value([value]))
+
+    @pytest.mark.parametrize("text,fragment", [
+        # the checks come from the expression, not from its derivatives:
+        # constant subexpressions and terms that differentiate to zero count
+        ("x2 + log(0 - 1)", "log of a nonpositive value"),
+        ("x2 + 0*sqrt(x1)", "sqrt of a nonpositive value"),
+        ("x2 + x1 / (x1 - x1)", "division by zero"),
+        # arguments are checked before the nodes that use them
+        ("log(1 / x1 - 1 / x1)", "division by zero"),
+    ])
+    def test_domain_errors_from_the_value_expression(self, text, fragment):
+        f = compiled(text)
+        for derivative_of in (f.gradient, f.hessian):
+            with pytest.raises(DomainError) as exc:
+                derivative_of([0.0, 1.0])
+            assert fragment in str(exc.value)
+
+
+class TestDerivative:
+    def test_exact_simplifications(self):
+        # d/dx1 (x1*x2 + 1) = 1*x2 + x1*0 + 0 -> x2
+        e = parse_expression("x1*x2 + 1")
+        assert derivative(e, ("x", 1)) == parse_expression("x2")
+        assert derivative(e, ("y", 1)) == parse_expression("0")
 
 
 SMOOTH_CASES = [
@@ -118,28 +161,23 @@ SMOOTH_CASES = [
 class TestDerivativesAgainstFiniteDifferences:
     @pytest.mark.parametrize("text", SMOOTH_CASES)
     def test_gradient_and_hessian_match_central_differences(self, text):
-        e = parse_expression(text)
-        names = sorted(variables(e))
-        d = len(names)
+        f = compiled(text)
+        d = 2
         rng = np.random.default_rng(11)
         h = 1e-5
-
-        def val(z):
-            return eval_value(e, {nm: z[j] for j, nm in enumerate(names)})
 
         for _ in range(100):
             # keep points inside every function's domain
             z = rng.uniform(0.1, 0.9, size=d)
-            t = eval_taylor2(
-                e, {nm: (j, z[j]) for j, nm in enumerate(names)}, d)
-            scale = max(1.0, abs(t.v))
+            v, g, hess = f.value(z), f.gradient(z), f.hessian(z)
+            scale = max(1.0, abs(v))
             for j in range(d):
                 ej = np.zeros(d)
                 ej[j] = h
-                fd = (val(z + ej) - val(z - ej)) / (2.0 * h)
-                assert abs(t.g[j] - fd) <= 1e-6 * max(scale, abs(fd))
-                fd2 = (val(z + ej) - 2.0 * t.v + val(z - ej)) / h ** 2
-                assert abs(t.h[j, j] - fd2) <= 2e-4 * max(scale, abs(fd2))
+                fd = (f.value(z + ej) - f.value(z - ej)) / (2.0 * h)
+                assert abs(g[j] - fd) <= 1e-6 * max(scale, abs(fd))
+                fd2 = (f.value(z + ej) - 2.0 * v + f.value(z - ej)) / h ** 2
+                assert abs(hess[j, j] - fd2) <= 2e-4 * max(scale, abs(fd2))
 
 
 class TestPrinting:
