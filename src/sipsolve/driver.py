@@ -27,8 +27,8 @@ import numpy as np
 from .diagnostics import perturbation_params, stationarity_residual
 from .expressions import DomainError
 from .lower_level import LowerLevelError, index_grid, solve_all_lower_levels
-from .model import FieldEvaluationError, SipProblem, restrict_to_x
-from .nlp import NlpProblem, solve_nlp
+from .model import FieldEvaluationError, ScalarField, SipProblem
+from .nlp import NlpProblem, Rows, field_rows, solve_nlp
 from .sensitivity import (SensitivityError, compute_sensitivity,
                           linearization_field, make_linearized_constraint)
 
@@ -130,37 +130,44 @@ def check_termination(history, opts: DriverOptions) -> Optional[str]:
     return None
 
 
-def _master_problem(problem: SipProblem, disc: DiscretizationState,
-                    lin_fields, center: Array, trust_radius: float) -> tuple:
-    """Discretized NLP and, per row, the family tags for multiplier sums.
+def _family_rows(g: ScalarField, n: int, points) -> tuple:
+    """Row block x -> g(x, y_j) over one family's points: one ``value_batch``
+    for the values, per-point gradients sliced to x."""
+    z = np.hstack([np.zeros((len(points), n)), np.array(points)])  # x refilled per call
 
+    def evaluate(x):
+        z[:, :n] = x
+        return g.value_batch(z), [g.gradient(row)[:n] for row in z]
+    return len(z), evaluate
+
+
+def _master_problem(problem: SipProblem, disc: DiscretizationState,
+                    lin_rows, center: Array, trust_radius: float) -> tuple:
+    """Discretized NLP and, per row, the family whose multiplier sum the
+    row enters (``n_si`` for the finite constraints, which enter none).
+
+    Row blocks: one per semi-infinite family (its discretization points),
+    the one-row linearized constraints ``lin_rows``, the finite constraints.
     The linearized constraints are local models, valid near the iterate
     they were built at; the master is therefore solved inside a sup-norm
     trust box around the current iterate (intersected with the variable
     bounds).  Near convergence the box is inactive.
     """
-    constraints = []
-    tags = []
-    for i in range(problem.n_si):
-        g = problem.si_constraints[i]
-        for j, y in enumerate(disc.points[i]):
-            constraints.append(restrict_to_x(g, problem.n, y))
-            tags.append(("si", i))
-    for i, fld in lin_fields.items():
-        constraints.append(fld)
-        tags.append(("lin", i))
-    for j, c in enumerate(problem.finite_constraints):
-        constraints.append(c)
-        tags.append(("finite", j))
+    blocks = [_family_rows(g, problem.n, points) for g, points
+              in zip(problem.si_constraints, disc.points) if points]
+    blocks += lin_rows.values()
+    finite = field_rows(problem.finite_constraints).blocks
+    families = ([i for i, points in enumerate(disc.points) for _ in points]
+                + list(lin_rows) + [problem.n_si] * len(finite))
     lower = np.maximum(problem.x_bounds[:, 0], center - trust_radius)
     upper = np.minimum(problem.x_bounds[:, 1], center + trust_radius)
     nlp = NlpProblem(
         dim=problem.n,
         objective=problem.objective,
-        constraints=tuple(constraints),
+        constraints=Rows(*blocks, *finite),
         lower=lower,
         upper=upper)
-    return nlp, tags
+    return nlp, families
 
 
 def _snap_to_bounds(nlp: NlpProblem, sol, snap_tol: float = 1e-4):
@@ -183,7 +190,7 @@ def _snap_to_bounds(nlp: NlpProblem, sol, snap_tol: float = 1e-4):
             hit = True
     if not hit:
         return sol
-    viol = max((c.value(z) for c in nlp.constraints), default=0.0)
+    viol = max(nlp.constraints(z)[0].tolist(), default=0.0)
     f_new = nlp.objective.value(z)
     # l1-merit comparison: trade objective against infeasibility
     rho = 1e4
@@ -213,16 +220,6 @@ def _solve_master(nlp: NlpProblem, warm: Array, cold: Array):
                 sol.objective_value)
 
     return min(candidates, key=rank)
-
-
-def _aggregate_multipliers(n_si: int, tags, multipliers) -> Array:
-    """Sum master multipliers over each semi-infinite family."""
-    lam_bar = np.zeros(n_si)
-    for tag, lam in zip(tags, multipliers):
-        kind, i = tag
-        if kind in ("si", "lin"):
-            lam_bar[i] += lam
-    return lam_bar
 
 
 def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
@@ -329,7 +326,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
             else:
                 stagnant = 0
 
-            lin_fields = {}
+            lin_rows = {}
             if use_linearization:
                 for i, sol in enumerate(ll):
                     if not sol.regularity.all_ok:
@@ -353,10 +350,10 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                         continue
                     lc = make_linearized_constraint(problem, i, x, sol, sens)
                     rec.linearizations[i] = lc
-                    lin_fields[i] = linearization_field(lc, problem)
+                    lin_rows[i] = linearization_field(lc, problem)
 
-            nlp, tags = _master_problem(problem, disc, lin_fields, x,
-                                        opts.trust_radius)
+            nlp, families = _master_problem(problem, disc, lin_rows, x,
+                                            opts.trust_radius)
             master = _solve_master(nlp, x, x_start)
             if master.status == "qp_failure":
                 msg = f"iteration {k}: master NLP failed ({master.status})"
@@ -372,8 +369,9 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
 
             prev_x = x
             x = master.z.copy()
-            prev_lambda_bar = _aggregate_multipliers(problem.n_si, tags,
-                                                     master.multipliers)
+            # master multipliers summed over each semi-infinite family
+            prev_lambda_bar = np.bincount(families, master.multipliers,
+                                          problem.n_si + 1)[:problem.n_si]
             prev_n_master = len(nlp.constraints)
             rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
     except (DomainError, FieldEvaluationError) as exc:

@@ -14,8 +14,9 @@ One local run per basin: a start is skipped when the straight segment from
 it to a maximizer already found, sampled one grid step apart, stays in the
 index set and never lets g_i fall by more than ``TIE_TOL`` -- the local run
 would climb to that maximizer again (the second rule of multi-level single
-linkage, Rinnooy Kan & Timmer, Math. Programming 39, 1987).  The best start
-always runs, so the returned value still dominates the grid.
+linkage, Rinnooy Kan & Timmer, Math. Programming 39, 1987).  Each new
+maximizer is checked against all remaining starts in one batch.  The best
+start always runs, so the returned value still dominates the grid.
 
 The bounding box is read off the index constraints when they are recognized
 as interval bounds (affine with a +/- unit-vector gradient); otherwise a
@@ -33,9 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (SipProblem, grid_nodes as _grid_nodes, index_set_nodes,
-                    negated, restrict_to_y)
-from .nlp import NlpProblem, solve_nlp
+from .model import SipProblem, index_set_nodes, negated, restrict_to_y
+from .nlp import NlpProblem, field_rows, solve_nlp
 
 Array = np.ndarray
 
@@ -252,16 +252,23 @@ def check_regularity(problem: SipProblem, i: int,
     return RegularityFlags(licq, strict, sosc)
 
 
-def _ascends_to(g_y, vs, start: Array, y: Array, step: Array) -> bool:
-    """Whether g_y never falls by more than ``TIE_TOL`` along the feasible
-    segment from ``start`` to ``y``, sampled about one grid step apart."""
-    delta = y - start
-    in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
-    t = np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(in_steps))) + 2)
-    pts = start + t[:, None] * delta
-    if any((v.value_batch(pts) > TOL_FEAS).any() for v in vs):
-        return False
-    return bool((np.diff(g_y.value_batch(pts)) >= -TIE_TOL).all())
+def _ascending(g_y, vs, starts: Array, y: Array, step: Array) -> Array:
+    """Per start, whether g_y never falls by more than ``TIE_TOL`` along the
+    feasible segment from it to ``y``, sampled about one grid step apart.
+    All segments go through one ``value_batch`` per field."""
+    segments = []
+    for start in starts:
+        delta = y - start
+        in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
+        t = np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(in_steps))) + 2)
+        segments.append(start + t[:, None] * delta)
+    pts = np.concatenate(segments)
+    first = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -TIE_TOL
+    ok[first] = True    # no step leads into a segment's first point
+    for v in vs:
+        ok &= ~(v.value_batch(pts) > TOL_FEAS)
+    return np.logical_and.reduceat(ok, first)
 
 
 def solve_lower_level_global(
@@ -299,13 +306,13 @@ def solve_lower_level_global(
     width = box[:, 1] - box[:, 0]
     nlp_lo = box[:, 0] - 0.05 * width
     nlp_hi = box[:, 1] + 0.05 * width
-    local = NlpProblem(m, negated(g_y), vs, nlp_lo, nlp_hi)
+    local = NlpProblem(m, negated(g_y), field_rows(vs), nlp_lo, nlp_hi)
 
     candidates = []   # (value, y, mu)
-    for start in starts:
-        # a start on an ascent path to a known maximizer would climb to it
-        if any(_ascends_to(g_y, vs, start, c[1], grid.step)
-               for c in candidates):
+    starts = np.array(starts)
+    skipped = np.zeros(len(starts), dtype=bool)
+    for k, start in enumerate(starts):
+        if skipped[k]:
             continue
         sol = solve_nlp(local, start, max_iter=LOCAL_MAX_ITER)
         y_loc, mu = sol.z, sol.multipliers
@@ -321,6 +328,10 @@ def solve_lower_level_global(
         else:
             mu = np.where(v_loc >= -TOL_ACT, mu, 0.0)
         candidates.append((float(g_y.value(y_loc)), y_loc, mu))
+        # a later start on an ascent path to this maximizer would climb to it
+        later = k + 1 + np.flatnonzero(~skipped[k + 1:])
+        if len(later):
+            skipped[later] = _ascending(g_y, vs, starts[later], y_loc, grid.step)
 
     if not candidates:
         raise LowerLevelError(

@@ -107,30 +107,6 @@ class ScalarField:
         return np.array([self._value(row) for row in points], dtype=float)
 
 
-def restrict_to_x(field: ScalarField, n: int, y) -> ScalarField:
-    """Freeze the index variables of a field over (x, y), leaving x free."""
-    y = np.asarray(y, dtype=float)
-
-    def val(x):
-        return field.value(np.concatenate([x, y]))
-
-    def grad(x):
-        return field.gradient(np.concatenate([x, y]))[:n]
-
-    hess = None
-    if field.has_hessian:
-        def hess(x):
-            return field.hessian(np.concatenate([x, y]))[:n, :n]
-
-    batch = None
-    if field._batch is not None:
-        def batch(X):
-            Y = np.tile(y, (X.shape[0], 1))
-            return field.value_batch(np.hstack([X, Y]))
-
-    return ScalarField(n, val, grad, hess, batch, name=f"{field.name}|y fixed")
-
-
 def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:
     """Freeze the decision variables of a field over (x, y), leaving y free."""
     x = np.asarray(x, dtype=float)

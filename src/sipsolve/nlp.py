@@ -1,6 +1,8 @@
 """Dense SQP solver for small smooth nonlinear programs.
 
 Solves  min f(z)  s.t.  c_j(z) <= 0,  lo <= z <= hi.
+The constraints are one :class:`Rows` object, evaluated block by block
+(values and Jacobian together) once per line-search trial point.
 
 The QP subproblems are handled by a dual active-set method (start at the
 unconstrained minimum, add the most violated constraint, take mixed
@@ -33,18 +35,45 @@ _QP_FEAS_TOL = 1e-11
 _QP_ZERO_STEP = 1e-12
 
 
+class Rows:
+    """Constraint rows c(z) <= 0 in blocks: ``rows(z)`` returns the values of
+    all rows and their Jacobian, ``len(rows)`` counts them.  A block is
+    ``(size, evaluate)``, ``evaluate(z)`` giving its ``size`` values and
+    ``size`` gradient rows."""
+
+    def __init__(self, *blocks):
+        self.blocks = blocks
+        self.size = sum(size for size, _ in blocks)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __call__(self, z):
+        values, jac = np.empty(self.size), np.empty((self.size, len(z)))
+        start = 0
+        for size, evaluate in self.blocks:
+            values[start:start + size], jac[start:start + size] = evaluate(z)
+            start += size
+        return values, jac
+
+
+def field_rows(fields) -> Rows:
+    """One one-row block per scalar field."""
+    return Rows(*((1, lambda z, f=f: ([f.value(z)], [f.gradient(z)]))
+                  for f in fields))
+
+
 @dataclass(frozen=True)
 class NlpProblem:
-    """min objective(z) s.t. constraints <= 0 and lower <= z <= upper."""
+    """min objective(z) s.t. constraints(z) <= 0 and lower <= z <= upper."""
 
     dim: int
     objective: ScalarField
-    constraints: tuple = ()
+    constraints: Rows = Rows()
     lower: Optional[Array] = None
     upper: Optional[Array] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
         lo = self.lower if self.lower is not None else np.full(self.dim, -np.inf)
         hi = self.upper if self.upper is not None else np.full(self.dim, np.inf)
         object.__setattr__(self, "lower", np.asarray(lo, dtype=float).reshape(self.dim))
@@ -248,20 +277,6 @@ def _solve_qp_elastic(H, g, A, b, lower, upper, rho: float) -> QpResult:
 # SQP outer loop
 # ---------------------------------------------------------------------------
 
-def _eval_constraints(problem: NlpProblem, z: Array):
-    r = len(problem.constraints)
-    values = np.zeros(r)
-    jac = np.zeros((r, problem.dim))
-    for j, c in enumerate(problem.constraints):
-        values[j] = c.value(z)
-        jac[j] = c.gradient(z)
-    return values, jac
-
-
-def _constraint_values(problem: NlpProblem, z: Array) -> Array:
-    return np.array([c.value(z) for c in problem.constraints], dtype=float)
-
-
 def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
     """Powell-damped BFGS update; keeps B positive definite."""
     Bs = B @ s
@@ -298,7 +313,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     merit_history: list = []
     fgrad = problem.objective.gradient(z)
     fval = problem.objective.value(z)
-    cvals, jac = _eval_constraints(problem, z)
+    cvals, jac = problem.constraints(z)
     best = None
     ls_failures = 0
     iterations = 0
@@ -332,7 +347,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 
         key = (viol > TOL_FEAS, viol, fval)
         if best is None or key < best[0]:
-            best = (key, z.copy(), fval)
+            best = (key, z.copy(), fval, fgrad, cvals, jac)
 
         step = qp.step
         if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(z)):
@@ -355,9 +370,14 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         for _ in range(LS_MAX):
             z_new = np.clip(z + alpha * step, lo, hi)
             f_new = problem.objective.value(z_new)
-            c_new = _constraint_values(problem, z_new)
+            # a trial point with non-finite values, or where a row's
+            # derivative is undefined, is a rejected step
+            try:
+                c_new, jac_new = problem.constraints(z_new)
+            except ArithmeticError:
+                alpha *= 0.5
+                continue
             merit_new = f_new + sigma * np.maximum(c_new, 0.0).sum()
-            # a trial point with non-finite values is a rejected step
             if np.isfinite(merit_new) \
                     and merit_new <= merit0 + 1e-4 * alpha * descent:
                 accepted = True
@@ -374,7 +394,6 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 
         grad_old = fgrad + jac.T @ lam
         fgrad_new = problem.objective.gradient(z_new)
-        c_new, jac_new = _eval_constraints(problem, z_new)
         grad_new = fgrad_new + jac_new.T @ lam
         s = z_new - z
         B = _damped_bfgs(B, s, grad_new - grad_old)
@@ -395,10 +414,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         candidate_key = (max(0.0, cvals.max(initial=0.0)) > TOL_FEAS,
                          max(0.0, cvals.max(initial=0.0)), fval)
         if best[0] < candidate_key:
-            z = best[1]
-            fval = problem.objective.value(z)
-            fgrad = problem.objective.gradient(z)
-            cvals, jac = _eval_constraints(problem, z)
+            _, z, fval, fgrad, cvals, jac = best
     qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z)
     if qp.status != "optimal":
         qp = _solve_qp_elastic(B, fgrad, jac, -cvals, lo - z, hi - z, rho)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lower_level import LowerLevelSolution, kkt_jacobian
-from .model import ScalarField, SipProblem
+from .model import SipProblem
 
 Array = np.ndarray
 
@@ -143,16 +143,9 @@ def linearized_value_and_gradient(lc: LinearizedConstraint,
     return float(value), grad
 
 
-def linearization_field(lc: LinearizedConstraint, problem: SipProblem,
-                        name: str = "") -> ScalarField:
-    """Wrap the linearized constraint as a scalar field over x (no Hessian)."""
-    def _value(x):
-        return linearized_value_and_gradient(lc, problem, x)[0]
-
-    def _gradient(x):
-        return linearized_value_and_gradient(lc, problem, x)[1]
-
-    return ScalarField(
-        arity=problem.n,
-        name=name or f"lin_g{lc.index}",
-        value=_value, gradient=_gradient)
+def linearization_field(lc: LinearizedConstraint, problem: SipProblem) -> tuple:
+    """The linearized constraint as a one-row block of master rows."""
+    def evaluate(x):
+        value, grad = linearized_value_and_gradient(lc, problem, x)
+        return [value], [grad]
+    return 1, evaluate

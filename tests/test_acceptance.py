@@ -9,8 +9,9 @@ import pytest
 
 from sipsolve.cli import main
 from sipsolve.diagnostics import estimate_order, linearization_gaps
-from sipsolve.lower_level import (GRID_PER_DIM, _grid_nodes, index_set_box,
+from sipsolve.lower_level import (GRID_PER_DIM, index_set_box,
                                   solve_lower_level_global)
+from sipsolve.model import grid_nodes
 from sipsolve.problems import get_problem
 from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearized_value_and_gradient)
@@ -205,7 +206,7 @@ def test_criterion_09_global_dominance_over_fine_grid():
     for name in ("example1", "example2", "design_centering"):
         problem = get_problem(name)
         box, _ = index_set_box(problem)
-        nodes = _grid_nodes(box, per_dim)
+        nodes = grid_nodes(box, per_dim)
         mask = np.ones(len(nodes), dtype=bool)
         for v in problem.index_constraints:
             mask &= v.value_batch(nodes) <= 1e-9

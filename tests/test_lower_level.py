@@ -5,7 +5,7 @@ from sipsolve import lower_level
 from sipsolve.lower_level import (LowerLevelError, check_regularity,
                                   index_set_box, solve_all_lower_levels,
                                   solve_lower_level_global)
-from sipsolve.model import ScalarField, SipProblem
+from sipsolve.model import ScalarField, SipProblem, grid_nodes
 from sipsolve.problems import design_centering, example1, example2
 
 from helpers import (interval_index_fields, pinned_index_problem,
@@ -113,7 +113,7 @@ class TestGlobalMaximizer:
         assert sol.kkt_residual <= 1e-8
         assert sol.regularity.all_ok
         box, _ = index_set_box(dc)
-        nodes = lower_level._grid_nodes(box, lower_level.GRID_PER_DIM)
+        nodes = grid_nodes(box, lower_level.GRID_PER_DIM)
         nodes = nodes[dc.index_constraints[0].value_batch(nodes)
                       <= lower_level.TOL_FEAS]
         z = np.column_stack([np.broadcast_to(x, (len(nodes), 5)), nodes])
@@ -240,9 +240,8 @@ class TestIndexSetBox:
 
 class TestGridDominance:
     def test_returned_value_dominates_fine_grid(self, ex2):
-        from sipsolve.lower_level import _grid_nodes
         box, _ = index_set_box(ex2)
-        nodes = _grid_nodes(box, 320)
+        nodes = grid_nodes(box, 320)
         rng = np.random.default_rng(21)
         for _ in range(5):
             x = rng.uniform([0.0, -1.0], [1.0, 1.0])

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from sipsolve.driver import _family_rows
 from sipsolve.model import (FieldEvaluationError, ScalarField, SipProblem,
-                            negated, restrict_to_x, restrict_to_y,
-                            validate_problem, verify_derivatives)
+                            negated, restrict_to_y, validate_problem,
+                            verify_derivatives)
+from sipsolve.problems import get_problem
 
 from helpers import interval_index_fields
 
@@ -72,16 +74,20 @@ class TestRestrictions:
         assert np.allclose(gy.hessian(y), [[4.0]])
 
     def test_restrict_to_x_slices_derivatives(self):
-        g = ScalarField(3, lambda z: z[0] * z[2] ** 2,
-                        lambda z: np.array([z[2] ** 2, 0.0, 2.0 * z[0] * z[2]]),
-                        hessian=lambda z: np.array([
-                            [0.0, 0.0, 2.0 * z[2]],
-                            [0.0, 0.0, 0.0],
-                            [2.0 * z[2], 0.0, 2.0 * z[0]]]))
-        gx = restrict_to_x(g, 2, np.array([3.0]))
-        x = np.array([2.0, 5.0])
-        assert gx.value(x) == 18.0
-        assert np.allclose(gx.gradient(x), [9.0, 0.0])
+        # a master family block: the rows x -> g(x, y_j) of one family
+        dc = get_problem("design_centering")
+        rng = np.random.default_rng(5)
+        ys = [y / max(1.0, np.linalg.norm(y)) for y in rng.normal(size=(6, 2))]
+        x = np.asarray(dc.known_solution) + 0.1 * rng.normal(size=dc.n)
+        for g in dc.si_constraints:
+            size, evaluate = _family_rows(g, dc.n, ys)
+            assert size == len(ys)
+            values, jac = evaluate(x)
+            zs = [np.concatenate([x, y]) for y in ys]
+            # bit for bit, not just equal
+            assert values.tobytes() == np.array([g.value(z) for z in zs]).tobytes()
+            assert np.array(jac).tobytes() == np.array(
+                [g.gradient(z)[:dc.n] for z in zs]).tobytes()
 
     def test_negated(self):
         f = quad_field()

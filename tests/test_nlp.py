@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sipsolve.model import ScalarField
-from sipsolve.nlp import NlpProblem, solve_nlp, solve_qp
+from sipsolve.nlp import NlpProblem, field_rows, solve_nlp, solve_qp
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,7 @@ class TestSolveNlp:
         row = ScalarField(2, lambda x: -1.0 + 2.0 * x[0] - x[1],
                           lambda x: np.array([2.0, -1.0]),
                           hessian=lambda x: np.zeros((2, 2)))
-        p = NlpProblem(2, _linear_objective(), constraints=(row,),
+        p = NlpProblem(2, _linear_objective(), constraints=field_rows([row]),
                        lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]))
         sol = solve_nlp(p, np.zeros(2))
         assert sol.converged
@@ -165,7 +165,7 @@ class TestSolveNlp:
         row = ScalarField(2, lambda x: -1.0 + 2.0 * x[0] - x[1],
                           lambda x: np.array([2.0, -1.0]),
                           hessian=lambda x: np.zeros((2, 2)))
-        p = NlpProblem(2, _linear_objective(), constraints=(row,),
+        p = NlpProblem(2, _linear_objective(), constraints=field_rows([row]),
                        lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]))
         sol = solve_nlp(p, np.zeros(2))
         assert sol.converged
@@ -195,7 +195,7 @@ class TestSolveNlp:
     def test_deterministic(self):
         row = ScalarField(2, lambda x: x[0] ** 2 + x[1] ** 2 - 0.5,
                           lambda x: 2.0 * x, hessian=lambda x: 2.0 * np.eye(2))
-        p = NlpProblem(2, _linear_objective(), constraints=(row,),
+        p = NlpProblem(2, _linear_objective(), constraints=field_rows([row]),
                        lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0]))
         a = solve_nlp(p, np.array([0.1, 0.1]))
         b = solve_nlp(p, np.array([0.1, 0.1]))
@@ -209,7 +209,7 @@ class TestSolveNlp:
                             hessian=lambda x: np.zeros((1, 1)))
         obj = ScalarField(1, lambda x: x[0] ** 2, lambda x: 2.0 * x,
                           hessian=lambda x: 2.0 * np.eye(1))
-        p = NlpProblem(1, obj, constraints=(left, right),
+        p = NlpProblem(1, obj, constraints=field_rows([left, right]),
                        lower=np.array([-2.0]), upper=np.array([2.0]))
         sol = solve_nlp(p, np.zeros(1))
         assert not sol.converged
@@ -219,7 +219,7 @@ class TestSolveNlp:
         # min -x1 + 1.5 x2 on the disk x1^2 + x2^2 <= 0.5
         row = ScalarField(2, lambda x: x[0] ** 2 + x[1] ** 2 - 0.5,
                           lambda x: 2.0 * x, hessian=lambda x: 2.0 * np.eye(2))
-        p = NlpProblem(2, _linear_objective(), constraints=(row,))
+        p = NlpProblem(2, _linear_objective(), constraints=field_rows([row]))
         sol = solve_nlp(p, np.array([0.1, 0.1]))
         assert sol.converged
         r = np.sqrt(0.5)
@@ -239,3 +239,40 @@ class TestSolveNlp:
         sol = solve_nlp(p, np.array([1.0]))
         assert sol.z[0] > 0.0
         assert np.isfinite(sol.objective_value)
+
+    def test_rows_evaluated_once_per_trial_point(self):
+        # the line search evaluates the objective value once per trial; the
+        # rows (values and Jacobian together) must follow it exactly, with
+        # no second evaluation at the accepted point
+        calls = {"objective": 0, "row_value": 0, "row_gradient": 0}
+
+        def counted(key, fn):
+            def wrapper(z):
+                calls[key] += 1
+                return fn(z)
+            return wrapper
+
+        obj = ScalarField(2, counted("objective", lambda x: -x[0] + 1.5 * x[1]),
+                          lambda x: np.array([-1.0, 1.5]))
+        row = ScalarField(2, counted("row_value", lambda x: x[0] ** 2 + x[1] ** 2 - 0.5),
+                          counted("row_gradient", lambda x: 2.0 * x))
+        p = NlpProblem(2, obj, constraints=field_rows([row]))
+        sol = solve_nlp(p, np.array([0.1, 0.1]))
+        assert sol.converged
+        assert len(sol.merit_history) >= 3
+        assert calls["row_value"] == calls["objective"]
+        assert calls["row_gradient"] == calls["objective"]
+
+    def test_row_outside_its_domain_rejects_the_trial_point(self):
+        # -log(x1) - 2 <= 0 from a spec file: the first full step lands on
+        # x1 = 0, where the value is inf and the gradient raises DomainError
+        from sipsolve.expressions import parse_expression
+        from sipsolve.specfile import _compile_field
+
+        row = _compile_field(parse_expression("-log(x1) - 2"), 1, 0, "x", "c1")
+        obj = ScalarField(1, lambda x: x[0], lambda x: np.ones(1))
+        p = NlpProblem(1, obj, constraints=field_rows([row]),
+                       lower=np.array([-2.0]), upper=np.array([2.0]))
+        sol = solve_nlp(p, np.array([1.0]))
+        assert sol.converged
+        assert sol.z[0] == pytest.approx(np.exp(-2.0), abs=1e-9)

@@ -123,11 +123,13 @@ class TestLinearizedConstraint:
 
     def test_field_wrapper_agrees(self, ex2):
         _, _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
-        field = linearization_field(lc, ex2)
+        size, evaluate = linearization_field(lc, ex2)
         x = np.array([0.72, 0.1])
         value, grad = linearized_value_and_gradient(lc, ex2, x)
-        assert field.value(x) == value
-        assert np.array_equal(field.gradient(x), grad)
+        assert size == 1
+        values, jac = evaluate(x)
+        assert values == [value]
+        assert len(jac) == 1 and np.array_equal(jac[0], grad)
 
     def test_surrogate_error_is_second_order(self, ex2):
         # |max_y g - surrogate| should shrink at least quadratically in the
