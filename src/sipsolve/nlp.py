@@ -7,9 +7,14 @@ The constraints are one :class:`Rows` object, evaluated block by block
 The QP subproblems are handled by a dual active-set method (start at the
 unconstrained minimum, add the most violated constraint, take mixed
 primal/dual steps, drop blocking constraints) which needs nothing beyond
-dense linear solves and detects infeasible subproblems exactly.  The outer
-loop is damped-BFGS SQP with an l1 merit line search; infeasible QPs fall
-back to an elastic reformulation with a penalized slack.
+dense linear solves and detects infeasible subproblems exactly.  Each SQP
+step hot-starts its QP from the previous step's working set: one KKT solve
+on those rows, kept when its multipliers are nonnegative and every row
+holds, which makes it the optimum; otherwise the dual method runs from the
+start, and the same check of one KKT solve on its final working set
+refines its result.  The outer loop is damped-BFGS SQP with an l1 merit
+line search; infeasible QPs fall back to an elastic reformulation with a
+penalized slack.
 
 Everything is deterministic: no randomness, fixed tie-breaking by lowest
 constraint index.
@@ -32,7 +37,9 @@ ELASTIC_RHO = 1e4       # initial slack penalty of the elastic QP
 LS_MAX = 50             # step halvings per line search
 
 _QP_FEAS_TOL = 1e-11
-_QP_ZERO_STEP = 1e-12
+_QP_DEPENDENT = 1e-10   # a new row depends on the working set when the part
+                        # of its normal off the set's span keeps at most this
+                        # share of the normal's squared H^-1 norm
 
 
 class Rows:
@@ -106,17 +113,50 @@ class QpResult:
     upper_multipliers: Array
     status: str                 # 'optimal' | 'infeasible' | 'max_iter'
     slack: float = 0.0          # elastic relaxation used, 0 when none
+    active: tuple = ()          # working set at return, stacked-row indices
 
 
 # ---------------------------------------------------------------------------
 # QP: dual active-set method for strictly convex problems
 # ---------------------------------------------------------------------------
 
+def _kkt_solve(H: Array, N: Array, top: Array, bottom: Array):
+    """Solve [[H, N], [N', 0]] [u; v] = [top; bottom]; None when singular."""
+    d, k = N.shape
+    kkt = np.zeros((d + k, d + k))
+    kkt[:d, :d] = H
+    kkt[:d, d:] = N
+    kkt[d:, :d] = N.T
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
+    except np.linalg.LinAlgError:
+        return None
+    return sol[:d], sol[d:]
+
+
+def _equality_optimum(H: Array, g: Array, C: Array, e: Array, work: list):
+    """Solve the equality QP on the rows ``work`` and return it as the QP's
+    optimum (x, lam, work, 'optimal'); None when a multiplier is negative,
+    a row is violated, or the KKT matrix is singular.  H is positive
+    definite, so a point that passes is the unique optimum."""
+    sol = _kkt_solve(H, C[work].T, -g, e[work])
+    if sol is None:
+        return None
+    x, lam_w = sol
+    if not ((lam_w >= 0.0).all()
+            and (C @ x - e <= _QP_FEAS_TOL * (1.0 + np.abs(e))).all()):
+        return None
+    lam = np.zeros(len(e))
+    lam[work] = lam_w
+    return x, lam, work, "optimal"
+
+
 def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     """min 1/2 x'Hx + g'x  s.t.  C x <= e  with H positive definite.
 
-    Returns (x, lam, status).  Ties in the most-violated selection and in the
-    dual blocking test are broken toward the lowest row index.
+    Returns (x, lam, work, status), ``work`` the working set at return.
+    Ties in the most-violated selection and in the dual blocking test are
+    broken toward the lowest row index.
     """
     d = H.shape[0]
     n_rows = C.shape[0]
@@ -126,45 +166,44 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     lam_w: list = []
 
     for _ in range(4 * (n_rows + d) + 16):
-        s = C @ x - e if n_rows else np.zeros(0)
-        for j in work:
-            s[j] = 0.0
+        s = C @ x - e
+        s[work] = 0.0
         p = int(np.argmax(s)) if n_rows else 0
         if n_rows == 0 or s[p] <= _QP_FEAS_TOL * (1.0 + abs(e[p])):
-            lam[:] = 0.0
-            for j, val in zip(work, lam_w):
-                lam[j] = max(val, 0.0)
-            return x, lam, "optimal"
+            # a dual step on a nearly dependent row keeps stationarity only
+            # up to the row's distance from the span; one KKT solve on the
+            # final working set restores it
+            polished = _equality_optimum(H, g, C, e, work) if work else None
+            if polished is not None:
+                return polished
+            lam[work] = np.maximum(lam_w, 0.0)
+            return x, lam, work, "optimal"
 
         normal = C[p]
         if np.abs(normal).max() == 0.0:
-            return x, lam, "infeasible"   # 0'x <= e_p with e_p < 0
+            return x, lam, work, "infeasible"   # 0'x <= e_p with e_p < 0
+        h_normal = np.linalg.solve(H, normal)
+        n_h_n = float(normal @ h_normal)
         lam_p = 0.0
         for _inner in range(n_rows + d + 8):
             k = len(work)
             if k:
-                N = C[work].T
-                kkt = np.zeros((d + k, d + k))
-                kkt[:d, :d] = H
-                kkt[:d, d:] = N
-                kkt[d:, :d] = N.T
-                rhs = np.concatenate([-normal, np.zeros(k)])
-                try:
-                    sol = np.linalg.solve(kkt, rhs)
-                except np.linalg.LinAlgError:
-                    return x, lam, "max_iter"
-                z = sol[:d]
-                r = -sol[d:]
+                sol = _kkt_solve(H, C[work].T, -normal, np.zeros(k))
+                if sol is None:
+                    return x, lam, work, "max_iter"
+                z, r = sol[0], -sol[1]
             else:
-                z = -np.linalg.solve(H, normal)
+                z = -h_normal
                 r = np.zeros(0)
 
             s_p = float(normal @ x - e[p])
-            if np.abs(z).max() <= _QP_ZERO_STEP * (1.0 + np.abs(x).max()):
-                # constraint normal lies in the span of the active set
+            if k == d or (k and -float(normal @ z) <= _QP_DEPENDENT * n_h_n):
+                # the normal lies in the span of the working set (a full
+                # set spans everything, an empty one nothing): take a pure
+                # dual step that drops a row
                 positive = r > 1e-12
                 if not positive.any():
-                    return x, lam, "infeasible"
+                    return x, lam, work, "infeasible"
                 ratios = np.where(positive, np.array(lam_w) / np.where(positive, r, 1.0), np.inf)
                 drop = int(np.argmin(ratios))
                 t = float(ratios[drop])
@@ -174,7 +213,7 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
                 lam_w.pop(drop)
                 continue
 
-            dsp = float(normal @ z)     # < 0 by construction
+            dsp = float(normal @ z)     # < 0 by the test above
             t_full = -s_p / dsp
             positive = r > 1e-12
             if positive.any():
@@ -195,42 +234,34 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
             work.pop(drop)
             lam_w.pop(drop)
         else:
-            return x, lam, "max_iter"
+            return x, lam, work, "max_iter"
 
-    return x, lam, "max_iter"
+    return x, lam, work, "max_iter"
 
 
 def _stack_rows(A: Array, b: Array, lower: Array, upper: Array):
     """Rows of A first, then finite lower bounds (-e_i), then upper (+e_i)."""
-    d = len(lower)
-    rows = [A] if A.size else []
-    rhs = [b] if b.size else []
-    lo_idx = [i for i in range(d) if np.isfinite(lower[i])]
-    up_idx = [i for i in range(d) if np.isfinite(upper[i])]
-    if lo_idx:
-        E = np.zeros((len(lo_idx), d))
-        for k, i in enumerate(lo_idx):
-            E[k, i] = -1.0
-        rows.append(E)
-        rhs.append(-lower[lo_idx])
-    if up_idx:
-        E = np.zeros((len(up_idx), d))
-        for k, i in enumerate(up_idx):
-            E[k, i] = 1.0
-        rows.append(E)
-        rhs.append(upper[up_idx])
-    C = np.vstack(rows) if rows else np.zeros((0, d))
-    e = np.concatenate(rhs) if rhs else np.zeros(0)
+    eye = np.eye(len(lower))
+    lo_idx = np.flatnonzero(np.isfinite(lower))
+    up_idx = np.flatnonzero(np.isfinite(upper))
+    C = np.vstack([A, -eye[lo_idx], eye[up_idx]])
+    e = np.concatenate([b, -lower[lo_idx], upper[up_idx]])
     return C, e, lo_idx, up_idx
 
 
 def solve_qp(H: Array, g: Array, A: Array, b: Array,
-             lower: Optional[Array] = None, upper: Optional[Array] = None) -> QpResult:
+             lower: Optional[Array] = None, upper: Optional[Array] = None,
+             active=()) -> QpResult:
     """min 1/2 d'Hd + g'd  s.t.  A d <= b,  lower <= d <= upper.
 
     ``H`` must be symmetric positive definite.  Returns the step, duals of
-    the A-rows and the bound rows, and a status of 'optimal', 'infeasible'
-    (inconsistent constraints), or 'max_iter'.
+    the A-rows and the bound rows, the working set at the solution, and a
+    status of 'optimal', 'infeasible' (inconsistent constraints), or
+    'max_iter'.  Rows are indexed as stacked: the A-rows, then the finite
+    lower bounds, then the finite upper bounds.  ``active`` is a hint in
+    that indexing, usually the previous QP's ``active``: the equality QP on
+    those rows is solved first and kept if it is the optimum; otherwise the
+    dual active-set method starts from the unconstrained minimum.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -241,18 +272,18 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     upper = np.full(d, np.inf) if upper is None else np.asarray(upper, dtype=float)
 
     C, e, lo_idx, up_idx = _stack_rows(A, b, lower, upper)
-    x, lam, status = _dual_active_set(H, g, C, e)
+    hint = list(dict.fromkeys(active))
+    hot = _equality_optimum(H, g, C, e, hint) if 0 < len(hint) <= d else None
+    x, lam, work, status = hot or _dual_active_set(H, g, C, e)
 
-    n_rows = A.shape[0]
+    n_rows, n_lo = A.shape[0], len(lo_idx)
     lo_mult = np.zeros(d)
     up_mult = np.zeros(d)
-    for k, i in enumerate(lo_idx):
-        lo_mult[i] = lam[n_rows + k]
-    for k, i in enumerate(up_idx):
-        up_mult[i] = lam[n_rows + len(lo_idx) + k]
-    if status == "optimal" and (lo_idx or up_idx):
+    lo_mult[lo_idx] = lam[n_rows:n_rows + n_lo]
+    up_mult[up_idx] = lam[n_rows + n_lo:]
+    if status == "optimal" and len(e) > n_rows:
         x = np.clip(x, lower, upper)   # remove <=1e-11 roundoff drift
-    return QpResult(x, lam[:n_rows], lo_mult, up_mult, status)
+    return QpResult(x, lam[:n_rows], lo_mult, up_mult, status, active=tuple(work))
 
 
 def _solve_qp_elastic(H, g, A, b, lower, upper, rho: float) -> QpResult:
@@ -268,6 +299,8 @@ def _solve_qp_elastic(H, g, A, b, lower, upper, rho: float) -> QpResult:
     lo_ext = np.concatenate([lower, [0.0]])
     hi_ext = np.concatenate([upper, [np.inf]])
     res = solve_qp(H_ext, g_ext, A_ext, b, lo_ext, hi_ext)
+    # no working set: the slack's rows are laid out differently, so it is no
+    # hint for the next QP
     return QpResult(res.step[:d], res.multipliers,
                     res.lower_multipliers[:d], res.upper_multipliers[:d],
                     res.status, slack=float(res.step[d]))
@@ -317,6 +350,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     best = None
     ls_failures = 0
     iterations = 0
+    active: tuple = ()      # the previous QP's working set, the next one's hint
 
     def snapshot(status, lam, lo_mult, up_mult, kkt, viol):
         return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
@@ -329,12 +363,13 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
                         max(0.0, cvals.max(initial=0.0)))
 
     for iterations in range(1, max_iter + 1):
-        qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z)
+        qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z, active)
         if qp.status == "infeasible":
             qp = _solve_qp_elastic(B, fgrad, jac, -cvals, lo - z, hi - z, rho)
             rho *= 2.0
         if qp.status != "optimal":
             return qp_failure()
+        active = qp.active
 
         lam = qp.multipliers
         grad_lagrangian = fgrad + jac.T @ lam - qp.lower_multipliers + qp.upper_multipliers

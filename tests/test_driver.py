@@ -176,6 +176,24 @@ class TestConvergenceBehavior:
         assert r.final_status == "tolerance_met"
         assert r.final.k == 2
 
+    @pytest.mark.parametrize("x0", [
+        # the master QP at k=12 has five near-duplicate discretization rows;
+        # an absolute dependence test let the dual method's working set
+        # outgrow d and cycle to its cap (master qp_failure)
+        [-0.2534503263680755, 0.035691587125125435, 1.2095500275154252,
+         0.9730031233628731, 0.2956852189571276],
+        [0.21921165586204083, -0.15022695480858933, 1.1264999511885958,
+         0.7342155723018952, -0.2907556564307887],
+        # fails when the QP is hot-started but keeps the absolute test
+        [0.38949648965533756, -0.26734779826560806, 1.2303504089192099,
+         0.5343542774082571, -0.30831302728284005],
+    ])
+    def test_bf_from_near_duplicate_master_rows(self, dc, x0):
+        r = run_blankenship_falk(dc, x0,
+                                 opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert r.final_status == "tolerance_met"
+        assert np.linalg.norm(r.x - dc.known_solution) <= 1e-4
+
 
 class TestPreseeding:
     def test_seeded_points_survive_and_dedup(self, ex1):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from sipsolve import nlp
 from sipsolve.model import ScalarField
 from sipsolve.nlp import NlpProblem, field_rows, solve_nlp, solve_qp
 
@@ -44,6 +45,42 @@ class TestSolveQp:
                      np.array([[1.0, 0.0]]), np.array([5.0]))
         assert r.status == "optimal"
         assert r.multipliers == pytest.approx([0.0])
+
+    def test_active_rows_in_stacked_order(self):
+        # stacked rows: A-row 0, lower bound of d1 (1), upper bounds of d2
+        # (2) and d3 (3); infinite bounds get no row
+        r = solve_qp(np.eye(3), np.array([3.0, -3.0, 0.0]),
+                     np.array([[0.0, 0.0, 1.0]]), np.array([5.0]),
+                     lower=np.array([-1.0, -np.inf, -np.inf]),
+                     upper=np.array([np.inf, 1.0, 2.0]))
+        assert r.status == "optimal"
+        assert sorted(r.active) == [1, 2]
+        assert r.lower_multipliers == pytest.approx([2.0, 0.0, 0.0])
+        assert r.upper_multipliers == pytest.approx([0.0, 2.0, 0.0])
+
+    def test_duplicate_and_near_duplicate_rows(self):
+        # rows 0 and 1 are equal and row 2 differs from them by 1e-10, as
+        # discretization rows do once their points converge
+        H, d = np.eye(2), 2
+        g = np.array([1.6974710955680838, -1.5189403413824896])
+        A = np.array([[0.008369518090183818, 0.7991067617711469],
+                      [0.008369518090183818, 0.7991067617711469],
+                      [0.00836951801416071, 0.7991067615946736],
+                      [0.5166682283361024, -1.4366607663049735],
+                      [1.208369573042763, -0.5218933612277183]])
+        b = np.array([0.14099891970310413, 0.14099891970310413,
+                      0.1409989196099154, 0.5363766715220737,
+                      -0.20185118854431372])
+        lower, upper = -3.0 * np.ones(d), 3.0 * np.ones(d)
+        r = solve_qp(H, g, A, b, lower, upper)
+        assert r.status == "optimal"
+        stationarity = (H @ r.step + g + A.T @ r.multipliers
+                        - r.lower_multipliers + r.upper_multipliers)
+        assert np.abs(stationarity).max() <= 1e-12
+        assert (A @ r.step - b).max() <= 1e-12
+        assert r.multipliers.min() >= 0.0
+        assert np.abs(r.multipliers * (A @ r.step - b)).max() <= 1e-12
+        assert len(r.active) <= d
 
 
 def _qp_oracle(H, g, A, b, lower, upper):
@@ -104,6 +141,9 @@ class TestQpAgainstEnumeration:
 
             expect, feasible = _qp_oracle(H, g, A, b, lower, upper)
             r = solve_qp(H, g, A, b, lower=lower, upper=upper)
+            # own generator: the QPs drawn stay those of the cold-only test
+            self._check_hints(np.random.default_rng([dim, trial]),
+                              H, g, A, b, lower, upper, r, trial)
             if not feasible:
                 assert r.status == "infeasible", trial
                 continue
@@ -112,6 +152,25 @@ class TestQpAgainstEnumeration:
             val_ref = 0.5 * expect @ H @ expect + g @ expect
             assert val <= val_ref + 1e-8, trial
             assert np.allclose(r.step, expect, atol=1e-6), trial
+
+    @staticmethod
+    def _check_hints(rng, H, g, A, b, lower, upper, cold, trial):
+        """A hint changes the work done, never the answer."""
+        dim = len(g)
+        n_stacked = len(b) + 2 * dim    # A-rows, then both finite bounds
+        subset = rng.choice(n_stacked, size=rng.integers(1, dim + 1),
+                            replace=False)
+        hints = [cold.active, tuple(int(j) for j in subset),
+                 tuple(range(n_stacked)),
+                 cold.active + cold.active[:1] if cold.active else (0, 0)]
+        for hint in hints:
+            r = solve_qp(H, g, A, b, lower=lower, upper=upper, active=hint)
+            assert r.status == cold.status, (trial, hint)
+            if cold.status != "optimal":
+                continue
+            assert np.abs(r.step - cold.step).max() <= 1e-10, (trial, hint)
+            for mult in (r.multipliers, r.lower_multipliers, r.upper_multipliers):
+                assert mult.min(initial=0.0) >= 0.0, (trial, hint)
 
     def test_oracle_detects_infeasible(self):
         _, feasible = _qp_oracle(np.eye(1), np.zeros(1),
@@ -225,6 +284,30 @@ class TestSolveNlp:
         r = np.sqrt(0.5)
         direction = np.array([-1.0, 1.5]) / np.sqrt(1.0 + 1.5 ** 2)
         assert np.allclose(sol.z, -r * direction, atol=1e-7)
+
+    def test_later_steps_start_from_the_previous_working_set(self, monkeypatch):
+        # every QP whose hint (the previous step's working set) is not empty
+        # is solved by one KKT solve on it, without a cold dual method run
+        hints, cold_runs = [], []
+        solve, cold = nlp.solve_qp, nlp._dual_active_set
+
+        def hinted(H, g, A, b, lower=None, upper=None, active=()):
+            hints.append(active)
+            return solve(H, g, A, b, lower, upper, active)
+
+        def counted(*args):
+            cold_runs.append(1)
+            return cold(*args)
+
+        monkeypatch.setattr(nlp, "solve_qp", hinted)
+        monkeypatch.setattr(nlp, "_dual_active_set", counted)
+        row = ScalarField(2, lambda x: x[0] ** 2 + x[1] ** 2 - 0.5,
+                          lambda x: 2.0 * x)
+        p = NlpProblem(2, _linear_objective(), constraints=field_rows([row]))
+        sol = solve_nlp(p, np.array([0.1, 0.1]))
+        assert sol.converged
+        assert sum(1 for hint in hints if hint) >= 5
+        assert len(cold_runs) == sum(1 for hint in hints if not hint)
 
     def test_respects_iteration_budget(self):
         p = NlpProblem(2, _quadratic_objective())
