@@ -10,6 +10,11 @@ Two drivers share one iteration skeleton:
   the master.  The linearizations are rebuilt from scratch each iteration;
   stale ones are dropped.
 
+Each master is solved once, from the current iterate.  A converged master
+is checked for negative curvature of its Lagrangian on the critical cone
+(the second-order necessary condition); when the check finds some, the
+master steps along it and is solved again from there (``_solve_master``).
+
 Iterate bookkeeping: ``history[0]`` is the input point.  Each iteration
 solves the lower levels at x^k, records the iterate, checks termination,
 extends the discretization and solves the master for x^{k+1}.  The record
@@ -28,7 +33,8 @@ from .diagnostics import perturbation_params, stationarity_residual
 from .expressions import DomainError
 from .lower_level import LowerLevelError, index_grid, solve_all_lower_levels
 from .model import FieldEvaluationError, ScalarField, SipProblem
-from .nlp import NlpProblem, Rows, field_rows, solve_nlp
+from .nlp import (LS_MAX, NlpProblem, Rows, field_rows, negative_curvature,
+                  solve_nlp)
 from .sensitivity import (SensitivityError, compute_sensitivity,
                           linearization_field, make_linearized_constraint)
 
@@ -36,6 +42,7 @@ Array = np.ndarray
 
 _DEDUP_TOL = 1e-12
 _STAGNATION_LIMIT = 3
+_MAX_ESCAPES = 3        # negative-curvature escapes per master
 
 
 @dataclass
@@ -132,13 +139,19 @@ def check_termination(history, opts: DriverOptions) -> Optional[str]:
 
 def _family_rows(g: ScalarField, n: int, points) -> tuple:
     """Row block x -> g(x, y_j) over one family's points: one ``value_batch``
-    for the values, per-point gradients sliced to x."""
+    for the values, per-point gradients sliced to x, and per-point Hessians
+    sliced to x for the points with a nonzero weight."""
     z = np.hstack([np.zeros((len(points), n)), np.array(points)])  # x refilled per call
 
     def evaluate(x):
         z[:, :n] = x
         return g.value_batch(z), [g.gradient(row)[:n] for row in z]
-    return len(z), evaluate
+
+    def hessian(x, w):
+        z[:, :n] = x
+        return sum((wj * g.hessian(row)[:n, :n] for wj, row in zip(w, z) if wj),
+                   np.zeros((n, n)))
+    return len(z), evaluate, hessian
 
 
 def _master_problem(problem: SipProblem, disc: DiscretizationState,
@@ -202,24 +215,51 @@ def _snap_to_bounds(nlp: NlpProblem, sol, snap_tol: float = 1e-4):
     return sol
 
 
-def _solve_master(nlp: NlpProblem, warm: Array, cold: Array):
-    """Solve from the warm start and from the run's original start.
+def _escape_point(nlp: NlpProblem, sol, direction: Array, curvature: float):
+    """A point along a direction of negative curvature from the master's KKT
+    point ``sol``, clipped to the trust box; None when no step passes.
 
-    The master is nonconvex in general; a warm start close to a spurious
-    KKT point can stall there.  Both solutions are ranked by (converged,
-    feasible, objective) and the best is kept, preferring the warm one on
-    ties.
+    The step halves, at most ``LS_MAX`` times, until the l1 merit falls by
+    the predicted second-order decrease (Moré & Sorensen, 1979).
     """
-    candidates = [_snap_to_bounds(nlp, solve_nlp(nlp, warm))]
-    if np.linalg.norm(warm - cold) > 1e-12:
-        candidates.append(_snap_to_bounds(nlp, solve_nlp(nlp, cold)))
+    sigma = 1.1 * sol.multipliers.max(initial=0.0) + 1e-4
 
-    def rank(sol):
-        return (0 if sol.converged else 1,
-                0 if sol.max_violation <= 1e-7 else 1,
-                sol.objective_value)
+    def merit(z):
+        return nlp.objective.value(z) + sigma * np.maximum(nlp.constraints(z)[0], 0.0).sum()
 
-    return min(candidates, key=rank)
+    merit0 = merit(sol.z)
+    alpha = 1.0
+    for _ in range(LS_MAX):
+        z = np.clip(sol.z + alpha * direction, nlp.lower, nlp.upper)
+        try:
+            merit_z = merit(z)
+        except ArithmeticError:     # a row's derivative is undefined there
+            merit_z = np.nan
+        if np.isfinite(merit_z) and merit_z <= merit0 + 0.5e-4 * alpha ** 2 * curvature:
+            return z
+        alpha *= 0.5
+    return None
+
+
+def _solve_master(nlp: NlpProblem, x: Array):
+    """Solve the master from the current iterate.
+
+    The master is nonconvex in general, and a KKT point it converges to
+    can fail the second-order necessary condition.  Each converged solve
+    is checked on the critical cone (``nlp.negative_curvature``); on
+    negative curvature the master steps along it and is solved again from
+    there, at most ``_MAX_ESCAPES`` times.
+    """
+    sol = solve_nlp(nlp, x)
+    for _ in range(_MAX_ESCAPES):
+        if not sol.converged:
+            break
+        found = negative_curvature(nlp, sol)
+        z = _escape_point(nlp, sol, *found) if found is not None else None
+        if z is None:
+            break
+        sol = solve_nlp(nlp, z)
+    return _snap_to_bounds(nlp, sol)
 
 
 def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
@@ -238,7 +278,6 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
         raise ValueError("known-solution mode needs a problem with a known solution")
 
     disc = d0.copy() if d0 is not None else DiscretizationState.empty(problem.n_si)
-    x_start = x.copy()
     history = []
     warnings = []
     prev_x = None
@@ -354,7 +393,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
 
             nlp, families = _master_problem(problem, disc, lin_rows, x,
                                             opts.trust_radius)
-            master = _solve_master(nlp, x, x_start)
+            master = _solve_master(nlp, x)
             if master.status == "qp_failure":
                 msg = f"iteration {k}: master NLP failed ({master.status})"
                 warnings.append(msg)

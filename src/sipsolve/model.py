@@ -6,9 +6,10 @@ to ``g_i(x, y) <= 0`` for every ``y`` in the index set
 constraints ``c_j(x) <= 0``.
 
 All functions are carried as :class:`ScalarField` objects: plain callables
-bundled with their exact gradient and (where needed) Hessian.  Constraint
-fields ``g_i`` and ``v_l`` must supply Hessians; the objective only needs a
-gradient.
+bundled with their exact gradient and Hessian.  Every field of a problem
+must supply a Hessian: the lower level and its sensitivities need those of
+``g_i`` and ``v_l``, and the master's second-order check those of the
+objective and the finite constraints ``c_j`` as well.
 """
 from __future__ import annotations
 
@@ -45,8 +46,10 @@ class ScalarField:
     value, gradient:
         Callables on 1-d arrays of length ``arity``.
     hessian:
-        Optional callable returning the symmetric ``(arity, arity)`` Hessian.
-        Required for lower-level constraint data, optional for objectives.
+        Callable returning the symmetric ``(arity, arity)`` Hessian.  Every
+        field of a :class:`SipProblem` needs one (see
+        :func:`validate_problem`); a field without one raises
+        :class:`FieldEvaluationError` when its Hessian is asked for.
     value_batch:
         Optional vectorized evaluation of an ``(N, arity)`` array of points;
         a row-by-row fallback is used when absent.
@@ -227,8 +230,7 @@ class ValidationReport:
         return "; ".join(self.issues)
 
 
-def _probe_field(field: ScalarField, z, label: str, issues: list,
-                 need_hessian: bool) -> None:
+def _probe_field(field: ScalarField, z, label: str, issues: list) -> None:
     try:
         field.value(z)
     except Exception as exc:  # noqa: BLE001 - report, never raise
@@ -238,8 +240,6 @@ def _probe_field(field: ScalarField, z, label: str, issues: list,
         field.gradient(z)
     except Exception as exc:  # noqa: BLE001
         issues.append(f"{label}: dimension mismatch or missing gradient ({exc})")
-        return
-    if not need_hessian:
         return
     if not field.has_hessian:
         issues.append(f"{label}: missing Hessian")
@@ -276,17 +276,17 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     y_probe = np.zeros(m)
     z_probe = np.concatenate([x_probe, y_probe])
 
-    groups = [("objective", [problem.objective], x_probe, False),
-              ("si_constraints", problem.si_constraints, z_probe, True),
-              ("index_constraints", problem.index_constraints, y_probe, True),
-              ("finite_constraints", problem.finite_constraints, x_probe, False)]
-    for key, group, probe, need_hessian in groups:
+    groups = [("objective", [problem.objective], x_probe),
+              ("si_constraints", problem.si_constraints, z_probe),
+              ("index_constraints", problem.index_constraints, y_probe),
+              ("finite_constraints", problem.finite_constraints, x_probe)]
+    for key, group, probe in groups:
         for k, f in enumerate(group):
             label = key if key == "objective" else f"{key}[{k}]"
             if f.arity != len(probe):
                 issues.append(f"{label}: dimension mismatch (arity {f.arity}, expected {len(probe)})")
             else:
-                _probe_field(f, probe, label, issues, need_hessian)
+                _probe_field(f, probe, label, issues)
 
     if problem.known_solution is not None and problem.known_solution.shape != (n,):
         issues.append("known_solution: dimension mismatch")

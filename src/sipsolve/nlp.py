@@ -14,13 +14,16 @@ holds, which makes it the optimum; otherwise the dual method runs from the
 start, and the same check of one KKT solve on its final working set
 refines its result.  The outer loop is damped-BFGS SQP with an l1 merit
 line search; infeasible QPs fall back to an elastic reformulation with a
-penalized slack.
+penalized slack.  ``negative_curvature`` tests the second-order necessary
+condition at a KKT point, with the exact Lagrangian Hessian on the critical
+cone.
 
 Everything is deterministic: no randomness, fixed tie-breaking by lowest
 constraint index.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -40,17 +43,23 @@ _QP_FEAS_TOL = 1e-11
 _QP_DEPENDENT = 1e-10   # a new row depends on the working set when the part
                         # of its normal off the set's span keeps at most this
                         # share of the normal's squared H^-1 norm
+_SOC_TOL = 1e-8         # second-order check, scale-relative: a row or bound
+                        # is active when c >= -_SOC_TOL, weakly so when its
+                        # multiplier is <= _SOC_TOL * (1 + the largest), and
+                        # curvature is negative below -_SOC_TOL * max(1, max|H|)
 
 
 class Rows:
     """Constraint rows c(z) <= 0 in blocks: ``rows(z)`` returns the values of
-    all rows and their Jacobian, ``len(rows)`` counts them.  A block is
-    ``(size, evaluate)``, ``evaluate(z)`` giving its ``size`` values and
-    ``size`` gradient rows."""
+    all rows and their Jacobian, ``rows.hessian(z, w)`` the weighted sum
+    ``sum_j w_j * Hessian of c_j`` at z, and ``len(rows)`` counts the rows.
+    A block is ``(size, evaluate, hessian)``: ``evaluate(z)`` gives its
+    ``size`` values and gradient rows, ``hessian(z, w)`` its share of the
+    weighted sum for its ``size`` weights."""
 
     def __init__(self, *blocks):
         self.blocks = blocks
-        self.size = sum(size for size, _ in blocks)
+        self.size = sum(size for size, _, _ in blocks)
 
     def __len__(self) -> int:
         return self.size
@@ -58,15 +67,24 @@ class Rows:
     def __call__(self, z):
         values, jac = np.empty(self.size), np.empty((self.size, len(z)))
         start = 0
-        for size, evaluate in self.blocks:
+        for size, evaluate, _ in self.blocks:
             values[start:start + size], jac[start:start + size] = evaluate(z)
             start += size
         return values, jac
 
+    def hessian(self, z, weights) -> Array:
+        total = np.zeros((len(z), len(z)))
+        start = 0
+        for size, _, hessian in self.blocks:
+            total += hessian(z, weights[start:start + size])
+            start += size
+        return total
+
 
 def field_rows(fields) -> Rows:
     """One one-row block per scalar field."""
-    return Rows(*((1, lambda z, f=f: ([f.value(z)], [f.gradient(z)]))
+    return Rows(*((1, lambda z, f=f: ([f.value(z)], [f.gradient(z)]),
+                   lambda z, w, f=f: w[0] * f.hessian(z))
                   for f in fields))
 
 
@@ -327,6 +345,12 @@ def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
     return 0.5 * (B + B.T)
 
 
+def _rank(viol: float, fval: float) -> tuple:
+    """Best-iterate key: feasible points (within TOL_FEAS) by objective, the
+    others by violation after them."""
+    return (0, fval) if viol <= TOL_FEAS else (1, viol, fval)
+
+
 def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     """Damped-BFGS SQP with an l1 merit line search.
 
@@ -380,7 +404,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
             return snapshot("converged", lam, qp.lower_multipliers,
                             qp.upper_multipliers, kkt, viol)
 
-        key = (viol > TOL_FEAS, viol, fval)
+        key = _rank(viol, fval)
         if best is None or key < best[0]:
             best = (key, z.copy(), fval, fgrad, cvals, jac)
 
@@ -446,9 +470,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 
     # not converged: report honest residuals at the best iterate found
     if best is not None and tuple(best[1]) != tuple(z):
-        candidate_key = (max(0.0, cvals.max(initial=0.0)) > TOL_FEAS,
-                         max(0.0, cvals.max(initial=0.0)), fval)
-        if best[0] < candidate_key:
+        if best[0] < _rank(max(0.0, cvals.max(initial=0.0)), fval):
             _, z, fval, fgrad, cvals, jac = best
     qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z)
     if qp.status != "optimal":
@@ -465,3 +487,71 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
                        float(kkt), float(viol), "max_iter", iterations,
                        float(fval), merit_history)
+
+
+# ---------------------------------------------------------------------------
+# Second-order check at a KKT point
+# ---------------------------------------------------------------------------
+
+def _null_space(A: Array, d: int) -> Array:
+    """Orthonormal columns spanning {u : A u = 0}; singular values at most
+    _SOC_TOL of the largest count as zero."""
+    if not len(A):
+        return np.eye(d)
+    _, s, vt = np.linalg.svd(A)
+    return vt[int((s > _SOC_TOL * s[0]).sum()):].T
+
+
+def negative_curvature(problem: NlpProblem, sol: NlpSolution):
+    """A unit direction of negative curvature of the Lagrangian on the
+    critical cone at the KKT point ``sol``, as ``(direction, curvature)``;
+    None when the second-order necessary condition holds there.
+
+    The Lagrangian Hessian is the objective's plus ``constraints.hessian``
+    weighted by the multipliers.  Active rows and bounds with a positive
+    multiplier are equalities on the cone; weakly active ones (multiplier
+    about zero) may move only to their feasible side.  On each face of the
+    cone (some weakly active constraints held at zero) the eigenvectors of
+    the reduced Hessian Z'HZ with negative eigenvalues are candidates, and
+    +-v is accepted when it stays inside the cone.  The most negative
+    curvature over the cone lies in the relative interior of some face and
+    is an eigenvector there, so the test is exact.  Faces are spanned by
+    at most as many weakly active constraints as the strongly active ones
+    leave free dimensions, which bounds the enumeration.
+    """
+    z, d = sol.z, problem.dim
+    cvals, jac = problem.constraints(z)
+    H = problem.objective.hessian(z) + problem.constraints.hessian(z, sol.multipliers)
+    eye = np.eye(d)
+    values = np.concatenate([cvals, problem.lower - z, z - problem.upper])
+    normals = np.vstack([jac, -eye, eye])
+    mults = np.concatenate([sol.multipliers, sol.lower_multipliers,
+                            sol.upper_multipliers])
+    active = values >= -_SOC_TOL
+    weakly = mults <= _SOC_TOL * (1.0 + mults.max(initial=0.0))
+    strong, weak = normals[active & ~weakly], normals[active & weakly]
+    inside = _SOC_TOL * np.linalg.norm(weak, axis=1)
+    threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
+
+    Z = _null_space(strong, d)
+    # a face is a subspace of the strongly active null space: without
+    # negative curvature there, no face has any
+    if not Z.shape[1] or np.linalg.eigvalsh(Z.T @ H @ Z)[0] >= threshold:
+        return None
+    best = None
+    for size in range(min(len(weak), Z.shape[1]) + 1):
+        for face in itertools.combinations(range(len(weak)), size):
+            Zf = _null_space(np.vstack([strong, weak[list(face)]]), d)
+            if not Zf.shape[1]:
+                continue
+            eigvals, eigvecs = np.linalg.eigh(Zf.T @ H @ Zf)
+            for curvature, v in zip(eigvals, eigvecs.T):
+                if curvature >= threshold:
+                    break
+                u = Zf @ v
+                for direction in (u, -u):
+                    if (weak @ direction <= inside).all():
+                        if best is None or curvature < best[1]:
+                            best = (direction, float(curvature))
+                        break
+    return best

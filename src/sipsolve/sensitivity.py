@@ -143,9 +143,38 @@ def linearized_value_and_gradient(lc: LinearizedConstraint,
     return float(value), grad
 
 
+def linearized_hessian(lc: LinearizedConstraint, problem: SipProblem, x) -> Array:
+    """x-Hessian of the linearized Lagrangian constraint.
+
+    yhat and muhat are affine in x, so with P = [I; Dy]
+
+        hess = P^T D2 g_i P - sum_l [muhat_l Dy^T D2 v_l Dy
+                                     + dmu_l (Dy^T grad v_l)^T
+                                     + (Dy^T grad v_l) dmu_l^T]
+    """
+    x = np.asarray(x, dtype=float)
+    g = problem.si_constraints[lc.index]
+    dy = lc.sens.dy_dx
+    dmu = lc.sens.dmu_dx
+
+    y_hat = lc.predicted_maximizer(x)
+    mu_hat = lc.predicted_multipliers(x)
+    P = np.vstack([np.eye(problem.n), dy])
+    hess = P.T @ g.hessian(np.concatenate([x, y_hat])) @ P
+    for l, v in enumerate(problem.index_constraints):
+        if mu_hat[l] != 0.0 or dmu[l].any():
+            dv = dy.T @ v.gradient(y_hat)
+            hess -= (mu_hat[l] * (dy.T @ v.hessian(y_hat) @ dy)
+                     + np.outer(dmu[l], dv) + np.outer(dv, dmu[l]))
+    return hess
+
+
 def linearization_field(lc: LinearizedConstraint, problem: SipProblem) -> tuple:
     """The linearized constraint as a one-row block of master rows."""
     def evaluate(x):
         value, grad = linearized_value_and_gradient(lc, problem, x)
         return [value], [grad]
-    return 1, evaluate
+
+    def hessian(x, w):
+        return w[0] * linearized_hessian(lc, problem, x)
+    return 1, evaluate, hessian

@@ -122,3 +122,19 @@ def fd_maximizer_jacobian(problem, i, x, h=1e-5):
         sm = solve_lower_level_global(problem, i, x - e)
         cols.append((sp.y - sm.y) / (2.0 * h))
     return np.stack(cols, axis=1)
+
+
+def fd_block_hessian(block, z, w, h=1e-6):
+    """sum_j w_j * Hessian of row j of a row block ``(size, evaluate,
+    hessian)``, by central differences of its Jacobian."""
+    _, evaluate, _ = block
+    z = np.asarray(z, dtype=float)
+    cols = []
+    for j in range(len(z)):
+        e = np.zeros(len(z))
+        e[j] = h
+        up = np.asarray(evaluate(z + e)[1])
+        dn = np.asarray(evaluate(z - e)[1])
+        cols.append(w @ (up - dn) / (2.0 * h))
+    fd = np.stack(cols, axis=1)
+    return 0.5 * (fd + fd.T)

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sipsolve import driver
 from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
@@ -194,6 +195,37 @@ class TestConvergenceBehavior:
         assert r.final_status == "tolerance_met"
         assert np.linalg.norm(r.x - dc.known_solution) <= 1e-4
 
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    @pytest.mark.parametrize("x0", [
+        [0.85720104921748, -0.28620937347194364],
+        [0.809313546050908, -0.6483519639498072],
+    ])
+    def test_master_escapes_a_saddle(self, ex2, runner, x0):
+        # a master from these starts converges to x = (0, 0): a KKT point
+        # whose Lagrangian has curvature -2 along +x1 on the critical cone.
+        # Without the second-order escape the run stalls there and ends in
+        # subsolver_failure.
+        r = runner(ex2, x0, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert r.final_status == "tolerance_met"
+        assert np.linalg.norm(r.x - ex2.known_solution) <= 1e-4
+
+    def test_one_master_solve_per_iteration(self, dc, monkeypatch):
+        calls = []
+        solve = driver.solve_nlp
+
+        def counted(nlp, z0, *args, **kwargs):
+            calls.append(1)
+            return solve(nlp, z0, *args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_nlp", counted)
+        opts = DriverOptions(mode="known", tol_dist=1e-4)
+        for runner in (run_blankenship_falk, run_qcad):
+            calls.clear()
+            r = runner(dc, opts=opts)
+            assert r.final_status == "tolerance_met"
+            # every record but the last was followed by one master
+            assert len(calls) == len(r.history) - 1
+
 
 class TestPreseeding:
     def test_seeded_points_survive_and_dedup(self, ex1):
@@ -238,3 +270,15 @@ class TestFieldFailures:
         assert r.final_status == "subsolver_failure"
         assert any(w.startswith("iteration 0: field evaluation failed")
                    and "f_bad" in w for w in r.warnings)
+
+    def test_objective_without_hessian_ends_in_subsolver_failure(self):
+        # the second-order check at the first converged master asks for the
+        # objective's Hessian
+        bare = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),
+                           name="f_bare")
+        problem = replace(onestep_problem(), objective=bare)
+        r = run_blankenship_falk(problem)
+        assert r.final_status == "subsolver_failure"
+        assert any(w.startswith("iteration 0: field evaluation failed")
+                   and "f_bare does not define a Hessian" in w
+                   for w in r.warnings)

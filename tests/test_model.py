@@ -7,7 +7,7 @@ from sipsolve.model import (FieldEvaluationError, ScalarField, SipProblem,
                             verify_derivatives)
 from sipsolve.problems import get_problem
 
-from helpers import interval_index_fields
+from helpers import fd_block_hessian, interval_index_fields
 
 
 def quad_field():
@@ -80,7 +80,7 @@ class TestRestrictions:
         ys = [y / max(1.0, np.linalg.norm(y)) for y in rng.normal(size=(6, 2))]
         x = np.asarray(dc.known_solution) + 0.1 * rng.normal(size=dc.n)
         for g in dc.si_constraints:
-            size, evaluate = _family_rows(g, dc.n, ys)
+            size, evaluate, _ = _family_rows(g, dc.n, ys)
             assert size == len(ys)
             values, jac = evaluate(x)
             zs = [np.concatenate([x, y]) for y in ys]
@@ -88,6 +88,20 @@ class TestRestrictions:
             assert values.tobytes() == np.array([g.value(z) for z in zs]).tobytes()
             assert np.array(jac).tobytes() == np.array(
                 [g.gradient(z)[:dc.n] for z in zs]).tobytes()
+
+    def test_family_block_hessian_matches_differences(self):
+        # example2's rows -y^2 + 2 y x1^2 - x2 curve in x (design_centering's
+        # are linear in x)
+        ex2 = get_problem("example2")
+        ys = [np.array([y]) for y in (-0.9, -0.2, 0.3, 0.6, 1.0)]
+        x = np.array([0.45, -0.3])
+        w = np.array([0.7, 0.0, 1.3, 0.2, 0.0])
+        block = _family_rows(ex2.si_constraints[0], ex2.n, ys)
+        hess = block[2](x, w)
+        assert hess[0, 0] == pytest.approx(4.0 * (0.7 * -0.9 + 1.3 * 0.3 + 0.2 * 0.6))
+        assert np.abs(hess - fd_block_hessian(block, x, w)).max() <= 1e-6
+        # all-zero weights give the zero matrix
+        assert np.array_equal(block[2](x, np.zeros(5)), np.zeros((2, 2)))
 
     def test_negated(self):
         f = quad_field()
@@ -193,11 +207,22 @@ class TestValidateProblem:
             _toy_problem(x_bounds=np.array([[1.0, -1.0], [-1.0, 1.0]])))
         assert not report.valid
 
-    def test_missing_si_hessian_detected(self):
-        g = ScalarField(3, lambda z: z[2], lambda z: np.array([0.0, 0.0, 1.0]))
-        report = validate_problem(_toy_problem(si_constraints=(g,)))
+    @pytest.mark.parametrize("key", ["si_constraints", "objective",
+                                     "finite_constraints"])
+    def test_missing_si_hessian_detected(self, key):
+        # every field carries a Hessian: the master's second-order check
+        # reads the objective's and the finite constraints' too
+        without = {
+            "si_constraints": (ScalarField(3, lambda z: z[2],
+                                           lambda z: np.array([0.0, 0.0, 1.0])),),
+            "objective": ScalarField(2, lambda x: x[0], lambda x: np.array([1.0, 0.0])),
+            "finite_constraints": (ScalarField(2, lambda x: x[1] - 0.5,
+                                               lambda x: np.array([0.0, 1.0])),),
+        }
+        report = validate_problem(_toy_problem(**{key: without[key]}))
         assert not report.valid
-        assert any("Hessian" in msg for msg in report.issues)
+        assert any(msg.startswith(key) and "missing Hessian" in msg
+                   for msg in report.issues)
 
 
 class TestSipProblem:

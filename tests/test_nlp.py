@@ -346,6 +346,31 @@ class TestSolveNlp:
         assert calls["row_value"] == calls["objective"]
         assert calls["row_gradient"] == calls["objective"]
 
+    def test_best_iterate_ranks_feasible_points_by_objective(self):
+        # the lower-level local run of design_centering family 0 at this x,
+        # from grid node y0: the fourth iterate is feasible within TOL_FEAS
+        # (violation 4e-10) with objective -3.1e-4, far below the start's
+        # +0.0619 (violation exactly 0); cut off after five iterations, the
+        # run must return the better of the two
+        from sipsolve.lower_level import index_grid
+        from sipsolve.model import negated, restrict_to_y
+        from sipsolve.problems import get_problem
+
+        dc = get_problem("design_centering")
+        x = np.array([1.6647114202107154, -0.3334434839090681, 2.3100340905999035,
+                      0.6665565160909319, -1.328949451599116])
+        y0 = np.array([-0.8348214285714286, 0.5074404761904763])
+        box = index_grid(dc).box
+        width = box[:, 1] - box[:, 0]
+        p = NlpProblem(dc.m, negated(restrict_to_y(dc.si_constraints[0], dc.n, x)),
+                       field_rows(dc.index_constraints),
+                       box[:, 0] - 0.05 * width, box[:, 1] + 0.05 * width)
+        start = p.objective.value(y0)
+        sol = solve_nlp(p, y0, max_iter=5)
+        assert sol.status == "max_iter"
+        assert sol.max_violation <= nlp.TOL_FEAS
+        assert sol.objective_value < start - 0.06
+
     def test_row_outside_its_domain_rejects_the_trial_point(self):
         # -log(x1) - 2 <= 0 from a spec file: the first full step lands on
         # x1 = 0, where the value is inf and the gradient raises DomainError
@@ -359,3 +384,96 @@ class TestSolveNlp:
         sol = solve_nlp(p, np.array([1.0]))
         assert sol.converged
         assert sol.z[0] == pytest.approx(np.exp(-2.0), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Row Hessians and the second-order check
+# ---------------------------------------------------------------------------
+
+def test_field_rows_hessian_matches_differences():
+    from helpers import fd_block_hessian
+
+    fields = [ScalarField(2, lambda x: x[0] ** 2 * x[1] - np.sin(x[1]),
+                          lambda x: np.array([2.0 * x[0] * x[1],
+                                              x[0] ** 2 - np.cos(x[1])]),
+                          hessian=lambda x: np.array([[2.0 * x[1], 2.0 * x[0]],
+                                                      [2.0 * x[0], np.sin(x[1])]])),
+              ScalarField(2, lambda x: np.exp(x[0] - x[1]),
+                          lambda x: np.exp(x[0] - x[1]) * np.array([1.0, -1.0]),
+                          hessian=lambda x: np.exp(x[0] - x[1])
+                          * np.array([[1.0, -1.0], [-1.0, 1.0]]))]
+    rows = field_rows(fields)
+    z, w = np.array([0.4, -0.7]), np.array([1.5, -0.25])
+    total = np.zeros((2, 2))
+    for block, wj in zip(rows.blocks, w):
+        hess = block[2](z, [wj])
+        assert np.abs(hess - fd_block_hessian(block, z, np.array([wj]))).max() <= 1e-6
+        total += hess
+    assert np.allclose(rows.hessian(z, w), total, rtol=0.0, atol=1e-15)
+
+
+def _saddle_problem():
+    """min -x1^2 + 1.5 x2  s.t.  -x2 <= 0,  x in [0, 1] x [-1, 1].
+
+    At (0, 0) the row holds the whole multiplier (1.5) and the bound
+    x1 >= 0 is active with multiplier 0: a KKT point whose Lagrangian has
+    curvature -2 along +x1, which the cone allows.
+    """
+    obj = ScalarField(2, lambda x: -x[0] ** 2 + 1.5 * x[1],
+                      lambda x: np.array([-2.0 * x[0], 1.5]),
+                      hessian=lambda x: np.diag([-2.0, 0.0]))
+    row = ScalarField(2, lambda x: -x[1], lambda x: np.array([0.0, -1.0]),
+                      hessian=lambda x: np.zeros((2, 2)))
+    return NlpProblem(2, obj, constraints=field_rows([row]),
+                      lower=np.array([0.0, -1.0]), upper=np.array([1.0, 1.0]))
+
+
+class TestNegativeCurvature:
+    def test_saddle_on_the_critical_cone(self):
+        p = _saddle_problem()
+        sol = solve_nlp(p, np.array([0.0, 0.5]))
+        assert sol.converged
+        assert np.allclose(sol.z, [0.0, 0.0], atol=1e-12)
+        direction, curvature = nlp.negative_curvature(p, sol)
+        assert np.allclose(direction, [1.0, 0.0], atol=1e-12)
+        assert curvature == pytest.approx(-2.0, abs=1e-12)
+
+    def test_nothing_at_a_strict_minimizer(self):
+        # from (0.5, 0.5) the SQP reaches the global minimizer (1, 0)
+        p = _saddle_problem()
+        sol = solve_nlp(p, np.array([0.5, 0.5]))
+        assert sol.converged
+        assert np.allclose(sol.z, [1.0, 0.0], atol=1e-9)
+        assert nlp.negative_curvature(p, sol) is None
+        # no active constraint: the cone is the whole space
+        p = NlpProblem(2, _quadratic_objective())
+        sol = solve_nlp(p, np.array([3.0, 4.0]))
+        assert sol.converged
+        assert nlp.negative_curvature(p, sol) is None
+
+    def test_direction_leaving_the_cone_is_refused(self):
+        # mirror the box: at (0, 0) with x1 <= 0 active and multiplier 0,
+        # -e1 is the escape and +e1 would leave the box
+        base = _saddle_problem()
+        p = NlpProblem(2, base.objective, base.constraints,
+                       lower=np.array([-1.0, -1.0]), upper=np.array([0.0, 1.0]))
+        sol = solve_nlp(p, np.array([0.0, 0.5]))
+        assert sol.converged
+        direction, curvature = nlp.negative_curvature(p, sol)
+        assert np.allclose(direction, [-1.0, 0.0], atol=1e-12)
+        assert curvature == pytest.approx(-2.0, abs=1e-12)
+
+    def test_strongly_active_constraints_pin_the_cone(self):
+        # with x1 <= 0 given a positive multiplier (objective -x1^2 + x1),
+        # the cone is {d1 = 0, d2 = 0}: no direction to test
+        obj = ScalarField(2, lambda x: -x[0] ** 2 - x[0] + 1.5 * x[1],
+                          lambda x: np.array([-2.0 * x[0] - 1.0, 1.5]),
+                          hessian=lambda x: np.diag([-2.0, 0.0]))
+        base = _saddle_problem()
+        p = NlpProblem(2, obj, base.constraints,
+                       lower=np.array([-1.0, -1.0]), upper=np.array([0.0, 1.0]))
+        sol = solve_nlp(p, np.array([-0.1, 0.5]))
+        assert sol.converged
+        assert np.allclose(sol.z, [0.0, 0.0], atol=1e-9)
+        assert sol.upper_multipliers[0] > 0.5
+        assert nlp.negative_curvature(p, sol) is None

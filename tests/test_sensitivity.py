@@ -7,7 +7,8 @@ from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearized_value_and_gradient,
                                   make_linearized_constraint)
 
-from helpers import fd_maximizer_jacobian, pinned_index_problem
+from helpers import (fd_block_hessian, fd_maximizer_jacobian,
+                     pinned_index_problem)
 
 
 def _linearize(problem, i, x):
@@ -123,13 +124,33 @@ class TestLinearizedConstraint:
 
     def test_field_wrapper_agrees(self, ex2):
         _, _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
-        size, evaluate = linearization_field(lc, ex2)
+        size, evaluate, _ = linearization_field(lc, ex2)
         x = np.array([0.72, 0.1])
         value, grad = linearized_value_and_gradient(lc, ex2, x)
         assert size == 1
         values, jac = evaluate(x)
         assert values == [value]
         assert len(jac) == 1 and np.array_equal(jac[0], grad)
+
+    @pytest.mark.parametrize("name, i", [("example2", 0),
+                                         ("design_centering", 0),
+                                         ("design_centering", 2)])
+    def test_block_hessian_matches_differences(self, name, i, ex2, dc):
+        # every term of the Hessian: yhat and muhat are affine in x, and on
+        # design_centering the disk constraint is active with dmu != 0
+        problem = ex2 if name == "example2" else dc
+        x = (np.array([0.707107, 0.0]) if name == "example2"
+             else np.asarray(dc.known_solution))
+        _, sens, lc = _linearize(problem, i, x)
+        block = linearization_field(lc, problem)
+        away = x + 0.05 * np.cos(np.arange(problem.n) + 1.0)
+        for w in (1.0, 0.3):
+            hess = block[2](away, np.array([w]))
+            assert np.allclose(hess, hess.T, rtol=0.0, atol=1e-12)
+            fd = fd_block_hessian(block, away, np.array([w]))
+            assert np.abs(hess - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+        if name == "design_centering":
+            assert np.abs(sens.dmu_dx).max() > 0.0
 
     def test_surrogate_error_is_second_order(self, ex2):
         # |max_y g - surrogate| should shrink at least quadratically in the
