@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
 
 def cmd_list(args) -> int:
     for name in REGISTRY:
-        p = REGISTRY[name]()
+        p = get_problem(name)
         print(f"{name} (n={p.n}, m={p.m})")
     if args.spec_dir:
         spec_dir = Path(args.spec_dir)

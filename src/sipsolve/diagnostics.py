@@ -2,14 +2,13 @@
 
 Everything here is evaluated at the SIP level (not the discretized master):
 the feasibility measure max_i max_{y in Y} g_i(x, y), a stationarity
-residual based on nonnegative multipliers over the active indices,
-constraint-qualification margins, the perturbation parameters that drive
-the convergence analysis, and empirical convergence-order estimates.
+residual based on nonnegative multipliers over the active indices, the
+perturbation parameters that drive the convergence analysis, and empirical
+convergence-order estimates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,9 +34,6 @@ class StationarityReport:
     residual: float
     active_indices: list
     multipliers: Array
-    emfcq_margin: Optional[float] = None
-    elicq: Optional[bool] = None
-    column_labels: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,6 @@ def _active_columns(problem: SipProblem, x, ll_solutions):
     x = np.asarray(x, dtype=float)
     n = problem.n
     columns = []
-    labels = []
     active_indices = []
     for i, sol in enumerate(ll_solutions):
         entries = []
@@ -105,25 +100,21 @@ def _active_columns(problem: SipProblem, x, ll_solutions):
             entries.append((np.asarray(y_loc, dtype=float), float(value)))
             grad = problem.si_constraints[i].gradient(np.concatenate([x, y_loc]))
             columns.append(grad[:n])
-            labels.append(("si", i, tuple(np.round(y_loc, 12))))
         active_indices.append(entries)
-    for j, c in enumerate(problem.finite_constraints):
+    for c in problem.finite_constraints:
         if c.value(x) >= -TOL_ACT:
             columns.append(c.gradient(x))
-            labels.append(("finite", j, None))
     for j in range(n):
         lo, hi = problem.x_bounds[j]
         if np.isfinite(lo) and x[j] - lo <= TOL_ACT:
             e = np.zeros(n)
             e[j] = -1.0
             columns.append(e)
-            labels.append(("lower_bound", j, None))
         if np.isfinite(hi) and hi - x[j] <= TOL_ACT:
             e = np.zeros(n)
             e[j] = 1.0
             columns.append(e)
-            labels.append(("upper_bound", j, None))
-    return columns, labels, active_indices
+    return columns, active_indices
 
 
 def stationarity_residual(problem: SipProblem, x,
@@ -138,14 +129,13 @@ def stationarity_residual(problem: SipProblem, x,
     if ll_solutions is None:
         ll_solutions = solve_all_lower_levels(problem, x)
     fgrad = problem.objective.gradient(x)
-    columns, labels, active_indices = _active_columns(problem, x, ll_solutions)
+    columns, active_indices = _active_columns(problem, x, ll_solutions)
 
     if not columns:
         return StationarityReport(
             residual=float(np.linalg.norm(fgrad)),
             active_indices=active_indices,
-            multipliers=np.zeros(0),
-            emfcq_margin=None, elicq=None, column_labels=[])
+            multipliers=np.zeros(0))
 
     c_mat = np.stack(columns, axis=1)
     k = c_mat.shape[1]
@@ -156,36 +146,8 @@ def stationarity_residual(problem: SipProblem, x,
                   np.zeros(k), np.full(k, np.inf))
     lam = np.maximum(qp.step, 0.0)
     residual = float(np.linalg.norm(fgrad + c_mat @ lam))
-
-    emfcq = _emfcq_margin(c_mat)
-    svals = np.linalg.svd(c_mat, compute_uv=False)
-    elicq = bool(k <= problem.n
-                 and svals.min(initial=np.inf) >= 1e-8 * max(svals.max(initial=1.0), 1.0))
     return StationarityReport(
-        residual=residual, active_indices=active_indices, multipliers=lam,
-        emfcq_margin=emfcq, elicq=elicq, column_labels=labels)
-
-
-def _emfcq_margin(c_mat: Array) -> float:
-    """max t s.t. c^T xi <= -t for all active columns c, ||xi||_inf <= 1.
-
-    Positive margin certifies an inward direction (extended MFCQ).  Solved
-    as a lightly regularized QP, accurate to ~1e-6.
-    """
-    n, k = c_mat.shape
-    dim = n + 1
-    h = 1e-6 * np.eye(dim)
-    g = np.zeros(dim)
-    g[n] = -1.0
-    rows = np.zeros((k, dim))
-    rows[:, :n] = c_mat.T
-    rows[:, n] = 1.0
-    lower = np.concatenate([-np.ones(n), [-100.0]])
-    upper = np.concatenate([np.ones(n), [100.0]])
-    qp = solve_qp(h, g, rows, np.zeros(k), lower, upper)
-    if qp.status != "optimal":
-        return float("nan")
-    return float(qp.step[n])
+        residual=residual, active_indices=active_indices, multipliers=lam)
 
 
 def perturbation_params(problem: SipProblem, x, ll_solutions,

@@ -7,12 +7,17 @@ or the literal 0.5; ``abs`` is deliberately not part of the grammar (it would
 break the smoothness assumptions of the solvers downstream).
 
 Derivatives are symbolic: :func:`derivative` turns an expression into its
-partial derivative, built from the same node types, and the one evaluator
-:func:`eval_value` evaluates values and derivatives alike, so compiled fields
-are exact to rounding.
+partial derivative, built from the same node types, so derivatives are exact
+to rounding.  :func:`compile_functions` turns an expression and its
+derivative tables into Python functions once; the generated source is built
+from the AST alone (numbers by ``repr``, the names ``x1..xn`` / ``y1..ym``,
+the four operators, constant powers and the whitelisted numpy functions).
+:func:`eval_value` and :func:`eval_taylor2` walk the AST instead; they are
+the reference that the compiled functions must match bit for bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -431,7 +436,10 @@ def derivative_tables(expr: Expression, keys: list) -> list:
 def eval_taylor2(table: tuple, env: dict) -> np.ndarray:
     """Evaluate a table of :func:`derivative_tables` at the scalar point
     ``env``; raise :class:`DomainError` at its first failing domain check.
-    (``perfbench/tracing.py`` times derivative evaluation under this name.)"""
+
+    The reference for the functions of :func:`compile_functions`, which no
+    solve calls.  ``perfbench/tracing.py`` still hooks this name (and
+    ``eval_value``) in ``specfile``, so its ``expressions.*`` counters read 0."""
     shape, entries, checks = table
     for arg, op in checks:
         v = eval_value(arg, env)
@@ -444,3 +452,86 @@ def eval_taylor2(table: tuple, env: dict) -> np.ndarray:
         for pos in positions:
             out[pos] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# Compilation to Python functions
+# ---------------------------------------------------------------------------
+
+#: The only globals of generated code; ``inf`` is the ``repr`` of ``1e400``.
+_GLOBALS = {"np": np, "DomainError": DomainError, "inf": math.inf}
+
+
+def _function(name: str, arg: str, keys: list, expr: Expression, table,
+              guard: bool) -> str:
+    """Source of one function of ``arg``: the value of ``expr``, or ``table``
+    filled after its domain checks as :func:`eval_taylor2` does.  Each AST
+    node gets its own assignment, so no nesting limit of the Python parser
+    applies, and a node object the tables share is computed once."""
+    lines, names, used = [], {}, {}
+
+    def operand(node) -> str:
+        if isinstance(node, Num) and isinstance(node.value, float):
+            text = repr(node.value)
+            return f"({text})" if text.startswith("-") else text
+        if isinstance(node, Var) and node.kind in ("x", "y") and type(node.index) is int:
+            used[f"{node.kind}{node.index}"] = keys.index((node.kind, node.index))
+            return f"{node.kind}{node.index}"
+        if id(node) in names:
+            return names[id(node)][0]
+        if isinstance(node, Neg):
+            text = f"-{operand(node.arg)}"
+        elif isinstance(node, Call) and node.fn in FUNCTIONS:
+            text = f"np.{node.fn}({operand(node.arg)})"
+        elif isinstance(node, Bin) and node.op == "^" and node.right.value == 0.5:
+            text = f"np.sqrt({operand(node.left)})"
+        elif isinstance(node, Bin) and node.op in _BIN_OPS:
+            op = "**" if node.op == "^" else node.op
+            text = f"{operand(node.left)} {op} {operand(node.right)}"
+        else:
+            raise ValueError(f"not an expression node: {node!r}")
+        names[id(node)] = (f"t{len(names)}", node)     # the node stays alive
+        lines.append(f"{names[id(node)][0]} = {text}")
+        return names[id(node)][0]
+
+    if table is None:
+        result = operand(expr)
+        if arg == "Z" and not used:
+            result = f"np.full(len(Z), {result})"
+    else:
+        shape, entries, checks = table
+        for check, op in checks:
+            v = operand(check)
+            lines += [f"if {v} == 0.0:" if op == "/" else f"if {v} == 0.0 or {v} < 0.0:",
+                      "    raise DomainError('division by zero')" if op == "/"
+                      else f"    raise DomainError('{op} of a nonpositive value')"]
+        lines.append(f"out = np.zeros({shape!r})")
+        for positions, e in entries:
+            targets = [f"out[{pos!r}]" for pos in positions]
+            lines.append(" = ".join(targets + [operand(e)]))
+        result = "out"
+    column = "[:, {}]" if arg == "Z" else "[{}]"
+    body = [f"{v} = {arg}{column.format(i)}" for v, i in used.items()]
+    body += lines + [f"return {result}"]
+    if guard:
+        body = (["with np.errstate(divide='ignore', invalid='ignore'):"]
+                + ["    " + b for b in body])
+    return "\n".join([f"def {name}({arg}):"] + ["    " + b for b in body])
+
+
+def compile_functions(expr: Expression, keys: list, label: str = "field"):
+    """``(value, gradient, hessian, value_batch)`` of ``expr`` over the
+    variables ``keys`` (``z[i]`` holds ``keys[i]``): Python functions that
+    give the same floats as :func:`eval_value` and :func:`eval_taylor2` on
+    the tables of :func:`derivative_tables`, and raise :class:`DomainError`
+    where that does.  Only an expression with a log, sqrt, ``^0.5`` or
+    division is evaluated under ``np.errstate`` (a microsecond a call)."""
+    grad, hess = derivative_tables(expr, keys)
+    guard = bool(grad[2])
+    functions = (("value", "z", None), ("gradient", "z", grad),
+                 ("hessian", "z", hess), ("value_batch", "Z", None))
+    source = "\n".join(_function(name, arg, keys, expr, table, guard)
+                       for name, arg, table in functions)
+    namespace = dict(_GLOBALS)
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return tuple(namespace[name] for name, _, _ in functions)

@@ -1,4 +1,4 @@
-"""Built-in benchmark problems with exact hand-coded derivatives.
+"""Built-in benchmark problems: the spec files shipped in ``sipsolve/data``.
 
 Three problems are registered:
 
@@ -12,224 +12,27 @@ Three problems are registered:
   shear) inscribed in a triangle; classic semi-infinite benchmark with a
   two-dimensional index set.
 
-All fields carry exact gradients and Hessians plus vectorized batch
-evaluation, so no finite differencing happens anywhere in the solve path.
+Each loads like any other spec file: exact gradients and Hessians, batch
+evaluation, and no finite differencing anywhere in the solve path.
 """
 from __future__ import annotations
 
-import numpy as np
+from pathlib import Path
 
-from .model import ScalarField, SipProblem
+from .model import SipProblem
+from .specfile import load_problem
 
-_PI = float(np.pi)
-
-
-def _interval_fields(m: int = 1):
-    """Index constraints for Y = [-1, 1]: y - 1 <= 0 and -y - 1 <= 0."""
-    zero = np.zeros((1, 1))
-    upper = ScalarField(
-        1, lambda y: y[0] - 1.0, lambda y: np.array([1.0]),
-        hessian=lambda y: zero, value_batch=lambda pts: pts[:, 0] - 1.0,
-        name="y_upper")
-    lower = ScalarField(
-        1, lambda y: -y[0] - 1.0, lambda y: np.array([-1.0]),
-        hessian=lambda y: zero, value_batch=lambda pts: -pts[:, 0] - 1.0,
-        name="y_lower")
-    return (upper, lower)
-
-
-def example1() -> SipProblem:
-    """min -x1 + 1.5 x2  s.t.  -y^2 + 2 y x1 - x2 <= 0 on Y = [-1, 1]."""
-    objective = ScalarField(
-        2, lambda x: -x[0] + 1.5 * x[1],
-        lambda x: np.array([-1.0, 1.5]),
-        hessian=lambda x: np.zeros((2, 2)),
-        value_batch=lambda pts: -pts[:, 0] + 1.5 * pts[:, 1],
-        name="f_example1")
-
-    def g_value(z):
-        x1, x2, y = z
-        return -y * y + 2.0 * y * x1 - x2
-
-    def g_gradient(z):
-        x1, x2, y = z
-        return np.array([2.0 * y, -1.0, -2.0 * y + 2.0 * x1])
-
-    def g_hessian(z):
-        h = np.zeros((3, 3))
-        h[0, 2] = h[2, 0] = 2.0
-        h[2, 2] = -2.0
-        return h
-
-    def g_batch(pts):
-        x1, x2, y = pts[:, 0], pts[:, 1], pts[:, 2]
-        return -y * y + 2.0 * y * x1 - x2
-
-    g = ScalarField(3, g_value, g_gradient, hessian=g_hessian,
-                    value_batch=g_batch, name="g_example1")
-    return SipProblem(
-        n=2, m=1, objective=objective, si_constraints=(g,),
-        index_constraints=_interval_fields(),
-        x_bounds=np.array([[-1.0, 1.0], [-1.0, 1.0]]),
-        start=np.array([1.0, -1.0]),
-        known_solution=np.array([1.0 / 3.0, 1.0 / 9.0]),
-        known_objective=-1.0 / 6.0,
-        name="example1")
-
-
-def example2() -> SipProblem:
-    """Example 1 with x1 replaced by x1^2; lower-level argmax is y = x1^2."""
-    objective = ScalarField(
-        2, lambda x: -x[0] * x[0] + 1.5 * x[1],
-        lambda x: np.array([-2.0 * x[0], 1.5]),
-        hessian=lambda x: np.diag([-2.0, 0.0]),
-        value_batch=lambda pts: -pts[:, 0] ** 2 + 1.5 * pts[:, 1],
-        name="f_example2")
-
-    def g_value(z):
-        x1, x2, y = z
-        return -y * y + 2.0 * y * x1 * x1 - x2
-
-    def g_gradient(z):
-        x1, x2, y = z
-        return np.array([4.0 * x1 * y, -1.0, -2.0 * y + 2.0 * x1 * x1])
-
-    def g_hessian(z):
-        x1, _, y = z
-        h = np.zeros((3, 3))
-        h[0, 0] = 4.0 * y
-        h[0, 2] = h[2, 0] = 4.0 * x1
-        h[2, 2] = -2.0
-        return h
-
-    def g_batch(pts):
-        x1, x2, y = pts[:, 0], pts[:, 1], pts[:, 2]
-        return -y * y + 2.0 * y * x1 * x1 - x2
-
-    g = ScalarField(3, g_value, g_gradient, hessian=g_hessian,
-                    value_batch=g_batch, name="g_example2")
-    return SipProblem(
-        n=2, m=1, objective=objective, si_constraints=(g,),
-        index_constraints=_interval_fields(),
-        x_bounds=np.array([[0.0, 1.0], [-1.0, 1.0]]),
-        start=np.array([1.0, -1.0]),
-        known_solution=np.array([3.0 ** -0.5, 1.0 / 9.0]),
-        known_objective=-1.0 / 6.0,
-        name="example2")
-
-
-def design_centering() -> SipProblem:
-    """Largest ellipse inscribed in a triangle.
-
-    The ellipse is t(x, y) = A(x) y + c(x) over the unit disk Y, with
-    c = (x1, x2) and A = [[x3, x5], [0, x4]]; its area is pi x3 x4.  The
-    triangle sides give three semi-infinite constraints.  Minimization
-    form: objective -pi x3 x4.
-    """
-    obj_hess = np.zeros((5, 5))
-    obj_hess[2, 3] = obj_hess[3, 2] = -_PI
-    objective = ScalarField(
-        5, lambda x: -_PI * x[2] * x[3],
-        lambda x: np.array([0.0, 0.0, -_PI * x[3], -_PI * x[2], 0.0]),
-        hessian=lambda x, h=obj_hess: h.copy(),
-        value_batch=lambda pts: -_PI * pts[:, 2] * pts[:, 3],
-        name="f_design_centering")
-
-    # t1 = x3 y1 + x5 y2 + x1, t2 = x4 y2 + x2 with z = (x1..x5, y1, y2)
-
-    def g1_value(z):
-        return -(z[2] * z[5] + z[4] * z[6] + z[0]) - 1.0
-
-    def g1_gradient(z):
-        return np.array([-1.0, 0.0, -z[5], 0.0, -z[6], -z[2], -z[4]])
-
-    def g1_hessian(z):
-        h = np.zeros((7, 7))
-        h[2, 5] = h[5, 2] = -1.0
-        h[4, 6] = h[6, 4] = -1.0
-        return h
-
-    def g1_batch(pts):
-        return -(pts[:, 2] * pts[:, 5] + pts[:, 4] * pts[:, 6] + pts[:, 0]) - 1.0
-
-    def g2_value(z):
-        return -(z[3] * z[6] + z[1]) - 1.0
-
-    def g2_gradient(z):
-        return np.array([0.0, -1.0, 0.0, -z[6], 0.0, 0.0, -z[3]])
-
-    def g2_hessian(z):
-        h = np.zeros((7, 7))
-        h[3, 6] = h[6, 3] = -1.0
-        return h
-
-    def g2_batch(pts):
-        return -(pts[:, 3] * pts[:, 6] + pts[:, 1]) - 1.0
-
-    def g3_value(z):
-        t1 = z[2] * z[5] + z[4] * z[6] + z[0]
-        t2 = z[3] * z[6] + z[1]
-        return 0.25 * t1 + t2 - 0.75
-
-    def g3_gradient(z):
-        return np.array([0.25, 1.0, 0.25 * z[5], z[6], 0.25 * z[6],
-                         0.25 * z[2], 0.25 * z[4] + z[3]])
-
-    def g3_hessian(z):
-        h = np.zeros((7, 7))
-        h[2, 5] = h[5, 2] = 0.25
-        h[4, 6] = h[6, 4] = 0.25
-        h[3, 6] = h[6, 3] = 1.0
-        return h
-
-    def g3_batch(pts):
-        t1 = pts[:, 2] * pts[:, 5] + pts[:, 4] * pts[:, 6] + pts[:, 0]
-        t2 = pts[:, 3] * pts[:, 6] + pts[:, 1]
-        return 0.25 * t1 + t2 - 0.75
-
-    g1 = ScalarField(7, g1_value, g1_gradient, hessian=g1_hessian,
-                     value_batch=g1_batch, name="g1_design_centering")
-    g2 = ScalarField(7, g2_value, g2_gradient, hessian=g2_hessian,
-                     value_batch=g2_batch, name="g2_design_centering")
-    g3 = ScalarField(7, g3_value, g3_gradient, hessian=g3_hessian,
-                     value_batch=g3_batch, name="g3_design_centering")
-
-    disk = ScalarField(
-        2, lambda y: y[0] * y[0] + y[1] * y[1] - 1.0,
-        lambda y: np.array([2.0 * y[0], 2.0 * y[1]]),
-        hessian=lambda y: 2.0 * np.eye(2),
-        value_batch=lambda pts: pts[:, 0] ** 2 + pts[:, 1] ** 2 - 1.0,
-        name="unit_disk")
-
-    root3 = np.sqrt(3.0)
-    return SipProblem(
-        n=5, m=2, objective=objective,
-        si_constraints=(g1, g2, g3),
-        index_constraints=(disk,),
-        x_bounds=np.array([[-10.0, 10.0], [-10.0, 10.0],
-                           [1e-4, 10.0], [1e-4, 10.0], [-10.0, 10.0]]),
-        start=np.array([0.0, 0.0, 1.0, 1.0, 0.0]),
-        known_solution=np.array([5.0 / 3.0, -1.0 / 3.0, 4.0 * root3 / 3.0,
-                                 2.0 / 3.0, -4.0 / 3.0]),
-        known_objective=-_PI * (4.0 * root3 / 3.0) * (2.0 / 3.0),
-        name="design_centering")
-
-
-REGISTRY = {
-    "example1": example1,
-    "example2": example2,
-    "design_centering": design_centering,
-}
+#: The built-in problems, in the order ``sipsolve list`` prints them.
+REGISTRY = ("example1", "example2", "design_centering")
+_DATA = Path(__file__).with_name("data")
 
 
 def get_problem(name: str) -> SipProblem:
-    """Instantiate a registry problem by name."""
-    try:
-        ctor = REGISTRY[name]
-    except KeyError:
+    """Load a built-in problem by name (a fresh instance on every call)."""
+    if name not in REGISTRY:
         known = ", ".join(sorted(REGISTRY))
-        raise KeyError(f"unknown problem {name!r}; available: {known}") from None
-    return ctor()
+        raise KeyError(f"unknown problem {name!r}; available: {known}")
+    return load_problem(_DATA / f"{name}.yaml")
 
 
 def list_problems() -> list:

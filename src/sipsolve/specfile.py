@@ -19,7 +19,9 @@ Schema (see README for a complete example)::
 
 Expressions use variables x1..xn / y1..ym, the operators + - * / ^ and the
 functions sin, cos, exp, log, sqrt.  Compiling a field differentiates it once
-into gradient and Hessian expressions, so derivatives are exact to rounding.
+into gradient and Hessian expressions, exact to rounding, and compiles all of
+them into Python functions once.  The built-in problems are the documents in
+``sipsolve/data``, loaded the same way.
 """
 from __future__ import annotations
 
@@ -30,7 +32,9 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .expressions import (Expression, SpecParseError, derivative_tables,
+# No solve calls eval_taylor2 or eval_value; perfbench/tracing.py hooks them
+# here by name until it reads the run's own records (ROADMAP item 3).
+from .expressions import (Expression, SpecParseError, compile_functions,  # noqa: F401
                           eval_taylor2, eval_value, parse_expression, variables)
 from .model import ScalarField, SipProblem
 
@@ -159,7 +163,7 @@ def parse_spec(text: str) -> ProblemSpecFile:
 
 
 def _compile_field(ast: Expression, n: int, m: int, layout: str, name: str) -> ScalarField:
-    """Build a ScalarField from an AST.
+    """Build a ScalarField from an AST, its functions compiled once.
 
     layout 'xy': arity n+m with x in z[:n], y in z[n:];
     layout 'x': arity n; layout 'y': arity m.
@@ -167,18 +171,8 @@ def _compile_field(ast: Expression, n: int, m: int, layout: str, name: str) -> S
     xs = [("x", i + 1) for i in range(n)]
     ys = [("y", j + 1) for j in range(m)]
     keys = {"xy": xs + ys, "x": xs, "y": ys}[layout]
-    grad, hess = derivative_tables(ast, keys)
-
-    def value(z):
-        return float(eval_value(ast, dict(zip(keys, z))))
-
-    def batch(Z):
-        return np.broadcast_to(eval_value(ast, dict(zip(keys, Z.T))), (Z.shape[0],))
-
-    return ScalarField(len(keys), value,
-                       lambda z: eval_taylor2(grad, dict(zip(keys, z))),
-                       lambda z: eval_taylor2(hess, dict(zip(keys, z))),
-                       batch, name=name)
+    value, gradient, hessian, batch = compile_functions(ast, keys, name)
+    return ScalarField(len(keys), value, gradient, hessian, batch, name=name)
 
 
 def compile_spec(spec: ProblemSpecFile) -> SipProblem:

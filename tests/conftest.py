@@ -7,7 +7,7 @@ from collections import namedtuple
 import pytest
 
 from sipsolve import DriverOptions, run_blankenship_falk, run_qcad
-from sipsolve.problems import design_centering, example1, example2
+from sipsolve.problems import get_problem
 
 TimedRun = namedtuple("TimedRun", "result seconds")
 
@@ -20,17 +20,17 @@ def _timed(runner, problem, opts):
 
 @pytest.fixture(scope="session")
 def ex1():
-    return example1()
+    return get_problem("example1")
 
 
 @pytest.fixture(scope="session")
 def ex2():
-    return example2()
+    return get_problem("example2")
 
 
 @pytest.fixture(scope="session")
 def dc():
-    return design_centering()
+    return get_problem("design_centering")
 
 
 @pytest.fixture(scope="session")

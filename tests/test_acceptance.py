@@ -150,8 +150,7 @@ def test_criterion_06_sensitivity_vs_finite_differences():
 
 def test_criterion_07_linearization_gap_bounds(ex2_qcad_known, ex1,
                                                qcad_practical):
-    from sipsolve.problems import example2
-    ex2 = example2()
+    ex2 = get_problem("example2")
     h = ex2_qcad_known.result.history
     pairs = 0
     worst_v = 0.0

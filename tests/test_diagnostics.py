@@ -38,32 +38,23 @@ class TestStationarityResidual:
         rep = stationarity_residual(ex1, np.asarray(ex1.known_solution))
         assert rep.residual <= 1e-6
         assert rep.multipliers == pytest.approx([1.5], abs=1e-6)
-        assert len(rep.column_labels) == 1
-        kind, family, y_key = rep.column_labels[0]
-        assert (kind, family) == ("si", 0)
-        assert y_key[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
         ((y_active, g_active),) = rep.active_indices[0]
         assert y_active[0] == pytest.approx(1.0 / 3.0, abs=1e-6)
         assert abs(g_active) <= 1e-9
-        assert rep.emfcq_margin == pytest.approx(5.0 / 3.0, abs=1e-6)
-        assert rep.elicq
 
     def test_empty_active_set_returns_gradient_norm(self, ex1):
         rep = stationarity_residual(ex1, np.array([0.0, 0.5]))
-        assert rep.column_labels == []
         assert rep.residual == pytest.approx(np.hypot(1.0, 1.5))
 
     def test_bound_column_carries_no_weight_when_useless(self, ex1):
         # x2 = 1 sits on its upper bound but that bound cannot reduce the
         # objective gradient, so the residual equals the gradient norm
         rep = stationarity_residual(ex1, np.array([0.0, 1.0]))
-        assert rep.column_labels == [("upper_bound", 1, None)]
         assert rep.residual == pytest.approx(np.hypot(1.0, 1.5))
 
     def test_ellipse_solution(self, dc):
         rep = stationarity_residual(dc, np.asarray(dc.known_solution))
         assert rep.residual <= 1e-6
-        assert rep.elicq
 
 
 class TestEstimateOrder:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,8 @@ class TestEvaluation:
         vals = eval_value(parse_expression("x1^0.5"),
                           {("x", 1): np.array([-4.0, 4.0])})
         assert np.isnan(vals[0]) and vals[1] == 2.0
+        # compiled, the constant base stays a Python float
+        assert np.isnan(compiled("x1 + (0 - 2)^0.5").value([1.0, 0.0]))
 
     def test_integer_power_chain(self):
         e = parse_expression("x1^3")
@@ -101,6 +105,7 @@ class TestTaylor2:
         assert f.value(z) == 3.0
         assert np.array_equal(f.gradient(z), np.zeros(2))
         assert np.array_equal(f.hessian(z), np.zeros((2, 2)))
+        assert np.array_equal(f.value_batch(np.zeros((4, 2))), np.full(4, 3.0))
 
     def test_square_hessian(self):
         f = compiled("x1^2", n=1)
@@ -119,9 +124,11 @@ class TestTaylor2:
             with pytest.raises(DomainError) as exc:
                 derivative_of([value])
             assert fragment in str(exc.value)
-        # values stay permissive
-        with np.errstate(all="ignore"):
+        # values stay permissive, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert not np.isfinite(f.value([value]))
+            assert not np.isfinite(f.value_batch(np.array([[value]]))[0])
 
     @pytest.mark.parametrize("text,fragment", [
         # the checks come from the expression, not from its derivatives:
@@ -129,8 +136,10 @@ class TestTaylor2:
         ("x2 + log(0 - 1)", "log of a nonpositive value"),
         ("x2 + 0*sqrt(x1)", "sqrt of a nonpositive value"),
         ("x2 + x1 / (x1 - x1)", "division by zero"),
-        # arguments are checked before the nodes that use them
+        # arguments are checked before the nodes that use them, and the first
+        # check to fail in evaluation order is reported
         ("log(1 / x1 - 1 / x1)", "division by zero"),
+        ("log(x1) + x2 / x1", "log of a nonpositive value"),
     ])
     def test_domain_errors_from_the_value_expression(self, text, fragment):
         f = compiled(text)

@@ -6,7 +6,6 @@ from sipsolve.lower_level import (LowerLevelError, check_regularity,
                                   index_set_box, solve_all_lower_levels,
                                   solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem, grid_nodes
-from sipsolve.problems import design_centering, example1, example2
 
 from helpers import (interval_index_fields, pinned_index_problem,
                      three_peak_problem, tie_problem)

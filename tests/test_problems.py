@@ -1,14 +1,10 @@
-import importlib.resources
-
 import numpy as np
 import pytest
 
 from sipsolve.diagnostics import feasibility_measure, stationarity_residual
 from sipsolve.lower_level import solve_lower_level_global
 from sipsolve.model import verify_derivatives, validate_problem
-from sipsolve.problems import (REGISTRY, design_centering, example1, example2,
-                               get_problem, list_problems)
-from sipsolve.specfile import load_problem
+from sipsolve.problems import REGISTRY, get_problem, list_problems
 
 
 class TestRegistry:
@@ -49,14 +45,14 @@ def _random_points(problem, arity, count, rng):
     return pts
 
 
-@pytest.mark.parametrize("ctor", [example1, example2, design_centering])
+@pytest.mark.parametrize("name", ["example1", "example2", "design_centering"])
 class TestEveryProblem:
-    def test_validates(self, ctor):
-        report = validate_problem(ctor())
+    def test_validates(self, name):
+        report = validate_problem(get_problem(name))
         assert report.valid, report.issues
 
-    def test_all_derivatives_match_finite_differences(self, ctor):
-        problem = ctor()
+    def test_all_derivatives_match_finite_differences(self, name):
+        problem = get_problem(name)
         rng = np.random.default_rng(123)
         fields = ((problem.objective,) + problem.si_constraints
                   + problem.index_constraints + problem.finite_constraints)
@@ -65,8 +61,8 @@ class TestEveryProblem:
             assert verify_derivatives(fieldobj, pts, h=1e-5) <= 1e-5, \
                 fieldobj.name
 
-    def test_batch_evaluation_matches_scalar(self, ctor):
-        problem = ctor()
+    def test_batch_evaluation_matches_scalar(self, name):
+        problem = get_problem(name)
         rng = np.random.default_rng(7)
         for fieldobj in (problem.objective,) + problem.si_constraints:
             pts = np.array(_random_points(problem, fieldobj.arity, 20, rng))
@@ -74,16 +70,16 @@ class TestEveryProblem:
             assert np.allclose(batch, [fieldobj.value(row) for row in pts],
                                atol=1e-12)
 
-    def test_known_point_is_feasible_and_stationary(self, ctor):
-        problem = ctor()
+    def test_known_point_is_feasible_and_stationary(self, name):
+        problem = get_problem(name)
         x = np.asarray(problem.known_solution)
         assert feasibility_measure(problem, x) <= 1e-8
         assert stationarity_residual(problem, x).residual <= 1e-5
         assert problem.objective.value(x) == pytest.approx(
             problem.known_objective, abs=1e-9)
 
-    def test_start_inside_bounds(self, ctor):
-        problem = ctor()
+    def test_start_inside_bounds(self, name):
+        problem = get_problem(name)
         x0 = np.asarray(problem.start)
         assert np.all(problem.x_bounds[:, 0] <= x0)
         assert np.all(x0 <= problem.x_bounds[:, 1])
@@ -118,44 +114,3 @@ class TestKnownValues:
         sol = solve_lower_level_global(dc, 2, np.asarray(dc.start))
         assert sol.value == pytest.approx(np.sqrt(17.0) / 4.0 - 0.75,
                                           abs=1e-9)
-
-
-class TestBundledSpecFiles:
-    """The YAML copies in the package data must agree with the registry."""
-
-    def _load_pair(self, name):
-        path = importlib.resources.files("sipsolve") / "data" / f"{name}.yaml"
-        return get_problem(name), load_problem(path)
-
-    @pytest.mark.parametrize("name", ["example1", "example2",
-                                      "design_centering"])
-    def test_metadata_agrees(self, name):
-        native, parsed = self._load_pair(name)
-        assert parsed.name == native.name
-        assert (parsed.n, parsed.m) == (native.n, native.m)
-        assert np.allclose(parsed.x_bounds, native.x_bounds, atol=1e-12)
-        assert np.allclose(parsed.start, native.start, atol=1e-12)
-        assert np.allclose(parsed.known_solution, native.known_solution,
-                           atol=1e-12)
-        assert parsed.known_objective == pytest.approx(
-            native.known_objective, abs=1e-12)
-
-    @pytest.mark.parametrize("name", ["example1", "example2",
-                                      "design_centering"])
-    def test_fields_agree_pointwise(self, name):
-        native, parsed = self._load_pair(name)
-        rng = np.random.default_rng(99)
-        pairs = [(native.objective, parsed.objective, False)]
-        pairs += [(a, b, True) for a, b in
-                  zip(native.si_constraints, parsed.si_constraints)]
-        pairs += [(a, b, True) for a, b in
-                  zip(native.index_constraints, parsed.index_constraints)]
-        for mine, yours, with_hessian in pairs:
-            for z in _random_points(native, mine.arity, 25, rng):
-                assert yours.value(z) == pytest.approx(mine.value(z),
-                                                       abs=1e-12)
-                assert np.allclose(yours.gradient(z), mine.gradient(z),
-                                   atol=1e-12)
-                if with_hessian:
-                    assert np.allclose(yours.hessian(z), mine.hessian(z),
-                                       atol=1e-12)

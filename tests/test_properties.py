@@ -1,12 +1,17 @@
-"""Property tests on random grammar expressions over x1 and x2."""
+"""Property tests on random grammar expressions over x1 and x2, and the
+compiled fields of the shipped specs against the reference evaluators."""
+from importlib.resources import files
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sipsolve.expressions import (FUNCTIONS, Bin, Call, Neg, Num, Var,
-                                  _domain_checks, eval_value, parse_expression,
+                                  _domain_checks, derivative_tables,
+                                  eval_taylor2, eval_value, parse_expression,
                                   to_string)
-from sipsolve.specfile import _compile_field
+from sipsolve.problems import REGISTRY, get_problem
+from sipsolve.specfile import _compile_field, parse_spec
 
 # deterministic and small, so that the tier-1 run stays fast and repeatable
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
@@ -64,3 +69,66 @@ def test_derivatives_match_central_differences(expr, x1, x2):
         fd_hess = (f.gradient(z + e) - f.gradient(z - e)) / (2.0 * h)
         assert abs(grad[j] - fd_grad) <= 1e-6 * scale
         assert np.abs(hess[:, j] - fd_hess).max() <= 1e-6 * scale
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the arithmetic error it raises
+    (DomainError, or a Python float's ZeroDivisionError) as text."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a, b, equal_nan=True)
+
+
+def assert_matches_reference(field, expr, keys, points):
+    """Compiled value, batch, gradient and Hessian of ``field`` against
+    eval_value and eval_taylor2 on ``expr``: the same floats, or the same
+    error from both."""
+    grad, hess = derivative_tables(expr, keys)
+    with np.errstate(all="ignore"):
+        batch = _outcome(lambda: np.broadcast_to(
+            eval_value(expr, dict(zip(keys, points.T))), (len(points),)))
+        assert _same(_outcome(field.value_batch, points), batch)
+        for z in points:
+            env = dict(zip(keys, z))
+            assert _same(_outcome(field.value, z),
+                         _outcome(lambda: float(eval_value(expr, env))))
+            assert _same(_outcome(field.gradient, z), _outcome(eval_taylor2, grad, env))
+            assert _same(_outcome(field.hessian, z), _outcome(eval_taylor2, hess, env))
+
+
+# zero and one hit the domain checks of log, sqrt and division
+COORDINATES = st.one_of(st.sampled_from([0.0, 1.0, -1.0]),
+                        st.floats(min_value=-3.0, max_value=3.0))
+
+
+@SETTINGS
+@given(grammar(st.one_of(VARIABLES, st.floats(min_value=0.0, max_value=1e6).map(Num))),
+       st.lists(st.tuples(COORDINATES, COORDINATES), min_size=1, max_size=6))
+def test_compiled_functions_match_the_reference_evaluators(expr, points):
+    field = _compile_field(expr, 2, 0, "xy", "f")
+    assert_matches_reference(field, expr, [("x", 1), ("x", 2)], np.array(points))
+
+
+def test_shipped_fields_match_the_reference_evaluators():
+    rng = np.random.default_rng(2024)
+    checked = 0
+    for name in REGISTRY:
+        spec = parse_spec((files("sipsolve") / "data" / f"{name}.yaml").read_text())
+        problem = get_problem(name)
+        xs = [("x", i + 1) for i in range(problem.n)]
+        ys = [("y", j + 1) for j in range(problem.m)]
+        for key, keys in (("objective", xs), ("si_constraints", xs + ys),
+                          ("index_constraints", ys), ("finite_constraints", xs)):
+            fields = getattr(problem, key)
+            for k, field in enumerate(fields if key != "objective" else [fields]):
+                points = rng.uniform(-3.0, 3.0, size=(2000, len(keys)))
+                assert_matches_reference(field, spec.asts[(key, k)], keys, points)
+                checked += 1
+    assert checked == 13

@@ -3,6 +3,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from sipsolve import specfile
 from sipsolve.expressions import SpecParseError
 from sipsolve.model import validate_problem
 from sipsolve.specfile import (SpecFileError, compile_spec, load_problem,
@@ -168,3 +169,39 @@ class TestLoadProblem:
         path = tmp_path / "nameless.yaml"
         path.write_text(doc)
         assert load_problem(path).name == "nameless"
+
+
+def _objective_field(objective: str):
+    """The compiled objective of GOOD with ``objective`` put in its place."""
+    doc = GOOD.replace("objective: -x1 + 1.5*x2", f"objective: '{objective}'")
+    return compile_spec(parse_spec(doc)).objective
+
+
+class TestCompiledEdgeCases:
+    """Inputs the AST walker always handled that a naive compile breaks."""
+
+    def test_long_sum_loads(self):
+        # nested parentheses, one pair per node, exceed the Python parser's
+        # limit long before 300 terms
+        f = _objective_field(" + ".join(["x1"] * 300))
+        z = np.array([2.0, 0.0])
+        assert f.value(z) == 600.0
+        assert np.array_equal(f.gradient(z), [300.0, 0.0])
+        assert np.array_equal(f.hessian(z), np.zeros((2, 2)))
+        assert np.array_equal(f.value_batch(np.array([z, 2.0 * z])), [600.0, 1200.0])
+
+    def test_overflowing_literal_is_inf(self):
+        f = _objective_field("x1 + 1e400")
+        z = np.array([2.0, 0.0])
+        assert f.value(z) == np.inf
+        assert np.array_equal(f.gradient(z), [1.0, 0.0])
+        assert np.array_equal(f.value_batch(np.array([z, z])), [np.inf, np.inf])
+
+    @pytest.mark.parametrize("text", ['__import__("os")', "x1.real",
+                                      "x1; x2", "np.log(x1)", "lambda: 1"])
+    def test_foreign_text_never_reaches_the_compiler(self, text, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled a rejected expression")
+        monkeypatch.setattr(specfile, "compile_functions", refuse)
+        with pytest.raises(SpecParseError):
+            _objective_field(text)
