@@ -26,7 +26,8 @@ from .diagnostics import estimate_order, feasibility_measure, stationarity_resid
 from .driver import DriverOptions, RunResult, run_blankenship_falk, run_qcad
 from .model import (FieldEvaluationError, SipProblem, validate_problem,
                     verify_derivatives)
-from .expressions import DomainError, SpecParseError
+from .expressions import SpecParseError
+from .lower_level import LowerLevelError
 from .problems import REGISTRY, get_problem
 from .specfile import SpecFileError, load_problem
 
@@ -228,7 +229,7 @@ def cmd_verify(args) -> int:
         try:
             feas = feasibility_measure(problem, x_star)
             rep = stationarity_residual(problem, x_star)
-        except (DomainError, FieldEvaluationError) as exc:
+        except (ArithmeticError, FieldEvaluationError, LowerLevelError) as exc:
             print(f"known solution: {exc}")
             failures.append("known solution cannot be evaluated")
         else:

@@ -90,13 +90,10 @@ def _active_columns(problem: SipProblem, x, ll_solutions):
     active_indices = []
     for i, sol in enumerate(ll_solutions):
         entries = []
-        seen = []
+        # local_maxima are distinct (at least 1e-6 apart)
         for y_loc, value in sol.local_maxima:
             if value < -TOL_ACT:
                 continue
-            if any(np.linalg.norm(y_loc - s) < 1e-8 for s in seen):
-                continue
-            seen.append(y_loc)
             entries.append((np.asarray(y_loc, dtype=float), float(value)))
             grad = problem.si_constraints[i].gradient(np.concatenate([x, y_loc]))
             columns.append(grad[:n])

@@ -30,7 +30,6 @@ from typing import Optional
 import numpy as np
 
 from .diagnostics import perturbation_params, stationarity_residual
-from .expressions import DomainError
 from .lower_level import LowerLevelError, index_grid, solve_all_lower_levels
 from .model import FieldEvaluationError, ScalarField, SipProblem
 from .nlp import (LS_MAX, NlpProblem, Rows, field_rows, negative_curvature,
@@ -413,7 +412,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                                           problem.n_si + 1)[:problem.n_si]
             prev_n_master = len(nlp.constraints)
             rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
-    except (DomainError, FieldEvaluationError) as exc:
+    except (ArithmeticError, FieldEvaluationError) as exc:
         warnings.append(f"iteration {k}: field evaluation failed: {exc}")
         status = "subsolver_failure"
 

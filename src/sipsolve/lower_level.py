@@ -6,17 +6,21 @@ each local solution with Newton steps on the active-set KKT system (exact
 second derivatives are available, so the polished point carries KKT
 residuals near machine precision -- the sensitivity computations downstream
 need that).  A local solution whose polish fails is kept unpolished, with the
-multipliers of its inactive constraints zeroed.  That KKT system is built
-only by ``kkt_residual`` and ``kkt_jacobian``; the polish, ``check_regularity``
-and ``sensitivity.compute_sensitivity`` share them.
+multipliers of its inactive constraints zeroed.  Each local maximum is one
+record (value, point, multipliers, and the active set its polish used).  The
+KKT system is built only by ``kkt_residual`` and ``kkt_jacobian``: once per
+Newton step of the polish, and once at the returned maximizer, whose matrix
+the solution stores for ``check_regularity`` and ``compute_sensitivity``.
 
 One local run per basin: a start is skipped when the straight segment from
 it to a maximizer already found, sampled one grid step apart, stays in the
 index set and never lets g_i fall by more than ``TIE_TOL`` -- the local run
 would climb to that maximizer again (the second rule of multi-level single
 linkage, Rinnooy Kan & Timmer, Math. Programming 39, 1987).  Each new
-maximizer is checked against all remaining starts in one batch.  The best
-start always runs, so the returned value still dominates the grid.
+maximizer is checked against all remaining starts in one batch.  The starts
+are the ``N_STARTS`` best feasible grid nodes, best first; distinct nodes are
+at least one grid step apart.  The best start always runs, so the returned
+value still dominates the grid.
 
 The bounding box is read off the index constraints when they are recognized
 as interval bounds (affine with a +/- unit-vector gradient); otherwise a
@@ -35,13 +39,12 @@ from typing import Optional
 import numpy as np
 
 from .model import SipProblem, index_set_nodes, negated, restrict_to_y
-from .nlp import NlpProblem, field_rows, solve_nlp
+from .nlp import NlpProblem, field_rows, null_space, solve_nlp
 
 Array = np.ndarray
 
 GRID_PER_DIM = 64           # grid nodes per index dimension
-N_STARTS = 8                # best distinct grid nodes tried as local SQP starts
-DEDUP_SPACING = 1e-3        # minimum distance between two starts
+N_STARTS = 8                # best grid nodes tried as local SQP starts
 LOCAL_MAX_ITER = 60         # SQP iteration cap of one local run
 TOL_FEAS = 1e-9             # index-set feasibility of grid nodes and maxima
 TOL_ACT = 1e-7              # index constraint counted active above -TOL_ACT
@@ -80,6 +83,8 @@ class LowerLevelSolution:
     value: float
     active_set: tuple
     kkt_residual: float
+    kkt_matrix: Array           # kkt_jacobian at (x, y), the matrix itself ...
+    d2_yx: Array                # ... and its D2_yx g_i block
     regularity: RegularityFlags
     local_maxima: list          # [(y, value)] of distinct local solutions
     multiple_global: bool       # value tie within TIE_TOL among distinct maxima
@@ -218,16 +223,17 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
 
 def check_regularity(problem: SipProblem, i: int,
                      sol: "LowerLevelSolution") -> RegularityFlags:
-    """LICQ, strict complementarity, and second-order sufficiency at sol.
+    """LICQ, strict complementarity, and second-order sufficiency at sol,
+    read off its KKT matrix ``sol.kkt_matrix``.
 
     SOSC is tested for the maximization: the Lagrangian Hessian projected
-    onto the null space of the strongly active constraint gradients must be
+    onto the null space of the strongly active constraint gradients
+    (``nlp.null_space``, the rule of ``nlp.negative_curvature``) must be
     negative definite (min eigenvalue of the sign-flipped projection >= 1e-8).
     """
-    y, mu = sol.y, sol.multipliers
-    m = len(y)
+    mu, jac = sol.multipliers, sol.kkt_matrix
+    m = len(sol.y)
     active = list(sol.active_set)
-    jac, _ = kkt_jacobian(problem, i, sol.x, y, active, mu[active])
     va = jac[m:, :m]
 
     licq = True
@@ -238,17 +244,10 @@ def check_regularity(problem: SipProblem, i: int,
     strict = all(mu[l] >= _STRICT_COMP_TOL for l in active)
 
     strong = [row for row, l in enumerate(active) if mu[l] > _STRICT_COMP_TOL]
-    if strong:
-        _, svals, vt = np.linalg.svd(va[strong])
-        rank = int((svals >= _LICQ_SVD_CUTOFF * max(svals.max(), 1.0)).sum())
-        null_basis = vt[rank:].T
-    else:
-        null_basis = np.eye(m)
-    if null_basis.shape[1] == 0:
-        sosc = True
-    else:
-        projected = -(null_basis.T @ jac[:m, :m] @ null_basis)
-        sosc = bool(np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
+    null_basis = null_space(va[strong], m)
+    projected = -(null_basis.T @ jac[:m, :m] @ null_basis)
+    sosc = bool(not len(projected)
+                or np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
     return RegularityFlags(licq, strict, sosc)
 
 
@@ -292,14 +291,7 @@ def solve_lower_level_global(
     g_y = restrict_to_y(g, n, x)
     values = g_y.value_batch(nodes)
 
-    order = np.argsort(-values, kind="stable")   # by value desc, then grid order
-    starts = []
-    for k in order:
-        node = nodes[k]
-        if all(np.linalg.norm(node - s) >= DEDUP_SPACING for s in starts):
-            starts.append(node)
-        if len(starts) >= N_STARTS:
-            break
+    starts = nodes[np.argsort(-values, kind="stable")[:N_STARTS]]  # ties: grid order
     grid_best = float(values.max())
 
     box = grid.box
@@ -308,8 +300,7 @@ def solve_lower_level_global(
     nlp_hi = box[:, 1] + 0.05 * width
     local = NlpProblem(m, negated(g_y), field_rows(vs), nlp_lo, nlp_hi)
 
-    candidates = []   # (value, y, mu)
-    starts = np.array(starts)
+    candidates = []   # (value, y, mu, active)
     skipped = np.zeros(len(starts), dtype=bool)
     for k, start in enumerate(starts):
         if skipped[k]:
@@ -327,7 +318,7 @@ def solve_lower_level_global(
             mu[active] = mu_a
         else:
             mu = np.where(v_loc >= -TOL_ACT, mu, 0.0)
-        candidates.append((float(g_y.value(y_loc)), y_loc, mu))
+        candidates.append((float(g_y.value(y_loc)), y_loc, mu, tuple(active)))
         # a later start on an ascent path to this maximizer would climb to it
         later = k + 1 + np.flatnonzero(~skipped[k + 1:])
         if len(later):
@@ -340,9 +331,9 @@ def solve_lower_level_global(
     # cluster distinct maxima (keep the best value per cluster)
     candidates.sort(key=lambda c: (-c[0], tuple(c[1])))
     clusters = []
-    for value, y_loc, mu in candidates:
-        if all(np.linalg.norm(y_loc - c[1]) >= 1e-6 for c in clusters):
-            clusters.append((value, y_loc, mu))
+    for c in candidates:
+        if all(np.linalg.norm(c[1] - kept[1]) >= 1e-6 for kept in clusters):
+            clusters.append(c)
 
     best_value = clusters[0][0]
     if best_value < grid_best - 1e-12:
@@ -350,16 +341,16 @@ def solve_lower_level_global(
             f"lower level {i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
     tied = [c for c in clusters if c[0] >= best_value - TIE_TOL]
-    winner = min(tied, key=lambda c: tuple(c[1]))
-    value, y_star, mu = winner
+    value, y_star, mu, active = min(tied, key=lambda c: tuple(c[1]))
 
-    active = tuple(l for l, v in enumerate(vs) if v.value(y_star) >= -TOL_ACT)
-    mu = np.array([mu[l] if l in active else 0.0 for l in range(len(vs))])
+    mu_a = mu[list(active)]
+    kkt_matrix, d2_yx = kkt_jacobian(problem, i, x, y_star, active, mu_a)
     sol = LowerLevelSolution(
         index=i, x=x.copy(), y=y_star, multipliers=mu, value=value,
         active_set=active,
         kkt_residual=float(np.linalg.norm(
-            kkt_residual(problem, i, x, y_star, active, mu[list(active)]))),
+            kkt_residual(problem, i, x, y_star, active, mu_a))),
+        kkt_matrix=kkt_matrix, d2_yx=d2_yx,
         regularity=RegularityFlags(False, False, False),
         local_maxima=[(c[1], c[0]) for c in clusters],
         multiple_global=len(tied) > 1,

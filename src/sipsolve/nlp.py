@@ -129,7 +129,7 @@ class QpResult:
     multipliers: Array          # duals of the A-rows
     lower_multipliers: Array
     upper_multipliers: Array
-    status: str                 # 'optimal' | 'infeasible' | 'max_iter'
+    status: str                 # 'optimal' | 'infeasible' | 'max_iter' | 'nonfinite'
     slack: float = 0.0          # elastic relaxation used, 0 when none
     active: tuple = ()          # working set at return, stacked-row indices
 
@@ -178,6 +178,8 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     """
     d = H.shape[0]
     n_rows = C.shape[0]
+    if not all(np.isfinite(M).all() for M in (H, g, C, e)):
+        return np.zeros(d), np.zeros(n_rows), [], "nonfinite"
     x = -np.linalg.solve(H, g)
     lam = np.zeros(n_rows)
     work: list = []     # active row indices, in order of addition
@@ -231,7 +233,9 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
                 lam_w.pop(drop)
                 continue
 
-            dsp = float(normal @ z)     # < 0 by the test above
+            dsp = float(normal @ z)     # < 0 by the test above ...
+            if dsp == 0.0:              # ... unless n_h_n underflows to 0
+                return x, lam, work, "infeasible"
             t_full = -s_p / dsp
             positive = r > 1e-12
             if positive.any():
@@ -274,12 +278,14 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
 
     ``H`` must be symmetric positive definite.  Returns the step, duals of
     the A-rows and the bound rows, the working set at the solution, and a
-    status of 'optimal', 'infeasible' (inconsistent constraints), or
-    'max_iter'.  Rows are indexed as stacked: the A-rows, then the finite
-    lower bounds, then the finite upper bounds.  ``active`` is a hint in
-    that indexing, usually the previous QP's ``active``: the equality QP on
-    those rows is solved first and kept if it is the optimum; otherwise the
-    dual active-set method starts from the unconstrained minimum.
+    status of 'optimal', 'infeasible' (inconsistent constraints),
+    'max_iter', or 'nonfinite' (the dual method was given inf or nan
+    data; the step and duals are then zero).  Rows are indexed as stacked: the
+    A-rows, then the finite lower bounds, then the finite upper bounds.
+    ``active`` is a hint in that indexing, usually the previous QP's
+    ``active``: the equality QP on those rows is solved first and kept if
+    it is the optimum; otherwise the dual active-set method starts from
+    the unconstrained minimum.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -345,6 +351,11 @@ def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
     return 0.5 * (B + B.T)
 
 
+def _state(*parts) -> list:
+    """The bytes of each part of an SQP state: equal lists, equal bits."""
+    return [np.asarray(part).tobytes() for part in parts]
+
+
 def _rank(viol: float, fval: float) -> tuple:
     """Best-iterate key: feasible points (within TOL_FEAS) by objective, the
     others by violation after them."""
@@ -357,8 +368,8 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     Returns status 'converged' when the KKT residual, feasibility, and
     complementarity all meet their tolerances; 'max_iter' with the best
     iterate otherwise; 'qp_failure' if even the elastic QP cannot be
-    solved.  A Hessian approximation that stops being numerically positive
-    definite is reset to the identity.
+    solved, or a QP's data are not finite.  A Hessian approximation that
+    stops being numerically positive definite is reset to the identity.
     """
     d = problem.dim
     lo, hi = problem.lower, problem.upper
@@ -376,33 +387,36 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     iterations = 0
     active: tuple = ()      # the previous QP's working set, the next one's hint
 
-    def snapshot(status, lam, lo_mult, up_mult, kkt, viol):
+    def snapshot(status, qp):
+        """The solution at z with the duals of ``qp``, or with zero duals
+        and an infinite KKT residual when ``qp`` failed."""
+        if qp.status == "optimal":
+            lam, lo_mult, up_mult = (qp.multipliers, qp.lower_multipliers,
+                                     qp.upper_multipliers)
+            kkt = np.linalg.norm(fgrad + jac.T @ lam - lo_mult + up_mult)
+        else:
+            lam, lo_mult, up_mult, kkt = (np.zeros(len(problem.constraints)),
+                                          np.zeros(d), np.zeros(d), np.inf)
         return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
-                           float(kkt), float(viol), status, iterations,
-                           float(fval), merit_history)
-
-    def qp_failure():
-        return snapshot("qp_failure", np.zeros(len(problem.constraints)),
-                        np.zeros(d), np.zeros(d), np.inf,
-                        max(0.0, cvals.max(initial=0.0)))
+                           float(kkt), float(max(0.0, cvals.max(initial=0.0))),
+                           status, iterations, float(fval), merit_history)
 
     for iterations in range(1, max_iter + 1):
+        state, best_before = _state(z, B, sigma, rho, active, ls_failures), best
         qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z, active)
         if qp.status == "infeasible":
             qp = _solve_qp_elastic(B, fgrad, jac, -cvals, lo - z, hi - z, rho)
             rho *= 2.0
         if qp.status != "optimal":
-            return qp_failure()
+            return snapshot("qp_failure", qp)
         active = qp.active
 
         lam = qp.multipliers
-        grad_lagrangian = fgrad + jac.T @ lam - qp.lower_multipliers + qp.upper_multipliers
-        kkt = np.linalg.norm(grad_lagrangian)
+        kkt = np.linalg.norm(fgrad + jac.T @ lam - qp.lower_multipliers + qp.upper_multipliers)
         viol = max(0.0, cvals.max(initial=0.0))
         comp = np.abs(lam * cvals).max(initial=0.0)
         if kkt <= TOL_KKT and viol <= TOL_FEAS and comp <= TOL_COMP:
-            return snapshot("converged", lam, qp.lower_multipliers,
-                            qp.upper_multipliers, kkt, viol)
+            return snapshot("converged", qp)
 
         key = _rank(viol, fval)
         if best is None or key < best[0]:
@@ -467,6 +481,12 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         # from the identity, as after a failed line search.
         if not np.linalg.eigvalsh(B)[0] > 0.0:
             B = np.eye(d)
+        # z plus the accepted step rounded to z and nothing else moved (the
+        # values are functions of z): each later step would repeat this one
+        if best is best_before and state == _state(z, B, sigma, rho, active, ls_failures):
+            merit_history += [merit_new] * (max_iter - iterations)
+            iterations = max_iter
+            break
 
     # not converged: report honest residuals at the best iterate found
     if best is not None and tuple(best[1]) != tuple(z):
@@ -475,25 +495,14 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z)
     if qp.status != "optimal":
         qp = _solve_qp_elastic(B, fgrad, jac, -cvals, lo - z, hi - z, rho)
-    if qp.status == "optimal":
-        lam = qp.multipliers
-        kkt = np.linalg.norm(fgrad + jac.T @ lam - qp.lower_multipliers + qp.upper_multipliers)
-        lo_mult, up_mult = qp.lower_multipliers, qp.upper_multipliers
-    else:
-        lam = np.zeros(len(problem.constraints))
-        kkt = np.inf
-        lo_mult = up_mult = np.zeros(d)
-    viol = max(0.0, cvals.max(initial=0.0))
-    return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
-                       float(kkt), float(viol), "max_iter", iterations,
-                       float(fval), merit_history)
+    return snapshot("max_iter", qp)
 
 
 # ---------------------------------------------------------------------------
 # Second-order check at a KKT point
 # ---------------------------------------------------------------------------
 
-def _null_space(A: Array, d: int) -> Array:
+def null_space(A: Array, d: int) -> Array:
     """Orthonormal columns spanning {u : A u = 0}; singular values at most
     _SOC_TOL of the largest count as zero."""
     if not len(A):
@@ -533,7 +542,7 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     inside = _SOC_TOL * np.linalg.norm(weak, axis=1)
     threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
 
-    Z = _null_space(strong, d)
+    Z = null_space(strong, d)
     # a face is a subspace of the strongly active null space: without
     # negative curvature there, no face has any
     if not Z.shape[1] or np.linalg.eigvalsh(Z.T @ H @ Z)[0] >= threshold:
@@ -541,7 +550,7 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     best = None
     for size in range(min(len(weak), Z.shape[1]) + 1):
         for face in itertools.combinations(range(len(weak)), size):
-            Zf = _null_space(np.vstack([strong, weak[list(face)]]), d)
+            Zf = null_space(np.vstack([strong, weak[list(face)]]), d)
             if not Zf.shape[1]:
                 continue
             eigvals, eigvecs = np.linalg.eigh(Zf.T @ H @ Zf)

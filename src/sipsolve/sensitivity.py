@@ -3,7 +3,9 @@
 At a regular lower-level maximizer (LICQ, strict complementarity, second
 order sufficiency) the implicit function theorem applies to the active-set
 KKT system, yielding derivatives Dy(x) and Dmu(x) of the maximizer and its
-multipliers with respect to the upper-level variables.  These feed a
+multipliers with respect to the upper-level variables.  The KKT matrix is
+the one the lower-level solve stored on its solution, the same matrix that
+certified its regularity; nothing is assembled here.  These feed a
 linearized Lagrangian constraint
 
     x  ->  g_i(x, yhat(x)) - sum_l muhat_l(x) * v_l(yhat(x))
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lower_level import LowerLevelSolution, kkt_jacobian
+from .lower_level import LowerLevelSolution
 from .model import SipProblem
 
 Array = np.ndarray
@@ -68,21 +70,21 @@ def compute_sensitivity(problem: SipProblem, i: int, x,
     """Solve the differentiated KKT system at a regular maximizer.
 
     With A the active set, differentiating {grad_y L = 0, v_A(y) = 0} in x
-    gives, with the matrix of ``lower_level.kkt_jacobian``,
+    gives, with the matrix of ``lower_level.kkt_jacobian`` that ``sol``
+    carries as ``kkt_matrix`` and ``d2_yx``,
 
         [ D2_yy L   -Dv_A^T ] [ Dy   ]   [ -D2_yx g_i ]
         [ Dv_A         0    ] [ Dmu_A] = [      0     ]
 
-    Raises SensitivityError when the matrix is singular or the solve does
-    not reproduce the right-hand side to 1e-8 relative accuracy.
+    ``x`` is the point ``sol`` was solved at.  Raises SensitivityError when
+    the matrix is singular or the solve does not reproduce the right-hand
+    side to 1e-8 relative accuracy.
     """
-    x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
     active = list(sol.active_set)
-    kkt, d2_yx = kkt_jacobian(problem, i, x, sol.y, active,
-                              sol.multipliers[active])
+    kkt = sol.kkt_matrix
     rhs = np.zeros((m + len(active), n))
-    rhs[:m] = -d2_yx
+    rhs[:m] = -sol.d2_yx
 
     cond = float(np.linalg.cond(kkt)) if kkt.size else 0.0
     try:

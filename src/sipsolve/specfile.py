@@ -104,8 +104,8 @@ def _expr_list(doc, key: str, n: int, m: int, allow_x: bool, allow_y: bool,
 
 def parse_spec(text: str) -> ProblemSpecFile:
     """Parse a YAML problem document into a validated spec structure."""
-    try:
-        doc = yaml.safe_load(text)
+    try:    # libyaml's loader when PyYAML has it; both read the same documents
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise SpecFileError(f"not a valid YAML document: {exc}") from None
     _require(isinstance(doc, dict), "document must be a mapping of keys to values")

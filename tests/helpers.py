@@ -138,3 +138,33 @@ def fd_block_hessian(block, z, w, h=1e-6):
         cols.append(w @ (up - dn) / (2.0 * h))
     fd = np.stack(cols, axis=1)
     return 0.5 * (fd + fd.T)
+
+
+def narrow_peak_problem(width=0.01):
+    """``three_peak_problem`` squeezed onto Y = [0, width]: with u = 2 y /
+    width - 1, g(x, y) = cos(3 pi u) - x u peaks near u = -2/3, 0, 2/3.
+    The lower level's grid step is width / 63."""
+    w = 3.0 * np.pi
+    s = 2.0 / width
+    f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),
+                    hessian=lambda x: np.zeros((1, 1)), name="f_narrow")
+    g = ScalarField(
+        2, lambda z: np.cos(w * (s * z[1] - 1.0)) - z[0] * (s * z[1] - 1.0),
+        lambda z: np.array([-(s * z[1] - 1.0),
+                            -s * (w * np.sin(w * (s * z[1] - 1.0)) + z[0])]),
+        hessian=lambda z: np.array(
+            [[0.0, -s], [-s, -(s * w) ** 2 * np.cos(w * (s * z[1] - 1.0))]]),
+        value_batch=lambda pts: (np.cos(w * (s * pts[:, 1] - 1.0))
+                                 - pts[:, 0] * (s * pts[:, 1] - 1.0)),
+        name="g_narrow")
+    upper = ScalarField(
+        1, lambda y: y[0] - width, lambda y: np.array([1.0]),
+        hessian=lambda y: np.zeros((1, 1)),
+        value_batch=lambda pts: pts[:, 0] - width, name="y_hi")
+    lower = ScalarField(
+        1, lambda y: -y[0], lambda y: np.array([-1.0]),
+        hessian=lambda y: np.zeros((1, 1)),
+        value_batch=lambda pts: -pts[:, 0], name="y_lo")
+    return SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
+                      index_constraints=(upper, lower),
+                      x_bounds=np.array([[-1.0, 1.0]]), name="narrow_peaks")

@@ -178,6 +178,17 @@ class TestRun:
         assert not [w for w in caught
                     if w.category.__name__ == "ComplexWarning"]
 
+    def test_constant_division_by_zero_ends_in_subsolver_failure(
+            self, tmp_path, capsys):
+        # 2 / 0.0 between two constants raises ZeroDivisionError, not inf
+        spec = tmp_path / "div.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("- -y1^2 - x1",
+                                             "- -y1^2 - x1 + 2 / 0.0"))
+        assert main(["run", "--spec", str(spec), "--max-iter", "3"]) == 1
+        captured = capsys.readouterr()
+        assert "field evaluation failed: float division by zero" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_defaults_are_the_driver_defaults(self):
         args = build_parser().parse_args(["run", "--problem", "example1"])
         assert run_options(args) == DriverOptions()
@@ -236,6 +247,20 @@ class TestVerify:
         spec.write_text(MINIMAL_SPEC + "known_solution: [-1.0]\n")
         assert main(["verify", "--spec", str(spec)]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("old, new", [
+        # the index set is empty: the lower level cannot start
+        ("  - y1^2 - 1\n", "  - y1^2 + 1\n"),
+        # a constant division by zero raises in Python float arithmetic
+        ("- -y1^2 - x1\n", "- -y1^2 - x1 + (2 / 0.0)^0.5\n")])
+    def test_unevaluable_known_solution_fails_verification(self, tmp_path,
+                                                           capsys, old, new):
+        spec = tmp_path / "broken.yaml"
+        spec.write_text(MINIMAL_SPEC.replace(old, new)
+                        + "known_solution: [0.0]\n")
+        assert main(["verify", "--spec", str(spec)]) == 1
+        assert ("FAIL: known solution cannot be evaluated"
+                in capsys.readouterr().out)
 
     def test_verify_spec_file_passes(self, tmp_path, capsys):
         spec = tmp_path / "mini.yaml"

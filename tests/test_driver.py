@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sipsolve import driver
+from sipsolve import driver, nlp
 from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
@@ -176,6 +176,38 @@ class TestConvergenceBehavior:
         r = run_qcad(dc, x0, opts=DriverOptions(mode="known", tol_dist=1e-4))
         assert r.final_status == "tolerance_met"
         assert r.final.k == 2
+
+    def test_master_at_a_fixed_point_keeps_its_iterates(self, dc, monkeypatch):
+        # from this start two masters stop moving long before max_iter:
+        # every accepted step rounds back to the same z.  Cutting such a
+        # solve short must leave the run exactly as running every step.
+        x0 = [0.03499384480157308, -0.23780634716635007, 1.4844926961990392,
+              1.1773784291182752, 0.43138456473068754]
+        opts = DriverOptions(mode="known", tol_dist=1e-4)
+        statuses, qps = [], []
+        solve, qp = driver.solve_nlp, nlp.solve_qp
+
+        def master(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            statuses.append(sol.status)
+            return sol
+
+        def counted(*args, **kwargs):
+            qps.append(1)
+            return qp(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_nlp", master)
+        monkeypatch.setattr(nlp, "solve_qp", counted)
+        short = run_qcad(dc, x0, opts=opts)
+        short_qps = len(qps)
+        assert statuses.count("max_iter") >= 2
+        monkeypatch.setattr(nlp, "_state", lambda *parts: [object()])
+        qps.clear()
+        full = run_qcad(dc, x0, opts=opts)
+        assert short.final_status == full.final_status == "tolerance_met"
+        assert [rec.x.tobytes() for rec in short.history] \
+            == [rec.x.tobytes() for rec in full.history]
+        assert 3 * short_qps < len(qps)
 
     @pytest.mark.parametrize("x0", [
         # the master QP at k=12 has five near-duplicate discretization rows;

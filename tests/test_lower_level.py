@@ -3,12 +3,13 @@ import pytest
 
 from sipsolve import lower_level
 from sipsolve.lower_level import (LowerLevelError, check_regularity,
-                                  index_set_box, solve_all_lower_levels,
+                                  index_set_box, kkt_jacobian,
+                                  solve_all_lower_levels,
                                   solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem, grid_nodes
 
-from helpers import (interval_index_fields, pinned_index_problem,
-                     three_peak_problem, tie_problem)
+from helpers import (interval_index_fields, narrow_peak_problem,
+                     pinned_index_problem, three_peak_problem, tie_problem)
 
 
 class TestGlobalMaximizer:
@@ -172,6 +173,46 @@ class TestStartSelection:
         assert not sol.multiple_global
         assert sol.y == pytest.approx([-0.66723], abs=1e-5)
         assert sol.value == pytest.approx(values[0], abs=1e-15)
+
+    @pytest.mark.parametrize("x, y_star, tied", [
+        (0.0, 0.01 / 6, True), (0.05, 0.00166385218, False)])
+    def test_narrow_index_set(self, local_runs, x, y_star, tied):
+        # Y = [0, 0.01]: with a grid step of 1.6e-4 the eight best nodes
+        # crowd around the peaks; the ascent-path skip still
+        # leaves one local run per maximum
+        sol = solve_lower_level_global(narrow_peak_problem(), 0,
+                                       np.array([x]))
+        assert len(sol.local_maxima) == 3
+        assert len(local_runs) == 3
+        tops = sorted(y[0] for y, _ in sol.local_maxima)
+        assert np.allclose(tops, [0.01 / 6, 0.005, 0.05 / 6], atol=1e-5)
+        assert sol.y == pytest.approx([y_star], abs=1e-10)
+        assert sol.multiple_global == tied
+        assert sol.regularity.all_ok
+
+
+class TestKktMatrix:
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_stored_matrix_is_the_kkt_jacobian_at_the_solution(self, dc, i):
+        x = np.asarray(dc.known_solution)
+        sol = solve_lower_level_global(dc, i, x)
+        active = list(sol.active_set)
+        jac, d2_yx = kkt_jacobian(dc, i, x, sol.y, active,
+                                  sol.multipliers[active])
+        assert np.array_equal(sol.kkt_matrix, jac)
+        assert np.array_equal(sol.d2_yx, d2_yx)
+
+    def test_active_set_is_the_polished_classification(self, dc):
+        # the active set and multipliers travel with the polished point;
+        # classifying the returned point again gives the same set
+        x = np.asarray(dc.known_solution)
+        for sol in solve_all_lower_levels(dc, x):
+            again = tuple(l for l, v in enumerate(dc.index_constraints)
+                          if v.value(sol.y) >= -lower_level.TOL_ACT)
+            assert sol.active_set == again
+            inactive = [l for l in range(len(dc.index_constraints))
+                        if l not in sol.active_set]
+            assert not sol.multipliers[inactive].any()
 
 
 class TestRegularity:

@@ -5,7 +5,7 @@ import pytest
 
 from sipsolve import nlp
 from sipsolve.model import ScalarField
-from sipsolve.nlp import NlpProblem, field_rows, solve_nlp, solve_qp
+from sipsolve.nlp import NlpProblem, NlpSolution, field_rows, solve_nlp, solve_qp
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +32,22 @@ class TestSolveQp:
                      np.array([[1.0, 0.0], [-1.0, 0.0]]),
                      np.array([-1.0, -1.0]))
         assert r.status == "infeasible"
+
+    def test_row_whose_normal_underflows_is_infeasible(self):
+        # 1e-170 * d <= -1 needs d = -1e170, but n'H^-1 n underflows to 0
+        r = solve_qp(np.eye(1), np.zeros(1), np.array([[1e-170]]),
+                     np.array([-1.0]))
+        assert r.status == "infeasible"
+
+    @pytest.mark.parametrize("entry", [np.inf, np.nan])
+    @pytest.mark.parametrize("which", ["H", "g", "A", "b"])
+    def test_nonfinite_data(self, entry, which):
+        data = {"H": np.eye(2), "g": np.array([1.0, 0.0]),
+                "A": np.array([[1.0, 1.0]]), "b": np.array([1.0])}
+        data[which].flat[0] = entry
+        r = solve_qp(*data.values())
+        assert r.status == "nonfinite"
+        assert not r.step.any() and not r.multipliers.any()
 
     def test_bounds_become_active(self):
         r = solve_qp(np.eye(1), np.array([-3.0]), np.zeros((0, 1)),
@@ -308,6 +324,34 @@ class TestSolveNlp:
         assert sol.converged
         assert sum(1 for hint in hints if hint) >= 5
         assert len(cold_runs) == sum(1 for hint in hints if not hint)
+
+    def test_step_that_changes_nothing_ends_the_loop(self, monkeypatch):
+        # the value is flat where the gradient is not: at z = 1e10 the trial
+        # point z + alpha * step rounds to z before the Armijo bound rounds
+        # to the merit, so from the second step on each accepted step leaves
+        # the state bit for bit as it found it.  The loop stops there with
+        # the result of running every step up to max_iter.
+        obj = ScalarField(1, lambda z: 1.0, lambda z: np.array([1.0]))
+        p = NlpProblem(1, obj)
+        qps = []
+        solve = nlp.solve_qp
+
+        def counted(*args, **kwargs):
+            qps.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(nlp, "solve_qp", counted)
+        short = solve_nlp(p, np.array([1e10]), max_iter=50)
+        short_qps = len(qps)
+        monkeypatch.setattr(nlp, "_state", lambda *parts: [object()])
+        qps.clear()
+        full = solve_nlp(p, np.array([1e10]), max_iter=50)
+        assert full.status == "max_iter" and full.iterations == 50
+        for name in NlpSolution.__dataclass_fields__:
+            a, b = np.asarray(getattr(short, name)), np.asarray(getattr(full, name))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert len(full.merit_history) == 50
+        assert (short_qps, len(qps)) == (3, 51)
 
     def test_respects_iteration_budget(self):
         p = NlpProblem(2, _quadratic_objective())

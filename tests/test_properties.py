@@ -1,17 +1,25 @@
-"""Property tests on random grammar expressions over x1 and x2, and the
-compiled fields of the shipped specs against the reference evaluators."""
+"""Property tests on random grammar expressions over x1 and x2, the
+compiled fields of the shipped specs against the reference evaluators, and
+short solver and CLI runs on random small spec files."""
+import tempfile
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+import yaml
+
+from sipsolve import cli
+from sipsolve.driver import DriverOptions, run_blankenship_falk, run_qcad
 
 from sipsolve.expressions import (FUNCTIONS, Bin, Call, Neg, Num, Var,
                                   _domain_checks, derivative_tables,
                                   eval_taylor2, eval_value, parse_expression,
                                   to_string)
 from sipsolve.problems import REGISTRY, get_problem
-from sipsolve.specfile import _compile_field, parse_spec
+from sipsolve.specfile import _compile_field, compile_spec, parse_spec
 
 # deterministic and small, so that the tier-1 run stays fast and repeatable
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
@@ -132,3 +140,70 @@ def test_shipped_fields_match_the_reference_evaluators():
                 assert_matches_reference(field, spec.asts[(key, k)], keys, points)
                 checked += 1
     assert checked == 13
+
+
+NUMBERS = st.floats(min_value=0.0, max_value=10.0).map(Num)
+ENDPOINTS = st.integers(min_value=-4, max_value=2).map(lambda k: 0.5 * k)
+WIDTHS = st.sampled_from([0.0, 1e-3, 0.01, 0.5, 1.0, 2.0])
+
+
+def _box_points(n):
+    return st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                    min_size=n, max_size=n)
+
+
+def _minus(y, c):
+    """y - c as an expression, for any float c."""
+    return Bin("-", y, Num(c)) if c >= 0.0 else Bin("+", y, Num(-c))
+
+
+@st.composite
+def small_specs(draw):
+    """A spec document with n <= 2, m = 1 and an interval index set."""
+    n = draw(st.integers(min_value=1, max_value=2))
+    xs = [Var("x", j + 1) for j in range(n)]
+    y = Var("y", 1)
+    lo = draw(ENDPOINTS)
+    hi = lo + draw(WIDTHS)
+    doc = {
+        "name": "random",
+        "n": n, "m": 1,
+        "objective": to_string(draw(grammar(st.one_of(st.sampled_from(xs),
+                                                      NUMBERS)))),
+        "si_constraints": [to_string(draw(grammar(st.one_of(
+            st.sampled_from(xs + [y]), NUMBERS))))],
+        "index_constraints": [to_string(_minus(y, hi)),
+                              to_string(Neg(_minus(y, lo)))],
+        "x_bounds": [[-1.0, 1.0]] * n,
+        "x0": draw(_box_points(n)),
+    }
+    if draw(st.booleans()):
+        doc["known_solution"] = draw(_box_points(n))
+    return yaml.safe_dump(doc)
+
+
+def _exit_code(argv) -> int:
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(small_specs())
+def test_random_specs_end_in_a_status_and_an_exit_code(text):
+    # a user's fields may overflow, leave their domain or raise; the drivers
+    # still return a status and the CLI exits with 0, 1 or 2
+    problem = compile_spec(parse_spec(text))
+    opts = DriverOptions(mode="practical", max_iter=3)
+    for run in (run_blankenship_falk, run_qcad):
+        result = run(problem, opts=opts)
+        assert result.final_status in ("tolerance_met", "max_iter",
+                                       "subsolver_failure")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.yaml"
+        path.write_text(text)
+        assert _exit_code(["run", "--spec", str(path), "--alg", "both",
+                           "--max-iter", "3"]) in (0, 1, 2)
+        assert _exit_code(["verify", "--spec", str(path)]) in (0, 1, 2)

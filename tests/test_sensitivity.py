@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from sipsolve import driver, lower_level, sensitivity
+from sipsolve.driver import DriverOptions, run_qcad
 from sipsolve.lower_level import solve_lower_level_global
 from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearization_field,
@@ -55,6 +57,66 @@ class TestMaximizerSensitivity:
         assert sol.active_set == (0, 1)
         with pytest.raises(SensitivityError):
             compute_sensitivity(p, 0, np.array([0.0]), sol)
+
+
+class TestKktMatrixBuiltOnce:
+    def test_qcad_run_builds_each_matrix_once(self, dc, monkeypatch):
+        # every kkt_jacobian build is a Newton step of the polish or the one
+        # build at a returned solution; compute_sensitivity reads the matrix
+        # that certified regularity, so it builds none
+        build, residual = lower_level.kkt_jacobian, lower_level.kkt_residual
+        where = ["solution"]
+        builds = {"solution": 0, "polish": 0, "sensitivity": 0}
+        polish = {"calls": 0, "residuals": 0}
+
+        def counting_build(*args):
+            builds[where[-1]] += 1
+            return build(*args)
+
+        def counting_residual(*args):
+            polish["residuals"] += where[-1] == "polish"
+            return residual(*args)
+
+        def inside(name, fn):
+            def wrapper(*args, **kwargs):
+                polish["calls"] += name == "polish"
+                where.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    where.pop()
+            return wrapper
+
+        monkeypatch.setattr(lower_level, "kkt_jacobian", counting_build)
+        monkeypatch.setattr(sensitivity, "kkt_jacobian", counting_build,
+                            raising=False)
+        monkeypatch.setattr(lower_level, "kkt_residual", counting_residual)
+        monkeypatch.setattr(lower_level, "_polish_kkt",
+                            inside("polish", lower_level._polish_kkt))
+        monkeypatch.setattr(driver, "compute_sensitivity",
+                            inside("sensitivity", driver.compute_sensitivity))
+        result = run_qcad(dc, opts=DriverOptions(mode="known", tol_dist=1e-4))
+
+        assert result.final_status == "tolerance_met"
+        solutions = [sol for rec in result.history for sol in rec.lower_level]
+        # the polish evaluates the residual once, then once per Newton step
+        newton_steps = polish["residuals"] - polish["calls"]
+        assert builds == {"solution": len(solutions), "polish": newton_steps,
+                          "sensitivity": 0}
+        assert all(sol.regularity.all_ok for sol in solutions)
+        linearized = 0
+        for rec in result.history:
+            for i, lc in rec.linearizations.items():
+                sol = rec.lower_level[i]
+                active = list(sol.active_set)
+                jac, d2_yx = build(dc, i, rec.x, sol.y, active,
+                                   sol.multipliers[active])
+                rhs = np.zeros((len(jac), dc.n))
+                rhs[:dc.m] = -d2_yx
+                assert np.array_equal(lc.sens.dy_dx,
+                                      np.linalg.solve(jac, rhs)[:dc.m])
+                linearized += 1
+        assert linearized == 3 * (len(result.history) - 1)
 
 
 class TestPredictedMaximizer:

@@ -1,11 +1,14 @@
 import textwrap
+from importlib.resources import files
 
 import numpy as np
 import pytest
+import yaml
 
 from sipsolve import specfile
 from sipsolve.expressions import SpecParseError
 from sipsolve.model import validate_problem
+from sipsolve.problems import REGISTRY
 from sipsolve.specfile import (SpecFileError, compile_spec, load_problem,
                                parse_spec)
 
@@ -99,6 +102,40 @@ class TestParseSpec:
         assert sf.x_bounds is None and sf.x0 is None
         assert sf.known_solution is None and sf.known_objective is None
         assert sf.name == ""
+
+
+@pytest.fixture(params=["libyaml", "python"])
+def loader(request, monkeypatch):
+    """parse_spec's YAML loader: libyaml's when PyYAML has it, else the
+    pure-Python one; the "python" case hides CSafeLoader."""
+    if request.param == "libyaml" and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    if request.param == "python":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    return request.param
+
+
+class TestYamlLoader:
+    @pytest.mark.parametrize("name", sorted(REGISTRY))
+    def test_shipped_specs_load_the_same_with_both_loaders(self, name,
+                                                          monkeypatch):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        text = (files("sipsolve") / "data" / f"{name}.yaml").read_text()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
+        with_libyaml = parse_spec(text)
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        assert parse_spec(text) == with_libyaml
+
+    @pytest.mark.parametrize("text", ["objective: [unclosed\n",
+                                      "n: 1\n\tm: 1\n",
+                                      "n: 1\nm: *missing_anchor\n",
+                                      "!!python/object:os.system ls\n"])
+    def test_malformed_document_is_a_spec_file_error(self, loader, text):
+        with pytest.raises(SpecFileError) as exc:
+            parse_spec(text)
+        assert "YAML" in str(exc.value)
 
 
 class TestCompileSpec:
