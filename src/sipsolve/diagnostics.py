@@ -12,28 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lower_level import LowerLevelError, solve_all_lower_levels
+from .lower_level import solve_all_lower_levels
 from .model import SipProblem
-from .sensitivity import LinearizedConstraint, linearized_value_and_gradient
 from .nlp import solve_qp
 
 Array = np.ndarray
 
 TOL_ACT = 1e-6      # a maximum, constraint or bound counts as active within this
-
-
-@dataclass
-class StationarityReport:
-    """Residual of the SIP KKT conditions with nonnegative multipliers.
-
-    active_indices[i] lists (y, g_i(x, y)) for the near-active lower-level
-    maxima of family i; multipliers are ordered like the stacked columns
-    (semi-infinite first, then finite constraints, then active bounds).
-    """
-
-    residual: float
-    active_indices: list
-    multipliers: Array
 
 
 @dataclass(frozen=True)
@@ -61,16 +46,6 @@ class OrderEstimate:
     pairs_used: int
 
 
-@dataclass(frozen=True)
-class LinearizationGaps:
-    """Accuracy of one linearized constraint against the true value function."""
-
-    value_gap: float
-    gradient_gap: float
-    step2: float
-    step4: float
-
-
 def feasibility_measure(problem: SipProblem, x, ll_solutions=None) -> float:
     """max_i phi_i(x) with phi_i the optimal lower-level value.
 
@@ -82,22 +57,17 @@ def feasibility_measure(problem: SipProblem, x, ll_solutions=None) -> float:
     return max(s.value for s in ll_solutions)
 
 
-def _active_columns(problem: SipProblem, x, ll_solutions):
+def _active_columns(problem: SipProblem, x, ll_solutions) -> list:
     """Gradient columns of all near-active constraints at x."""
     x = np.asarray(x, dtype=float)
     n = problem.n
     columns = []
-    active_indices = []
     for i, sol in enumerate(ll_solutions):
-        entries = []
         # local_maxima are distinct (at least 1e-6 apart)
         for y_loc, value in sol.local_maxima:
-            if value < -TOL_ACT:
-                continue
-            entries.append((np.asarray(y_loc, dtype=float), float(value)))
-            grad = problem.si_constraints[i].gradient(np.concatenate([x, y_loc]))
-            columns.append(grad[:n])
-        active_indices.append(entries)
+            if value >= -TOL_ACT:
+                grad = problem.si_constraints[i].gradient(np.concatenate([x, y_loc]))
+                columns.append(grad[:n])
     for c in problem.finite_constraints:
         if c.value(x) >= -TOL_ACT:
             columns.append(c.gradient(x))
@@ -111,28 +81,26 @@ def _active_columns(problem: SipProblem, x, ll_solutions):
             e = np.zeros(n)
             e[j] = 1.0
             columns.append(e)
-    return columns, active_indices
+    return columns
 
 
-def stationarity_residual(problem: SipProblem, x,
-                          ll_solutions=None) -> StationarityReport:
+def stationarity_residual(problem: SipProblem, x, ll_solutions=None) -> float:
     """Nonnegative least-squares fit of -grad f by active constraint gradients.
 
     residual = min_{lambda >= 0} || grad f(x) + sum_c lambda_c grad c(x) ||
     over the active semi-infinite indices, active finite constraints and
-    active bounds.  Zero residual at a KKT point of the SIP.
+    active bounds.  Zero residual at a KKT point of the SIP; inf when grad f
+    or an active gradient is not finite.
     """
     x = np.asarray(x, dtype=float)
     if ll_solutions is None:
         ll_solutions = solve_all_lower_levels(problem, x)
     fgrad = problem.objective.gradient(x)
-    columns, active_indices = _active_columns(problem, x, ll_solutions)
-
+    columns = _active_columns(problem, x, ll_solutions)
+    if not all(np.isfinite(v).all() for v in [fgrad, *columns]):
+        return np.inf
     if not columns:
-        return StationarityReport(
-            residual=float(np.linalg.norm(fgrad)),
-            active_indices=active_indices,
-            multipliers=np.zeros(0))
+        return float(np.linalg.norm(fgrad))
 
     c_mat = np.stack(columns, axis=1)
     k = c_mat.shape[1]
@@ -142,9 +110,7 @@ def stationarity_residual(problem: SipProblem, x,
     qp = solve_qp(h, g_lin, np.zeros((0, k)), np.zeros(0),
                   np.zeros(k), np.full(k, np.inf))
     lam = np.maximum(qp.step, 0.0)
-    residual = float(np.linalg.norm(fgrad + c_mat @ lam))
-    return StationarityReport(
-        residual=residual, active_indices=active_indices, multipliers=lam)
+    return float(np.linalg.norm(fgrad + c_mat @ lam))
 
 
 def perturbation_params(problem: SipProblem, x, ll_solutions,
@@ -192,29 +158,3 @@ def estimate_order(errors) -> OrderEstimate:
     else:
         order = float(du @ (w - w.mean()) / (du @ du))
     return OrderEstimate(order=order, monotone_tail=monotone, pairs_used=n_pairs)
-
-
-def linearization_gaps(problem: SipProblem, i: int, x_prev, x_curr,
-                       lc: LinearizedConstraint) -> LinearizationGaps:
-    """Gap between the linearized constraint at x_curr and the true values.
-
-    value_gap should scale like ||step||^4 and gradient_gap like ||step||^2
-    near a regular maximizer; step powers are returned for such checks.
-    """
-    from .lower_level import solve_lower_level_global
-
-    x_prev = np.asarray(x_prev, dtype=float)
-    x_curr = np.asarray(x_curr, dtype=float)
-    sol = solve_lower_level_global(problem, i, x_curr)
-    if not sol.regularity.all_ok:
-        raise LowerLevelError(
-            f"lower level {i} is not regular at the evaluation point")
-    n = problem.n
-    value, grad = linearized_value_and_gradient(lc, problem, x_curr)
-    true_grad = problem.si_constraints[i].gradient(
-        np.concatenate([x_curr, sol.y]))[:n]
-    step = float(np.linalg.norm(x_curr - x_prev))
-    return LinearizationGaps(
-        value_gap=abs(sol.value - value),
-        gradient_gap=float(np.linalg.norm(true_grad - grad)),
-        step2=step ** 2, step4=step ** 4)

@@ -35,7 +35,7 @@ from .model import FieldEvaluationError, ScalarField, SipProblem
 from .nlp import (LS_MAX, NlpProblem, Rows, field_rows, negative_curvature,
                   solve_nlp)
 from .sensitivity import (SensitivityError, compute_sensitivity,
-                          linearization_field, make_linearized_constraint)
+                          linearization_field)
 
 Array = np.ndarray
 
@@ -76,9 +76,6 @@ class DiscretizationState:
     def copy(self) -> "DiscretizationState":
         return DiscretizationState(
             points=[[y.copy() for y in fam] for fam in self.points])
-
-    def n_points(self, i: int) -> int:
-        return len(self.points[i])
 
     def total_points(self) -> int:
         return sum(len(fam) for fam in self.points)
@@ -308,7 +305,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                     warnings.append(msg)
 
             feasibility = max(s.value for s in ll)
-            report = stationarity_residual(problem, x, ll_solutions=ll)
+            stationarity = stationarity_residual(problem, x, ll_solutions=ll)
             dist = None
             if problem.known_solution is not None:
                 dist = float(np.linalg.norm(x - problem.known_solution))
@@ -325,7 +322,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                 k=k, x=x.copy(),
                 objective=problem.objective.value(x),
                 feasibility=feasibility,
-                stationarity_residual=report.residual,
+                stationarity_residual=stationarity,
                 dist_to_known=dist,
                 step_norm=(float(np.linalg.norm(x - prev_x))
                            if prev_x is not None else None),
@@ -379,14 +376,13 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                         warnings.append(msg)
                         continue
                     try:
-                        sens = compute_sensitivity(problem, i, x, sol)
+                        lc = compute_sensitivity(problem, sol)
                     except SensitivityError as exc:
                         msg = (f"iteration {k}: sensitivity failed for "
                                f"constraint {i}: {exc}")
                         rec.warnings.append(msg)
                         warnings.append(msg)
                         continue
-                    lc = make_linearized_constraint(problem, i, x, sol, sens)
                     rec.linearizations[i] = lc
                     lin_rows[i] = linearization_field(lc, problem)
 

@@ -250,41 +250,6 @@ def parse_expression(text: str) -> Expression:
     return _Parser(_tokenize(text)).parse()
 
 
-# ---------------------------------------------------------------------------
-# Printing (round-trips through parse_expression to an identical AST)
-# ---------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _print(node: Expression, parent_prec: int, right_side: bool) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return f"{node.kind}{node.index}"
-    if isinstance(node, Call):
-        return f"{node.fn}({_print(node.arg, 0, False)})"
-    if isinstance(node, Neg):
-        inner = _print(node.arg, _PREC["neg"], False)
-        text = f"-{inner}"
-        if parent_prec > _PREC["neg"] or (right_side and parent_prec == _PREC["neg"]):
-            return f"({text})"
-        return text
-    prec = _PREC[node.op]
-    # the parser groups left to right and takes only a literal exponent, so
-    # a same-precedence right operand and a power as a base need parentheses
-    left = _print(node.left, prec, node.op == "^")
-    right = _print(node.right, prec, True)
-    text = f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
-    if prec < parent_prec or (right_side and prec == parent_prec):
-        return f"({text})"
-    return text
-
-
-def to_string(expr: Expression) -> str:
-    return _print(expr, 0, False)
-
-
 def variables(expr: Expression) -> set:
     """All (kind, index) pairs appearing in the expression."""
     if isinstance(expr, Num):
@@ -302,9 +267,10 @@ def variables(expr: Expression) -> set:
 
 def eval_value(expr: Expression, env):
     """Evaluate with ``env[(kind, index)]`` giving scalars or numpy arrays;
-    out-of-domain points give nan or inf, never an error or a complex."""
+    out-of-domain points give nan or inf, never an error or a complex.
+    Numbers are numpy floats, so constants such as ``2 / 0.0`` do so too."""
     if isinstance(expr, Num):
-        return expr.value
+        return np.float64(expr.value)
     if isinstance(expr, Var):
         return env[(expr.kind, expr.index)]
     if isinstance(expr, Neg):
@@ -458,8 +424,10 @@ def eval_taylor2(table: tuple, env: dict) -> np.ndarray:
 # Compilation to Python functions
 # ---------------------------------------------------------------------------
 
-#: The only globals of generated code; ``inf`` is the ``repr`` of ``1e400``.
-_GLOBALS = {"np": np, "DomainError": DomainError, "inf": math.inf}
+#: The only globals of generated code; ``inf`` and ``nan`` are the ``repr``
+#: of ``1e400`` and of a folded constant such as ``0.0 / 0.0``.
+_GLOBALS = {"np": np, "DomainError": DomainError, "inf": math.inf,
+            "nan": math.nan}
 
 
 def _function(name: str, arg: str, keys: list, expr: Expression, table,
@@ -467,7 +435,8 @@ def _function(name: str, arg: str, keys: list, expr: Expression, table,
     """Source of one function of ``arg``: the value of ``expr``, or ``table``
     filled after its domain checks as :func:`eval_taylor2` does.  Each AST
     node gets its own assignment, so no nesting limit of the Python parser
-    applies, and a node object the tables share is computed once."""
+    applies, and a node object the tables share is computed once.  A binary
+    operation without variables is folded to its :func:`eval_value`."""
     lines, names, used = [], {}, {}
 
     def operand(node) -> str:
@@ -479,6 +448,11 @@ def _function(name: str, arg: str, keys: list, expr: Expression, table,
             return f"{node.kind}{node.index}"
         if id(node) in names:
             return names[id(node)][0]
+        if isinstance(node, Bin) and not variables(node):
+            # Python's float arithmetic raises on two literals (2.0 / 0.0,
+            # 1e300 ** 2.0); numpy's, which eval_value uses, gives inf or nan
+            with np.errstate(all="ignore"):
+                return operand(Num(float(eval_value(node, {}))))
         if isinstance(node, Neg):
             text = f"-{operand(node.arg)}"
         elif isinstance(node, Call) and node.fn in FUNCTIONS:

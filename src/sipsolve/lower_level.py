@@ -221,8 +221,7 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
     return y, np.maximum(mu_a, 0.0)
 
 
-def check_regularity(problem: SipProblem, i: int,
-                     sol: "LowerLevelSolution") -> RegularityFlags:
+def check_regularity(sol: "LowerLevelSolution") -> RegularityFlags:
     """LICQ, strict complementarity, and second-order sufficiency at sol,
     read off its KKT matrix ``sol.kkt_matrix``.
 
@@ -355,7 +354,7 @@ def solve_lower_level_global(
         local_maxima=[(c[1], c[0]) for c in clusters],
         multiple_global=len(tied) > 1,
     )
-    sol.regularity = check_regularity(problem, i, sol)
+    sol.regularity = check_regularity(sol)
     return sol
 
 

@@ -121,10 +121,8 @@ def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:
     def grad(y):
         return field.gradient(np.concatenate([x, y]))[n:]
 
-    hess = None
-    if field.has_hessian:
-        def hess(y):
-            return field.hessian(np.concatenate([x, y]))[n:, n:]
+    def hess(y):
+        return field.hessian(np.concatenate([x, y]))[n:, n:]
 
     def batch(Y):
         X = np.tile(x, (Y.shape[0], 1))
@@ -135,18 +133,12 @@ def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:
 
 def negated(field: ScalarField) -> ScalarField:
     """The field -f, used to pose maximizations as minimizations."""
-    hess = None
-    if field.has_hessian:
-        def hess(z):
-            return -field.hessian(z)
-    batch = None
-    if field._batch is not None:
-        def batch(Z):
-            return -field.value_batch(Z)
     return ScalarField(field.arity,
                        lambda z: -field.value(z),
                        lambda z: -field.gradient(z),
-                       hess, batch, name=f"-({field.name})")
+                       lambda z: -field.hessian(z),
+                       lambda Z: -field.value_batch(Z),
+                       name=f"-({field.name})")
 
 
 def grid_nodes(box, per_dim: int) -> Array:

@@ -24,7 +24,7 @@ constraint index.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -116,7 +116,6 @@ class NlpSolution:
     status: str                 # 'converged' | 'max_iter' | 'qp_failure'
     iterations: int
     objective_value: float
-    merit_history: list = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -130,7 +129,6 @@ class QpResult:
     lower_multipliers: Array
     upper_multipliers: Array
     status: str                 # 'optimal' | 'infeasible' | 'max_iter' | 'nonfinite'
-    slack: float = 0.0          # elastic relaxation used, 0 when none
     active: tuple = ()          # working set at return, stacked-row indices
 
 
@@ -327,7 +325,7 @@ def _solve_qp_elastic(H, g, A, b, lower, upper, rho: float) -> QpResult:
     # hint for the next QP
     return QpResult(res.step[:d], res.multipliers,
                     res.lower_multipliers[:d], res.upper_multipliers[:d],
-                    res.status, slack=float(res.step[d]))
+                    res.status)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +376,6 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     B = np.eye(d)
     sigma = 1.0
     rho = ELASTIC_RHO
-    merit_history: list = []
     fgrad = problem.objective.gradient(z)
     fval = problem.objective.value(z)
     cvals, jac = problem.constraints(z)
@@ -399,7 +396,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
                                           np.zeros(d), np.zeros(d), np.inf)
         return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
                            float(kkt), float(max(0.0, cvals.max(initial=0.0))),
-                           status, iterations, float(fval), merit_history)
+                           status, iterations, float(fval))
 
     for iterations in range(1, max_iter + 1):
         state, best_before = _state(z, B, sigma, rho, active, ls_failures), best
@@ -463,7 +460,6 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
             B = np.eye(d)
             continue
         ls_failures = 0
-        merit_history.append(merit_new)
 
         grad_old = fgrad + jac.T @ lam
         fgrad_new = problem.objective.gradient(z_new)
@@ -484,7 +480,6 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         # z plus the accepted step rounded to z and nothing else moved (the
         # values are functions of z): each later step would repeat this one
         if best is best_before and state == _state(z, B, sigma, rho, active, ls_failures):
-            merit_history += [merit_new] * (max_iter - iterations)
             iterations = max_iter
             break
 

@@ -5,8 +5,9 @@ order sufficiency) the implicit function theorem applies to the active-set
 KKT system, yielding derivatives Dy(x) and Dmu(x) of the maximizer and its
 multipliers with respect to the upper-level variables.  The KKT matrix is
 the one the lower-level solve stored on its solution, the same matrix that
-certified its regularity; nothing is assembled here.  These feed a
-linearized Lagrangian constraint
+certified its regularity; nothing is assembled here.  ``compute_sensitivity``
+turns a lower-level solution into one :class:`LinearizedConstraint`, the
+data of the linearized Lagrangian constraint
 
     x  ->  g_i(x, yhat(x)) - sum_l muhat_l(x) * v_l(yhat(x))
 
@@ -33,41 +34,36 @@ class SensitivityError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class KktSensitivity:
-    """Derivatives of the lower-level primal-dual solution in x.
+class LinearizedConstraint:
+    """Linearization data for one semi-infinite constraint family: the
+    lower-level primal-dual solution at ``x_base`` and its derivatives in x.
 
     dy_dx is (m, n); dmu_dx is (q, n) with rows of inactive constraints
     identically zero (the active set is locally constant under strict
     complementarity, so those multipliers stay at zero).
     """
 
-    dy_dx: Array
-    dmu_dx: Array
-    condition_estimate: float
-
-
-@dataclass(frozen=True)
-class LinearizedConstraint:
-    """Frozen linearization data for one semi-infinite constraint family."""
-
     index: int
     x_base: Array
     y_base: Array
     mu_base: Array
-    sens: KktSensitivity
+    dy_dx: Array
+    dmu_dx: Array
+    condition_estimate: float
 
     def predicted_maximizer(self, x) -> Array:
         dx = np.asarray(x, dtype=float) - self.x_base
-        return self.y_base + self.sens.dy_dx @ dx
+        return self.y_base + self.dy_dx @ dx
 
     def predicted_multipliers(self, x) -> Array:
         dx = np.asarray(x, dtype=float) - self.x_base
-        return self.mu_base + self.sens.dmu_dx @ dx
+        return self.mu_base + self.dmu_dx @ dx
 
 
-def compute_sensitivity(problem: SipProblem, i: int, x,
-                        sol: LowerLevelSolution) -> KktSensitivity:
-    """Solve the differentiated KKT system at a regular maximizer.
+def compute_sensitivity(problem: SipProblem,
+                        sol: LowerLevelSolution) -> LinearizedConstraint:
+    """Linearize the lower-level solution ``sol`` of family ``sol.index``
+    at the point ``sol.x`` it was solved at.
 
     With A the active set, differentiating {grad_y L = 0, v_A(y) = 0} in x
     gives, with the matrix of ``lower_level.kkt_jacobian`` that ``sol``
@@ -76,11 +72,10 @@ def compute_sensitivity(problem: SipProblem, i: int, x,
         [ D2_yy L   -Dv_A^T ] [ Dy   ]   [ -D2_yx g_i ]
         [ Dv_A         0    ] [ Dmu_A] = [      0     ]
 
-    ``x`` is the point ``sol`` was solved at.  Raises SensitivityError when
-    the matrix is singular or the solve does not reproduce the right-hand
-    side to 1e-8 relative accuracy.
+    Raises SensitivityError when the matrix is singular or the solve does
+    not reproduce the right-hand side to 1e-8 relative accuracy.
     """
-    n, m = problem.n, problem.m
+    n, m, i = problem.n, problem.m, sol.index
     active = list(sol.active_set)
     kkt = sol.kkt_matrix
     rhs = np.zeros((m + len(active), n))
@@ -99,19 +94,12 @@ def compute_sensitivity(problem: SipProblem, i: int, x,
             f"KKT differentiation residual {residual:.3e} too large for "
             f"constraint {i} (condition estimate {cond:.3e})")
 
-    dy_dx = sol_mat[:m]
     dmu_dx = np.zeros((len(problem.index_constraints), n))
     dmu_dx[active] = sol_mat[m:]
-    return KktSensitivity(dy_dx=dy_dx, dmu_dx=dmu_dx, condition_estimate=cond)
-
-
-def make_linearized_constraint(problem: SipProblem, i: int, x_k,
-                               sol: LowerLevelSolution,
-                               sens: KktSensitivity) -> LinearizedConstraint:
-    x_k = np.asarray(x_k, dtype=float)
     return LinearizedConstraint(
-        index=i, x_base=x_k.copy(), y_base=sol.y.copy(),
-        mu_base=sol.multipliers.copy(), sens=sens)
+        index=i, x_base=sol.x.copy(), y_base=sol.y.copy(),
+        mu_base=sol.multipliers.copy(), dy_dx=sol_mat[:m], dmu_dx=dmu_dx,
+        condition_estimate=cond)
 
 
 def linearized_value_and_gradient(lc: LinearizedConstraint,
@@ -128,8 +116,8 @@ def linearized_value_and_gradient(lc: LinearizedConstraint,
     x = np.asarray(x, dtype=float)
     n = problem.n
     g = problem.si_constraints[lc.index]
-    dy = lc.sens.dy_dx
-    dmu = lc.sens.dmu_dx
+    dy = lc.dy_dx
+    dmu = lc.dmu_dx
 
     y_hat = lc.predicted_maximizer(x)
     mu_hat = lc.predicted_multipliers(x)
@@ -156,8 +144,8 @@ def linearized_hessian(lc: LinearizedConstraint, problem: SipProblem, x) -> Arra
     """
     x = np.asarray(x, dtype=float)
     g = problem.si_constraints[lc.index]
-    dy = lc.sens.dy_dx
-    dmu = lc.sens.dmu_dx
+    dy = lc.dy_dx
+    dmu = lc.dmu_dx
 
     y_hat = lc.predicted_maximizer(x)
     mu_hat = lc.predicted_multipliers(x)

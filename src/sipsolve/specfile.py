@@ -71,6 +71,20 @@ def _require(cond: bool, message: str) -> None:
         raise SpecFileError(message)
 
 
+def _number(value, where: str, finite: bool) -> float:
+    """``value`` as a float.  A bool, anything ``float`` cannot read and nan
+    are a SpecFileError, and so is +-inf when ``finite``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = np.nan
+    _require(not isinstance(value, bool) and not np.isnan(number),
+             f"{where}: expected a number, got {value!r}")
+    _require(np.isfinite(number) or not finite,
+             f"{where}: expected a finite number, got {value!r}")
+    return number
+
+
 def _parse_expr(text, where: str, n: int, m: int, allow_x: bool, allow_y: bool):
     _require(isinstance(text, str), f"{where}: expected an expression string")
     try:
@@ -114,8 +128,10 @@ def parse_spec(text: str) -> ProblemSpecFile:
     for key in ("n", "m", "objective", "si_constraints", "index_constraints"):
         _require(key in doc, f"missing required key: {key}")
     n, m = doc["n"], doc["m"]
-    _require(isinstance(n, int) and n >= 1, "n must be an integer >= 1")
-    _require(isinstance(m, int) and m >= 1, "m must be an integer >= 1")
+    _require(type(n) is int and n >= 1, "n must be an integer >= 1")
+    _require(type(m) is int and m >= 1, "m must be an integer >= 1")
+    name = doc.get("name")
+    _require(name is None or isinstance(name, str), "name must be a string")
 
     asts: dict = {}
     objective = doc["objective"]
@@ -129,10 +145,12 @@ def parse_spec(text: str) -> ProblemSpecFile:
     if x_bounds is not None:
         _require(isinstance(x_bounds, list) and len(x_bounds) == n,
                  f"x_bounds: expected {n} [lo, hi] pairs")
-        for pair in x_bounds:
-            _require(isinstance(pair, list) and len(pair) == 2,
-                     "x_bounds: each entry must be a [lo, hi] pair")
-            lo, hi = float(pair[0]), float(pair[1])
+        _require(all(isinstance(pair, list) and len(pair) == 2 for pair in x_bounds),
+                 "x_bounds: each entry must be a [lo, hi] pair")
+        # +-inf is no bound: SipProblem clamps it to the default box
+        x_bounds = [[_number(v, f"x_bounds[{j}]", finite=False) for v in pair]
+                    for j, pair in enumerate(x_bounds)]
+        for lo, hi in x_bounds:
             _require(lo <= hi, f"x_bounds: lower {lo} exceeds upper {hi}")
 
     def _point(key: str):
@@ -141,14 +159,14 @@ def parse_spec(text: str) -> ProblemSpecFile:
             return None
         _require(isinstance(value, list) and len(value) == n,
                  f"{key}: expected a list of {n} numbers")
-        return [float(v) for v in value]
+        return [_number(v, key, finite=True) for v in value]
 
     known_objective = doc.get("known_objective")
     if known_objective is not None:
-        known_objective = float(known_objective)
+        known_objective = _number(known_objective, "known_objective", finite=True)
 
     return ProblemSpecFile(
-        name=str(doc.get("name", "")),
+        name=name or "",
         n=n, m=m,
         objective=objective,
         si_constraints=si,

@@ -1,8 +1,12 @@
 """Small synthetic problems and oracles shared across the test modules."""
+from dataclasses import dataclass
+
 import numpy as np
 
-from sipsolve.lower_level import solve_lower_level_global
+from sipsolve.expressions import Call, Expression, Neg, Num, Var
+from sipsolve.lower_level import LowerLevelError, solve_lower_level_global
 from sipsolve.model import ScalarField, SipProblem
+from sipsolve.sensitivity import LinearizedConstraint, linearized_value_and_gradient
 
 
 def interval_index_fields(radius=1.0):
@@ -168,3 +172,71 @@ def narrow_peak_problem(width=0.01):
     return SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
                       index_constraints=(upper, lower),
                       x_bounds=np.array([[-1.0, 1.0]]), name="narrow_peaks")
+
+
+@dataclass(frozen=True)
+class LinearizationGaps:
+    """Accuracy of one linearized constraint against the true value function."""
+
+    value_gap: float
+    gradient_gap: float
+    step2: float
+    step4: float
+
+
+def linearization_gaps(problem: SipProblem, i: int, x_prev, x_curr,
+                       lc: LinearizedConstraint) -> LinearizationGaps:
+    """Gap between the linearized constraint at x_curr and the true values.
+
+    value_gap should scale like ||step||^4 and gradient_gap like ||step||^2
+    near a regular maximizer; step powers are returned for such checks.
+    """
+    x_prev = np.asarray(x_prev, dtype=float)
+    x_curr = np.asarray(x_curr, dtype=float)
+    sol = solve_lower_level_global(problem, i, x_curr)
+    if not sol.regularity.all_ok:
+        raise LowerLevelError(
+            f"lower level {i} is not regular at the evaluation point")
+    n = problem.n
+    value, grad = linearized_value_and_gradient(lc, problem, x_curr)
+    true_grad = problem.si_constraints[i].gradient(
+        np.concatenate([x_curr, sol.y]))[:n]
+    step = float(np.linalg.norm(x_curr - x_prev))
+    return LinearizationGaps(
+        value_gap=abs(sol.value - value),
+        gradient_gap=float(np.linalg.norm(true_grad - grad)),
+        step2=step ** 2, step4=step ** 4)
+
+
+# Printing: the text parses back to an identical AST
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+
+def _print(node: Expression, parent_prec: int, right_side: bool) -> str:
+    if isinstance(node, Num):
+        return repr(node.value)
+    if isinstance(node, Var):
+        return f"{node.kind}{node.index}"
+    if isinstance(node, Call):
+        return f"{node.fn}({_print(node.arg, 0, False)})"
+    if isinstance(node, Neg):
+        inner = _print(node.arg, _PREC["neg"], False)
+        text = f"-{inner}"
+        if parent_prec > _PREC["neg"] or (right_side and parent_prec == _PREC["neg"]):
+            return f"({text})"
+        return text
+    prec = _PREC[node.op]
+    # the parser groups left to right and takes only a literal exponent, so
+    # a same-precedence right operand and a power as a base need parentheses
+    left = _print(node.left, prec, node.op == "^")
+    right = _print(node.right, prec, True)
+    text = f"{left} {node.op} {right}" if node.op != "^" else f"{left}^{right}"
+    if prec < parent_prec or (right_side and prec == parent_prec):
+        return f"({text})"
+    return text
+
+
+def to_string(expr: Expression) -> str:
+    """Spec-file text of an expression."""
+    return _print(expr, 0, False)

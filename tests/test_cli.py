@@ -180,14 +180,34 @@ class TestRun:
 
     def test_constant_division_by_zero_ends_in_subsolver_failure(
             self, tmp_path, capsys):
-        # 2 / 0.0 between two constants raises ZeroDivisionError, not inf
+        # 2 / 0.0 between two constants is inf in the value, and the
+        # gradient's domain check raises DomainError
         spec = tmp_path / "div.yaml"
         spec.write_text(MINIMAL_SPEC.replace("- -y1^2 - x1",
                                              "- -y1^2 - x1 + 2 / 0.0"))
         assert main(["run", "--spec", str(spec), "--max-iter", "3"]) == 1
         captured = capsys.readouterr()
-        assert "field evaluation failed: float division by zero" in captured.out
+        assert "field evaluation failed: division by zero" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("old, new", [
+        ("x0: [1]", "x0: [abc]"),
+        ("x0: [1]", "x0: [.nan]"),
+        ("x0: [1]", "x0: [.inf]"),
+        ("[-2, 2]", "[a, 2]"),
+        ("[-2, 2]", "[.nan, 2]"),
+        ("x0: [1]", "x0: [1]\nknown_solution: [[1]]"),
+        ("x0: [1]", "x0: [1]\nknown_objective: foo")])
+    def test_malformed_number_is_a_configuration_error(self, tmp_path, capsys,
+                                                       old, new):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(MINIMAL_SPEC.replace(old, new))
+        assert main(["run", "--spec", str(spec)]) == 2
+        assert main(["verify", "--spec", str(spec)]) == 2
+        assert main(["list", "--spec-dir", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert "unreadable: " in captured.out.splitlines()[-1]
+        assert captured.err.count("invalid spec file") == 2
 
     def test_defaults_are_the_driver_defaults(self):
         args = build_parser().parse_args(["run", "--problem", "example1"])
@@ -251,7 +271,7 @@ class TestVerify:
     @pytest.mark.parametrize("old, new", [
         # the index set is empty: the lower level cannot start
         ("  - y1^2 - 1\n", "  - y1^2 + 1\n"),
-        # a constant division by zero raises in Python float arithmetic
+        # a constant division by zero: the derivatives' domain check raises
         ("- -y1^2 - x1\n", "- -y1^2 - x1 + (2 / 0.0)^0.5\n")])
     def test_unevaluable_known_solution_fails_verification(self, tmp_path,
                                                            capsys, old, new):

@@ -21,8 +21,8 @@ class TestDiscretizationState:
         assert disc.add(1, [0.5])
         assert not disc.add(0, [0.5])
         assert not disc.add(0, [0.5 + 1e-13])
-        assert disc.n_points(0) == 2
-        assert disc.n_points(1) == 1
+        assert len(disc.points[0]) == 2
+        assert len(disc.points[1]) == 1
         assert disc.total_points() == 3
 
     def test_copy_is_independent(self):
@@ -31,7 +31,7 @@ class TestDiscretizationState:
         clone = disc.copy()
         clone.add(0, [0.75])
         clone.points[0][0][0] = 99.0
-        assert disc.n_points(0) == 1
+        assert len(disc.points[0]) == 1
         assert disc.points[0][0][0] == 0.5
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sipsolve.expressions import (DomainError, SpecParseError, derivative,
-                                  eval_value, parse_expression, to_string,
-                                  variables)
+                                  eval_value, parse_expression, variables)
 from sipsolve.specfile import _compile_field
+
+from helpers import to_string
 
 
 class TestParseErrors:

@@ -218,19 +218,19 @@ class TestKktMatrix:
 class TestRegularity:
     def test_interior_maximizer_is_regular(self, ex1):
         sol = solve_lower_level_global(ex1, 0, np.array([0.5, 0.0]))
-        flags = check_regularity(ex1, 0, sol)
+        flags = check_regularity(sol)
         assert flags.licq and flags.strict_complementarity and flags.sosc
 
     def test_active_disk_with_positive_multiplier(self, dc):
         sol = solve_lower_level_global(dc, 2, np.asarray(dc.known_solution))
         assert sol.multipliers[sol.active_set[0]] > 1e-6
-        flags = check_regularity(dc, 2, sol)
+        flags = check_regularity(sol)
         assert flags.licq and flags.strict_complementarity and flags.sosc
 
     def test_pinned_point_fails_licq(self):
         p = pinned_index_problem()
         sol = solve_lower_level_global(p, 0, np.array([0.0]))
-        flags = check_regularity(p, 0, sol)
+        flags = check_regularity(sol)
         assert not flags.licq
         assert not flags.strict_complementarity
         assert flags.sosc
@@ -239,7 +239,7 @@ class TestRegularity:
         # at x1 = 1 the maximizer sits on y = 1 with multiplier exactly 0
         sol = solve_lower_level_global(ex1, 0, np.array([1.0, 0.0]))
         assert sol.y == pytest.approx([1.0], abs=1e-9)
-        flags = check_regularity(ex1, 0, sol)
+        flags = check_regularity(sol)
         assert not flags.strict_complementarity
 
 

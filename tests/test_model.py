@@ -111,6 +111,18 @@ class TestRestrictions:
         assert np.array_equal(nf.gradient(z), [-2.0, -2.0])
         assert np.array_equal(nf.hessian(z), -2.0 * np.eye(2))
 
+    def test_wrappers_of_a_field_without_hessian_or_batch(self):
+        # the wrappers forward both unconditionally: asking for the missing
+        # Hessian still raises, and the batch still evaluates row by row
+        f = ScalarField(2, lambda z: z[0] * z[1], lambda z: np.array([z[1], z[0]]))
+        fy, nf = restrict_to_y(f, 1, np.array([2.0])), negated(f)
+        for field, point in ((fy, np.array([3.0])), (nf, np.array([2.0, 3.0]))):
+            with pytest.raises(FieldEvaluationError):
+                field.hessian(point)
+        assert np.array_equal(fy.value_batch(np.array([[3.0], [-1.0]])), [6.0, -2.0])
+        assert np.array_equal(nf.value_batch(np.array([[2.0, 3.0], [1.0, -1.0]])),
+                              [-6.0, 1.0])
+
 
 class TestVerifyDerivatives:
     def test_quadratic_is_exact_under_central_differences(self):

@@ -275,7 +275,7 @@ class TestSolveNlp:
         a = solve_nlp(p, np.array([0.1, 0.1]))
         b = solve_nlp(p, np.array([0.1, 0.1]))
         assert np.array_equal(a.z, b.z)
-        assert a.merit_history == b.merit_history
+        assert a.iterations == b.iterations
 
     def test_infeasible_rows_yield_elastic_compromise(self):
         left = ScalarField(1, lambda x: x[0] + 1.0, lambda x: np.ones(1),
@@ -350,7 +350,6 @@ class TestSolveNlp:
         for name in NlpSolution.__dataclass_fields__:
             a, b = np.asarray(getattr(short, name)), np.asarray(getattr(full, name))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert len(full.merit_history) == 50
         assert (short_qps, len(qps)) == (3, 51)
 
     def test_respects_iteration_budget(self):
@@ -386,7 +385,7 @@ class TestSolveNlp:
         p = NlpProblem(2, obj, constraints=field_rows([row]))
         sol = solve_nlp(p, np.array([0.1, 0.1]))
         assert sol.converged
-        assert len(sol.merit_history) >= 3
+        assert sol.iterations >= 4      # three steps or more, then the KKT test
         assert calls["row_value"] == calls["objective"]
         assert calls["row_gradient"] == calls["objective"]
 

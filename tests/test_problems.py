@@ -74,7 +74,7 @@ class TestEveryProblem:
         problem = get_problem(name)
         x = np.asarray(problem.known_solution)
         assert feasibility_measure(problem, x) <= 1e-8
-        assert stationarity_residual(problem, x).residual <= 1e-5
+        assert stationarity_residual(problem, x) <= 1e-5
         assert problem.objective.value(x) == pytest.approx(
             problem.known_objective, abs=1e-9)
 

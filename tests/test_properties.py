@@ -1,6 +1,7 @@
 """Property tests on random grammar expressions over x1 and x2, the
 compiled fields of the shipped specs against the reference evaluators, and
-short solver and CLI runs on random small spec files."""
+short solver and CLI runs on random small spec files, valid or with one
+malformed key."""
 import tempfile
 from importlib.resources import files
 from pathlib import Path
@@ -16,10 +17,11 @@ from sipsolve.driver import DriverOptions, run_blankenship_falk, run_qcad
 
 from sipsolve.expressions import (FUNCTIONS, Bin, Call, Neg, Num, Var,
                                   _domain_checks, derivative_tables,
-                                  eval_taylor2, eval_value, parse_expression,
-                                  to_string)
+                                  eval_taylor2, eval_value, parse_expression)
 from sipsolve.problems import REGISTRY, get_problem
-from sipsolve.specfile import _compile_field, compile_spec, parse_spec
+from sipsolve.specfile import SpecFileError, _compile_field, compile_spec, parse_spec
+
+from helpers import to_string
 
 # deterministic and small, so that the tier-1 run stays fast and repeatable
 SETTINGS = settings(max_examples=100, derandomize=True, deadline=None)
@@ -158,8 +160,9 @@ def _minus(y, c):
 
 
 @st.composite
-def small_specs(draw):
-    """A spec document with n <= 2, m = 1 and an interval index set."""
+def small_spec_docs(draw):
+    """A spec document, as a dict, with n <= 2, m = 1 and an interval index
+    set."""
     n = draw(st.integers(min_value=1, max_value=2))
     xs = [Var("x", j + 1) for j in range(n)]
     y = Var("y", 1)
@@ -179,7 +182,12 @@ def small_specs(draw):
     }
     if draw(st.booleans()):
         doc["known_solution"] = draw(_box_points(n))
-    return yaml.safe_dump(doc)
+    return doc
+
+
+def small_specs():
+    """``small_spec_docs`` as YAML text."""
+    return small_spec_docs().map(yaml.safe_dump)
 
 
 def _exit_code(argv) -> int:
@@ -187,6 +195,65 @@ def _exit_code(argv) -> int:
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code
+
+
+NOT_NUMBERS = ["abc", "", True, [1.0], {"a": 1.0}, None]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+NOT_LISTS = ["abc", 1.0, True, {"a": 1.0}]
+
+
+@st.composite
+def _one_entry(draw, value, bad):
+    """``value``, a list of numbers or of [lo, hi] pairs, with one entry
+    replaced by a draw from ``bad``."""
+    out = [list(v) if isinstance(v, list) else v for v in value]
+    j = draw(st.integers(0, len(out) - 1))
+    if isinstance(out[j], list):
+        out[j][draw(st.integers(0, 1))] = draw(bad)
+    else:
+        out[j] = draw(bad)
+    return out
+
+
+def _wrong_values(key: str, doc: dict):
+    """Values of the wrong type for ``key``, or non-finite numbers where a
+    finite one is needed (x_bounds takes +-inf as no bound)."""
+    if key == "name":
+        return st.sampled_from([1, 2.5, True, ["random"], {"a": 1}])
+    if key in ("n", "m"):
+        return st.sampled_from(NOT_NUMBERS + NON_FINITE + [1.5, 0])
+    if key == "objective":
+        return st.sampled_from(NOT_LISTS[1:] + [["x1"], None, np.nan])
+    if key in ("si_constraints", "index_constraints", "finite_constraints"):
+        lists = [[1.0], [None], [np.inf], [["x1"]], "x1", 1.0, True, {"a": "x1"}]
+        return st.sampled_from(lists + ([None] if key != "finite_constraints" else []))
+    if key == "x_bounds":
+        return st.one_of(st.sampled_from(NOT_LISTS + [[1.0] * len(doc[key])]),
+                         _one_entry(doc[key], st.sampled_from(NOT_NUMBERS + [np.nan])))
+    if key in ("x0", "known_solution"):
+        return st.one_of(st.sampled_from(NOT_LISTS),
+                         _one_entry(doc["x0"], st.sampled_from(NOT_NUMBERS + NON_FINITE)))
+    return st.sampled_from(NOT_NUMBERS[:-1] + NON_FINITE)       # known_objective
+
+
+@pytest.mark.parametrize("key", ["name", "n", "m", "objective", "si_constraints",
+                                 "index_constraints", "finite_constraints",
+                                 "x_bounds", "x0", "known_solution",
+                                 "known_objective"])
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_malformed_specs_are_configuration_errors(key, data):
+    # a small spec with one top-level key holding a wrong value
+    doc = data.draw(small_spec_docs())
+    doc[key] = data.draw(_wrong_values(key, doc))
+    text = yaml.safe_dump(doc)
+    with pytest.raises(SpecFileError):
+        parse_spec(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.yaml"
+        path.write_text(text)
+        assert _exit_code(["run", "--spec", str(path)]) == 2
+        assert _exit_code(["verify", "--spec", str(path)]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

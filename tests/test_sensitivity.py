@@ -6,8 +6,7 @@ from sipsolve.driver import DriverOptions, run_qcad
 from sipsolve.lower_level import solve_lower_level_global
 from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearization_field,
-                                  linearized_value_and_gradient,
-                                  make_linearized_constraint)
+                                  linearized_value_and_gradient)
 
 from helpers import (fd_block_hessian, fd_maximizer_jacobian,
                      pinned_index_problem)
@@ -15,8 +14,7 @@ from helpers import (fd_block_hessian, fd_maximizer_jacobian,
 
 def _linearize(problem, i, x):
     sol = solve_lower_level_global(problem, i, x)
-    sens = compute_sensitivity(problem, i, x, sol)
-    return sol, sens, make_linearized_constraint(problem, i, x, sol, sens)
+    return sol, compute_sensitivity(problem, sol)
 
 
 class TestMaximizerSensitivity:
@@ -24,39 +22,39 @@ class TestMaximizerSensitivity:
         # argmax of -y^2 + 2 y x1 - x2 is y = x1, so dy/dx = (1, 0)
         x = np.array([0.5, 0.0])
         sol = solve_lower_level_global(ex1, 0, x)
-        sens = compute_sensitivity(ex1, 0, x, sol)
-        assert np.allclose(sens.dy_dx, [[1.0, 0.0]], atol=1e-12)
-        assert np.array_equal(sens.dmu_dx, np.zeros((2, 2)))
-        assert sens.condition_estimate == pytest.approx(1.0)
+        lc = compute_sensitivity(ex1, sol)
+        assert np.allclose(lc.dy_dx, [[1.0, 0.0]], atol=1e-12)
+        assert np.array_equal(lc.dmu_dx, np.zeros((2, 2)))
+        assert lc.condition_estimate == pytest.approx(1.0)
 
     def test_squared_parabola_chain_rule(self, ex2):
         # argmax is y = x1^2, so dy/dx = (2 x1, 0)
         x = np.array([0.707107, 0.0])
         sol = solve_lower_level_global(ex2, 0, x)
-        sens = compute_sensitivity(ex2, 0, x, sol)
-        assert np.allclose(sens.dy_dx, [[2.0 * x[0], 0.0]], atol=1e-9)
+        lc = compute_sensitivity(ex2, sol)
+        assert np.allclose(lc.dy_dx, [[2.0 * x[0], 0.0]], atol=1e-9)
 
     def test_matches_finite_difference_resolves(self, dc):
         x = np.asarray(dc.known_solution)
         sol = solve_lower_level_global(dc, 2, x)
-        sens = compute_sensitivity(dc, 2, x, sol)
+        lc = compute_sensitivity(dc, sol)
         fd = fd_maximizer_jacobian(dc, 2, x)
-        assert np.abs(sens.dy_dx - fd).max() <= 1e-5
-        assert sens.condition_estimate < 100.0
+        assert np.abs(lc.dy_dx - fd).max() <= 1e-5
+        assert lc.condition_estimate < 100.0
 
     def test_inactive_multiplier_rows_are_exactly_zero(self, ex2):
         x = np.array([0.707107, 0.0])
         sol = solve_lower_level_global(ex2, 0, x)
-        sens = compute_sensitivity(ex2, 0, x, sol)
-        assert sens.dmu_dx.shape == (2, 2)
-        assert np.array_equal(sens.dmu_dx, np.zeros((2, 2)))
+        lc = compute_sensitivity(ex2, sol)
+        assert lc.dmu_dx.shape == (2, 2)
+        assert np.array_equal(lc.dmu_dx, np.zeros((2, 2)))
 
     def test_singular_active_set_raises(self):
         p = pinned_index_problem()
         sol = solve_lower_level_global(p, 0, np.array([0.0]))
         assert sol.active_set == (0, 1)
         with pytest.raises(SensitivityError):
-            compute_sensitivity(p, 0, np.array([0.0]), sol)
+            compute_sensitivity(p, sol)
 
 
 class TestKktMatrixBuiltOnce:
@@ -113,7 +111,7 @@ class TestKktMatrixBuiltOnce:
                                    sol.multipliers[active])
                 rhs = np.zeros((len(jac), dc.n))
                 rhs[:dc.m] = -d2_yx
-                assert np.array_equal(lc.sens.dy_dx,
+                assert np.array_equal(lc.dy_dx,
                                       np.linalg.solve(jac, rhs)[:dc.m])
                 linearized += 1
         assert linearized == 3 * (len(result.history) - 1)
@@ -122,12 +120,12 @@ class TestKktMatrixBuiltOnce:
 class TestPredictedMaximizer:
     def test_linear_tracking_is_exact(self, ex1):
         # the true maximizer y(x) = x1 is affine, so the prediction is exact
-        _, _, lc = _linearize(ex1, 0, np.array([0.5, 0.0]))
+        _, lc = _linearize(ex1, 0, np.array([0.5, 0.0]))
         y = lc.predicted_maximizer(np.array([0.6, 0.0]))
         assert y == pytest.approx([0.6], abs=1e-12)
 
     def test_quadratic_tracking_first_order(self, ex2):
-        _, _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
+        _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
         y = lc.predicted_maximizer(np.array([0.72, 0.0]))
         # first-order model of y(x) = x1^2 around 0.707107
         expect = 0.707107 ** 2 + 2.0 * 0.707107 * (0.72 - 0.707107)
@@ -135,7 +133,7 @@ class TestPredictedMaximizer:
         assert y[0] == pytest.approx(0.51823, abs=1e-4)
 
     def test_predicted_multipliers_stay_zero_when_inactive(self, ex2):
-        _, _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
+        _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
         mu = lc.predicted_multipliers(np.array([0.72, 0.1]))
         assert np.array_equal(mu, np.zeros(2))
 
@@ -145,7 +143,7 @@ class TestLinearizedConstraint:
         # at the base point the surrogate matches g and its x-gradient exactly
         for problem, i, x in ((ex2, 0, np.array([0.707107, 0.0])),
                               (dc, 2, np.asarray(dc.known_solution))):
-            sol, _, lc = _linearize(problem, i, x)
+            sol, lc = _linearize(problem, i, x)
             value, grad = linearized_value_and_gradient(lc, problem, x)
             z = np.concatenate([x, sol.y])
             assert abs(value - problem.si_constraints[i].value(z)) <= 1e-10
@@ -154,7 +152,7 @@ class TestLinearizedConstraint:
 
     def test_affine_case_value_and_gradient(self, ex1):
         # for example1 the surrogate reproduces x1^2 - x2 exactly
-        _, _, lc = _linearize(ex1, 0, np.array([0.5, 0.0]))
+        _, lc = _linearize(ex1, 0, np.array([0.5, 0.0]))
         x = np.array([0.6, 0.2])
         value, grad = linearized_value_and_gradient(lc, ex1, x)
         assert value == pytest.approx(0.16, abs=1e-12)
@@ -162,7 +160,7 @@ class TestLinearizedConstraint:
 
     def test_value_matches_hand_composition(self, ex2):
         x_base = np.array([0.707107, 0.0])
-        _, _, lc = _linearize(ex2, 0, x_base)
+        _, lc = _linearize(ex2, 0, x_base)
         x = np.array([0.72, 0.1])
         value, _ = linearized_value_and_gradient(lc, ex2, x)
         yhat = x_base[0] ** 2 + 2.0 * x_base[0] * (x[0] - x_base[0])
@@ -175,7 +173,7 @@ class TestLinearizedConstraint:
                   np.asarray(dc.known_solution) + 0.01))
         h = 1e-6
         for problem, i, x_base, x in cases:
-            _, _, lc = _linearize(problem, i, x_base)
+            _, lc = _linearize(problem, i, x_base)
             _, grad = linearized_value_and_gradient(lc, problem, x)
             for j in range(problem.n):
                 e = np.zeros(problem.n)
@@ -185,7 +183,7 @@ class TestLinearizedConstraint:
                 assert abs(grad[j] - (up - dn) / (2 * h)) <= 1e-6
 
     def test_field_wrapper_agrees(self, ex2):
-        _, _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
+        _, lc = _linearize(ex2, 0, np.array([0.707107, 0.0]))
         size, evaluate, _ = linearization_field(lc, ex2)
         x = np.array([0.72, 0.1])
         value, grad = linearized_value_and_gradient(lc, ex2, x)
@@ -203,7 +201,7 @@ class TestLinearizedConstraint:
         problem = ex2 if name == "example2" else dc
         x = (np.array([0.707107, 0.0]) if name == "example2"
              else np.asarray(dc.known_solution))
-        _, sens, lc = _linearize(problem, i, x)
+        _, lc = _linearize(problem, i, x)
         block = linearization_field(lc, problem)
         away = x + 0.05 * np.cos(np.arange(problem.n) + 1.0)
         for w in (1.0, 0.3):
@@ -212,13 +210,13 @@ class TestLinearizedConstraint:
             fd = fd_block_hessian(block, away, np.array([w]))
             assert np.abs(hess - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
         if name == "design_centering":
-            assert np.abs(sens.dmu_dx).max() > 0.0
+            assert np.abs(lc.dmu_dx).max() > 0.0
 
     def test_surrogate_error_is_second_order(self, ex2):
         # |max_y g - surrogate| should shrink at least quadratically in the
         # step; here the composition is smooth enough to be quartic
         x_base = np.array([0.707107, 0.0])
-        _, _, lc = _linearize(ex2, 0, x_base)
+        _, lc = _linearize(ex2, 0, x_base)
         ts = np.array([1e-1, 3e-2, 1e-2, 3e-3])
         rng = np.random.default_rng(17)
         for _ in range(3):

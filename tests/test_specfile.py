@@ -1,4 +1,5 @@
 import textwrap
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 import yaml
 
 from sipsolve import specfile
-from sipsolve.expressions import SpecParseError
+from sipsolve.expressions import SpecParseError, eval_value, parse_expression
 from sipsolve.model import validate_problem
 from sipsolve.problems import REGISTRY
 from sipsolve.specfile import (SpecFileError, compile_spec, load_problem,
@@ -70,6 +71,36 @@ class TestParseSpec:
         with pytest.raises(SpecFileError) as exc:
             parse_spec(mutate(GOOD))
         assert fragment in str(exc.value)
+
+    @pytest.mark.parametrize("old,new,fragment", [
+        ("x0: [1, -1]", "x0: [1, abc]", "x0: expected a number, got 'abc'"),
+        ("x0: [1, -1]", "x0: [1, true]", "x0: expected a number, got True"),
+        ("x0: [1, -1]", "x0: [1, .nan]", "x0: expected a number, got nan"),
+        ("x0: [1, -1]", "x0: [1, .inf]", "x0: expected a finite number, got inf"),
+        ("known_solution: [0.0, -1.0]", "known_solution: [0.3, [1]]",
+         "known_solution: expected a number, got [1]"),
+        ("known_solution: [0.0, -1.0]", "known_solution: [0.3, -.inf]",
+         "known_solution: expected a finite number, got -inf"),
+        ("- [-1, 1]", "- [a, 1]", "x_bounds[0]: expected a number, got 'a'"),
+        ("- [-1, 1]", "- [-1, .nan]", "x_bounds[0]: expected a number, got nan"),
+        ("known_objective: -1.5", "known_objective: foo",
+         "known_objective: expected a number, got 'foo'"),
+        ("known_objective: -1.5", "known_objective: .nan",
+         "known_objective: expected a number, got nan"),
+        ("known_objective: -1.5", "known_objective: .inf",
+         "known_objective: expected a finite number, got inf"),
+        ("n: 2", "n: true", "n must be an integer >= 1"),
+        ("name: toy", "name: [toy]", "name must be a string"),
+    ])
+    def test_malformed_values(self, old, new, fragment):
+        with pytest.raises(SpecFileError) as exc:
+            parse_spec(GOOD.replace(old, new, 1))
+        assert fragment in str(exc.value)
+
+    def test_infinite_bounds_stand_for_the_default_box(self):
+        sf = parse_spec(GOOD.replace("- [-1, 1]", "- [-.inf, .inf]", 1))
+        assert sf.x_bounds == [[-np.inf, np.inf], [-1.0, 1.0]]
+        assert compile_spec(sf).x_bounds.tolist() == [[-1e3, 1e3], [-1.0, 1.0]]
 
     def test_empty_si_list_rejected(self):
         doc = ("n: 1\nm: 1\nobjective: x1\nsi_constraints: []\n"
@@ -226,6 +257,25 @@ class TestCompiledEdgeCases:
         assert np.array_equal(f.gradient(z), [300.0, 0.0])
         assert np.array_equal(f.hessian(z), np.zeros((2, 2)))
         assert np.array_equal(f.value_batch(np.array([z, 2.0 * z])), [600.0, 1200.0])
+
+    @pytest.mark.parametrize("text,value", [("x1 + 2 / 0.0", np.inf),
+                                            ("x1 + 1e300^2", np.inf),
+                                            ("x1 - (1 - 1) / 0.0", np.nan),
+                                            ("x1 * (0.0 / 0.0)^2", np.nan)])
+    def test_constant_subexpression_follows_numpy(self, text, value):
+        # Python float arithmetic on two literals raises ZeroDivisionError or
+        # OverflowError; the compiled value and batch give inf or nan, as
+        # eval_value does
+        f = _objective_field(text)
+        z = np.array([2.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(f.value(z), value, equal_nan=True)
+            assert np.array_equal(f.value_batch(np.array([z, z])),
+                                  [value, value], equal_nan=True)
+        with np.errstate(all="ignore"):
+            reference = eval_value(parse_expression(text), {("x", 1): z[0]})
+        assert np.array_equal(reference, value, equal_nan=True)
 
     def test_overflowing_literal_is_inf(self):
         f = _objective_field("x1 + 1e400")
