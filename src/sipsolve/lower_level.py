@@ -17,10 +17,13 @@ it to a maximizer already found, sampled one grid step apart, stays in the
 index set and never lets g_i fall by more than ``TIE_TOL`` -- the local run
 would climb to that maximizer again (the second rule of multi-level single
 linkage, Rinnooy Kan & Timmer, Math. Programming 39, 1987).  Each new
-maximizer is checked against all remaining starts in one batch.  The starts
-are the ``N_STARTS`` best feasible grid nodes, best first; distinct nodes are
-at least one grid step apart.  The best start always runs, so the returned
-value still dominates the grid.
+maximizer is checked against all remaining starts at once: their segments
+are built in one vectorized pass and evaluated in one ``value_batch`` per
+field.  The starts are the ``N_STARTS`` best feasible grid nodes, best first
+and ties in grid order; ``np.partition`` cuts the grid values at the
+``N_STARTS``-th best and only the nodes above the cut are sorted.  Distinct
+nodes are at least one grid step apart.  The best start always runs, so the
+returned value still dominates the grid.
 
 The bounding box is read off the index constraints when they are recognized
 as interval bounds (affine with a +/- unit-vector gradient); otherwise a
@@ -250,18 +253,45 @@ def check_regularity(sol: "LowerLevelSolution") -> RegularityFlags:
     return RegularityFlags(licq, strict, sosc)
 
 
+def _best_nodes(values: Array, count: int) -> Array:
+    """Indices of the ``count`` largest values, best first, ties in grid
+    order and nan last: ``np.argsort(-values, kind="stable")[:count]``,
+    stable-sorting only the nodes that ``np.partition`` puts at or above
+    the ``count``-th best value."""
+    keys = -values
+    if len(keys) > count:
+        kth = np.partition(keys, count - 1)[count - 1]
+        if not np.isnan(kth):
+            picked = np.flatnonzero(keys <= kth)
+            return picked[np.argsort(keys[picked], kind="stable")[:count]]
+    return np.argsort(keys, kind="stable")[:count]
+
+
 def _ascending(g_y, vs, starts: Array, y: Array, step: Array) -> Array:
     """Per start, whether g_y never falls by more than ``TIE_TOL`` along the
-    feasible segment from it to ``y``, sampled about one grid step apart.
-    All segments go through one ``value_batch`` per field."""
-    segments = []
-    for start in starts:
-        delta = y - start
-        in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
-        t = np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(in_steps))) + 2)
-        segments.append(start + t[:, None] * delta)
-    pts = np.concatenate(segments)
-    first = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    feasible segment from it to ``y``.  A segment is sampled as
+    ``np.linspace(0, 1, ceil(|delta / step|) + 2)`` would sample it (a
+    zero-width axis counts no steps), so samples are about one grid step
+    apart.  All segments are built in one pass and go through one
+    ``value_batch`` per field."""
+    delta = y - starts
+    in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
+    norms = np.sqrt(np.einsum("ij,ij->i", in_steps, in_steps))
+    # the count is the ceiling of the per-row np.linalg.norm, whose dot
+    # product rounds otherwise than this sum: recompute per row the norms
+    # that may round to the other side of an integer, and any inf or nan
+    near = ~(np.abs(norms - np.round(norms)) > 1e-9 * np.maximum(norms, 1.0))
+    counts = np.ceil(np.where(near, 0.0, norms)).astype(int) + 2
+    for k in np.flatnonzero(near):
+        counts[k] = int(np.ceil(np.linalg.norm(in_steps[k]))) + 2
+    ends = np.cumsum(counts)
+    first = ends - counts
+    # linspace's samples: j * (1 / (count - 1)), and exactly 1 at the end
+    j = np.arange(ends[-1]) - np.repeat(first, counts)
+    t = j * np.repeat(1.0 / (counts - 1), counts)
+    t[ends - 1] = 1.0
+    pts = np.repeat(starts, counts, axis=0) \
+        + t[:, None] * np.repeat(delta, counts, axis=0)
     ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -TIE_TOL
     ok[first] = True    # no step leads into a segment's first point
     for v in vs:
@@ -290,7 +320,7 @@ def solve_lower_level_global(
     g_y = restrict_to_y(g, n, x)
     values = g_y.value_batch(nodes)
 
-    starts = nodes[np.argsort(-values, kind="stable")[:N_STARTS]]  # ties: grid order
+    starts = nodes[_best_nodes(values, N_STARTS)]
     grid_best = float(values.max())
 
     box = grid.box

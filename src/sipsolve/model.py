@@ -169,9 +169,10 @@ class SipProblem:
     ``si_constraints`` is a field over the concatenated point ``(x, y)``
     (arity n+m), each ``index_constraints`` entry over y (arity m), and each
     ``finite_constraints`` entry over x.  ``x_bounds`` is an (n, 2) array of
-    finite per-coordinate intervals; infinite entries are replaced by the
-    default box.  ``known_solution``/``known_objective`` are optional
-    reference data, ``start`` an optional canonical initial point.
+    per-coordinate intervals; a -inf lower or +inf upper entry is replaced
+    by the default box's, and every other entry is kept.
+    ``known_solution``/``known_objective`` are optional reference data,
+    ``start`` an optional canonical initial point.
     """
 
     n: int
@@ -194,9 +195,10 @@ class SipProblem:
         if bounds is None:
             bounds = np.array([[-DEFAULT_BOUND, DEFAULT_BOUND]] * self.n)
         bounds = np.asarray(bounds, dtype=float).reshape(self.n, 2).copy()
-        # master solves need a finite box; clamp declared infinities
-        bounds[:, 0] = np.maximum(bounds[:, 0], -DEFAULT_BOUND)
-        bounds[:, 1] = np.minimum(bounds[:, 1], DEFAULT_BOUND)
+        # master solves need a finite box: -inf lower and +inf upper bounds
+        # stand for the default box, finite ones are kept as declared
+        bounds[bounds[:, 0] == -np.inf, 0] = -DEFAULT_BOUND
+        bounds[bounds[:, 1] == np.inf, 1] = DEFAULT_BOUND
         object.__setattr__(self, "x_bounds", bounds)
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",
@@ -265,6 +267,9 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     if np.any(bounds[:, 0] > bounds[:, 1]):
         issues.append("dimension mismatch: x_bounds has lower > upper")
     x_probe = np.clip(np.zeros(n), bounds[:, 0], bounds[:, 1])
+    if not np.isfinite(bounds).all():
+        issues.append("x_bounds: a bound is nan, a +inf lower or a -inf upper")
+        x_probe[~np.isfinite(x_probe)] = 0.0
     y_probe = np.zeros(m)
     z_probe = np.concatenate([x_probe, y_probe])
 

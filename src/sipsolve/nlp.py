@@ -23,6 +23,7 @@ constraint index.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -259,12 +260,25 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     return x, lam, work, "max_iter"
 
 
+@functools.lru_cache(maxsize=256)
+def _bound_rows(lo_finite: bytes, up_finite: bytes):
+    """The rows -e_i of the finite lower bounds, then +e_i of the finite
+    upper ones, and both index arrays; keyed by the finiteness masks as
+    bytes, built once per pattern and read-only."""
+    eye = np.eye(len(lo_finite))
+    lo_idx = np.flatnonzero(np.frombuffer(lo_finite, dtype=bool))
+    up_idx = np.flatnonzero(np.frombuffer(up_finite, dtype=bool))
+    rows = np.vstack([-eye[lo_idx], eye[up_idx]])
+    for array in (rows, lo_idx, up_idx):
+        array.flags.writeable = False
+    return rows, lo_idx, up_idx
+
+
 def _stack_rows(A: Array, b: Array, lower: Array, upper: Array):
     """Rows of A first, then finite lower bounds (-e_i), then upper (+e_i)."""
-    eye = np.eye(len(lower))
-    lo_idx = np.flatnonzero(np.isfinite(lower))
-    up_idx = np.flatnonzero(np.isfinite(upper))
-    C = np.vstack([A, -eye[lo_idx], eye[up_idx]])
+    rows, lo_idx, up_idx = _bound_rows(np.isfinite(lower).tobytes(),
+                                       np.isfinite(upper).tobytes())
+    C = np.vstack([A, rows])
     e = np.concatenate([b, -lower[lo_idx], upper[up_idx]])
     return C, e, lo_idx, up_idx
 

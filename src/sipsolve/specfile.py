@@ -147,10 +147,13 @@ def parse_spec(text: str) -> ProblemSpecFile:
                  f"x_bounds: expected {n} [lo, hi] pairs")
         _require(all(isinstance(pair, list) and len(pair) == 2 for pair in x_bounds),
                  "x_bounds: each entry must be a [lo, hi] pair")
-        # +-inf is no bound: SipProblem clamps it to the default box
+        # -inf lower and +inf upper are no bound: SipProblem puts the
+        # default box's there
         x_bounds = [[_number(v, f"x_bounds[{j}]", finite=False) for v in pair]
                     for j, pair in enumerate(x_bounds)]
-        for lo, hi in x_bounds:
+        for j, (lo, hi) in enumerate(x_bounds):
+            _require(lo != np.inf and hi != -np.inf,
+                     f"x_bounds[{j}]: [{lo}, {hi}] leaves no finite point")
             _require(lo <= hi, f"x_bounds: lower {lo} exceeds upper {hi}")
 
     def _point(key: str):

@@ -4,7 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sipsolve.expressions import Call, Expression, Neg, Num, Var
-from sipsolve.lower_level import LowerLevelError, solve_lower_level_global
+from sipsolve.lower_level import (TIE_TOL, TOL_FEAS, LowerLevelError,
+                                 solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem
 from sipsolve.sensitivity import LinearizedConstraint, linearized_value_and_gradient
 
@@ -240,3 +241,40 @@ def _print(node: Expression, parent_prec: int, right_side: bool) -> str:
 def to_string(expr: Expression) -> str:
     """Spec-file text of an expression."""
     return _print(expr, 0, False)
+
+
+# Reference constructions: the lower-level scan and the QP bound rows as they
+# were first written (one argsort, one np.linspace per start, np.eye per QP);
+# the vectorized versions in src must match them bit for bit
+
+def reference_best_nodes(values, count):
+    """Indices of the ``count`` best grid values, best first, ties in grid
+    order."""
+    return np.argsort(-values, kind="stable")[:count]
+
+
+def reference_ascending(g_y, vs, starts, y, step):
+    """``lower_level._ascending`` with one ``np.linspace`` per start."""
+    segments = []
+    for start in starts:
+        delta = y - start
+        in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
+        t = np.linspace(0.0, 1.0, int(np.ceil(np.linalg.norm(in_steps))) + 2)
+        segments.append(start + t[:, None] * delta)
+    pts = np.concatenate(segments)
+    first = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
+    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -TIE_TOL
+    ok[first] = True
+    for v in vs:
+        ok &= ~(v.value_batch(pts) > TOL_FEAS)
+    return np.logical_and.reduceat(ok, first)
+
+
+def reference_stack_rows(A, b, lower, upper):
+    """``nlp._stack_rows`` building the identity and bound rows per call."""
+    eye = np.eye(len(lower))
+    lo_idx = np.flatnonzero(np.isfinite(lower))
+    up_idx = np.flatnonzero(np.isfinite(upper))
+    C = np.vstack([A, -eye[lo_idx], eye[up_idx]])
+    e = np.concatenate([b, -lower[lo_idx], upper[up_idx]])
+    return C, e, lo_idx, up_idx

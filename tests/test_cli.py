@@ -209,6 +209,29 @@ class TestRun:
         assert "unreadable: " in captured.out.splitlines()[-1]
         assert captured.err.count("invalid spec file") == 2
 
+    @pytest.mark.parametrize("pair", ["[.inf, .inf]", "[-.inf, -.inf]"])
+    def test_bound_without_a_finite_point_is_a_configuration_error(
+            self, tmp_path, capsys, pair):
+        spec = tmp_path / "bad.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("[-2, 2]", pair))
+        assert main(["run", "--spec", str(spec)]) == 2
+        assert "x_bounds[0]: " in capsys.readouterr().err
+
+    def test_bounds_beyond_the_default_box_are_solved_in(self, tmp_path,
+                                                         capsys):
+        # min x1 s.t. x1 >= 0 in the box [2000, 3000]: the answer is the
+        # lower bound, one master step from x0
+        spec = tmp_path / "far.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("[-2, 2]", "[2000, 3000]")
+                        .replace("x0: [1]", "x0: [2001]"))
+        csv = tmp_path / "far.csv"
+        assert main(["run", "--spec", str(spec), "--csv", str(csv)]) == 0
+        out = capsys.readouterr().out
+        assert "tolerance_met after 1 iterations" in out
+        assert "qp_failure" not in out
+        last = csv.read_text().splitlines()[-1].split(",")
+        assert float(last[1]) == 2000.0
+
     def test_defaults_are_the_driver_defaults(self):
         args = build_parser().parse_args(["run", "--problem", "example1"])
         assert run_options(args) == DriverOptions()

@@ -9,7 +9,8 @@ from sipsolve.lower_level import (LowerLevelError, check_regularity,
 from sipsolve.model import ScalarField, SipProblem, grid_nodes
 
 from helpers import (interval_index_fields, narrow_peak_problem,
-                     pinned_index_problem, three_peak_problem, tie_problem)
+                     pinned_index_problem, reference_ascending,
+                     reference_best_nodes, three_peak_problem, tie_problem)
 
 
 class TestGlobalMaximizer:
@@ -189,6 +190,115 @@ class TestStartSelection:
         assert sol.y == pytest.approx([y_star], abs=1e-10)
         assert sol.multiple_global == tied
         assert sol.regularity.all_ok
+
+
+class _Recorded:
+    """A field over y that keeps the points of its last batch."""
+
+    def __init__(self, fn):
+        self.fn, self.pts = fn, None
+
+    def value_batch(self, pts):
+        self.pts = pts.copy()
+        return self.fn(pts)
+
+
+def _ascent_cases(rng):
+    """(starts, y, step) triples: random segments, zero-width axes, starts
+    equal to y, and segments whole numbers of grid steps long."""
+    for trial in range(400):
+        m = int(rng.integers(1, 4))
+        k = int(rng.integers(1, lower_level.N_STARTS))
+        scale = 10.0 ** rng.uniform(-3, 1)
+        y = rng.normal(size=m) * scale
+        step = np.abs(rng.normal(size=m)) * 10.0 ** rng.uniform(-3, 0)
+        if trial % 4 == 1:
+            step[rng.integers(m)] = 0.0
+        if trial % 4 == 2:
+            starts = y - rng.integers(-6, 7, size=(k, m)) * step
+        else:
+            starts = rng.normal(size=(k, m)) * scale
+        if trial % 3 == 0:
+            starts[rng.integers(k)] = y
+        yield starts, y, step
+
+
+class TestScanMatchesReference:
+    """The vectorized start selection and ascent test reproduce one argsort
+    and one np.linspace per start bit for bit."""
+
+    def test_start_selection(self):
+        rng = np.random.default_rng(5)
+        specials = np.array([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0])
+        for trial in range(600):
+            size = int(rng.integers(1, 3000 if trial % 10 == 0 else 40))
+            values = rng.integers(-3, 3, size=size).astype(float)
+            if trial % 2:
+                values = rng.normal(size=size)
+            mask = rng.random(size) < 0.3
+            values[mask] = rng.choice(specials, size=mask.sum())
+            for count in (1, 2, lower_level.N_STARTS):
+                got = lower_level._best_nodes(values, count)
+                want = reference_best_nodes(values, count)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (values, count)
+
+    def test_fewer_nodes_than_starts(self):
+        values = np.array([1.0, np.nan, 1.0, np.inf, -np.inf])
+        got = lower_level._best_nodes(values, lower_level.N_STARTS)
+        assert got.tolist() == [3, 0, 2, 4, 1]
+
+    def test_all_nan(self):
+        values = np.full(20, np.nan)
+        got = lower_level._best_nodes(values, lower_level.N_STARTS)
+        assert got.tolist() == list(range(lower_level.N_STARTS))
+
+    def test_ascent_segments(self):
+        rng = np.random.default_rng(7)
+        for starts, y, step in _ascent_cases(rng):
+            def wavy(pts):
+                return np.cos(3.0 * pts).sum(axis=1) - (pts ** 2).sum(axis=1)
+
+            def ring(pts):
+                return (pts ** 2).sum(axis=1) - 2.0 * float(y @ y) - 0.5
+
+            g_got, v_got = _Recorded(wavy), _Recorded(ring)
+            g_want, v_want = _Recorded(wavy), _Recorded(ring)
+            got = lower_level._ascending(g_got, [v_got], starts, y, step)
+            want = reference_ascending(g_want, [v_want], starts, y, step)
+            assert got.tobytes() == want.tobytes()
+            assert g_got.pts.shape == g_want.pts.shape
+            assert g_got.pts.tobytes() == g_want.pts.tobytes()
+            assert v_got.pts.tobytes() == g_want.pts.tobytes()
+
+    @pytest.mark.parametrize("legs", [[3.0, 4.0], [5.0, 12.0], [2.0, 3.0, 6.0]])
+    def test_segments_a_whole_number_of_steps_long(self, legs):
+        # |delta / step| within a few ulps of an integer: a sum of squares
+        # rounded otherwise than the per-row norm would change the count
+        legs = np.array(legs)
+        ulps = np.zeros(len(legs))
+        starts = []
+        for ulps[0] in range(-60, 61, 3):
+            for ulps[1] in range(-60, 61, 3):
+                starts.append(-(legs + ulps * np.spacing(legs)))
+        starts = np.array(starts)
+        y, step = np.zeros(len(legs)), np.ones(len(legs))
+        g_got = _Recorded(lambda pts: -(pts ** 2).sum(axis=1))
+        g_want = _Recorded(lambda pts: -(pts ** 2).sum(axis=1))
+        got = lower_level._ascending(g_got, [], starts, y, step)
+        want = reference_ascending(g_want, [], starts, y, step)
+        assert got.all() and want.all()
+        assert g_got.pts.tobytes() == g_want.pts.tobytes()
+
+    def test_start_at_the_maximizer_samples_its_two_ends(self):
+        y = np.array([0.25, -0.5])
+        g = _Recorded(lambda pts: -((pts - y) ** 2).sum(axis=1))
+        ok = lower_level._ascending(g, [], np.array([y, y + 0.1]), y,
+                                    np.array([0.0, 0.05]))
+        assert ok.tolist() == [True, True]
+        # 0.1 over a zero-width axis and 0.1 / 0.05 = 2 steps: 2 + 2 samples
+        assert len(g.pts) == 2 + 4
+        assert g.pts[:2].tolist() == [y.tolist()] * 2
 
 
 class TestKktMatrix:

@@ -244,6 +244,21 @@ class TestSipProblem:
         assert np.array_equal(p.x_bounds[0], [-1e3, 1e3])
         assert np.array_equal(p.x_bounds[1], [-1.0, 1.0])
 
+    def test_finite_bounds_beyond_the_default_box_are_kept(self):
+        p = _toy_problem(x_bounds=np.array([[2000.0, 3000.0],
+                                            [-5000.0, -1500.0]]))
+        assert np.array_equal(p.x_bounds, [[2000.0, 3000.0], [-5000.0, -1500.0]])
+        assert validate_problem(p).valid
+
+    @pytest.mark.parametrize("pair", [[np.inf, np.inf], [-np.inf, -np.inf]])
+    def test_bound_without_a_finite_point_is_reported(self, pair):
+        # only the infinity on the open side of the box is replaced
+        p = _toy_problem(x_bounds=np.array([pair, [-1.0, 1.0]]))
+        assert np.isinf(p.x_bounds[0]).sum() == 1
+        report = validate_problem(p)
+        assert not report.valid
+        assert any(msg.startswith("x_bounds:") for msg in report.issues)
+
     def test_default_bounds(self):
         p = _toy_problem(x_bounds=None)
         assert np.array_equal(p.x_bounds, [[-1e3, 1e3], [-1e3, 1e3]])

@@ -7,6 +7,8 @@ from sipsolve import nlp
 from sipsolve.model import ScalarField
 from sipsolve.nlp import NlpProblem, NlpSolution, field_rows, solve_nlp, solve_qp
 
+from helpers import reference_stack_rows
+
 
 # ---------------------------------------------------------------------------
 # Quadratic subproblems
@@ -97,6 +99,77 @@ class TestSolveQp:
         assert r.multipliers.min() >= 0.0
         assert np.abs(r.multipliers * (A @ r.step - b)).max() <= 1e-12
         assert len(r.active) <= d
+
+
+def _same_qp(a, b) -> bool:
+    """Two QpResults hold the same bits."""
+    arrays = ("step", "multipliers", "lower_multipliers", "upper_multipliers")
+    return (all(getattr(a, k).tobytes() == getattr(b, k).tobytes() for k in arrays)
+            and (a.status, a.active) == (b.status, b.active))
+
+
+def _bound_row_cases(rng):
+    """QPs whose bounds are absent, partly infinite or all finite, in
+    alternating dimensions; zero is feasible."""
+    for trial in range(120):
+        d = (1, 2, 3, 5)[trial % 4]
+        M = rng.normal(size=(d, d))
+        H = M @ M.T + 0.5 * np.eye(d)
+        g = rng.normal(size=d) * 3.0
+        A = rng.normal(size=(int(rng.integers(0, 4)), d))
+        b = rng.uniform(0.0, 1.0, size=len(A))
+        lower = -rng.uniform(0.1, 1.0, size=d)
+        upper = rng.uniform(0.1, 1.0, size=d)
+        lower[rng.random(d) < 0.4] = -np.inf
+        upper[rng.random(d) < 0.4] = np.inf
+        bounds = ((None, None), (lower, None), (None, upper), (lower, upper))
+        yield (H, g, A, b) + bounds[trial % 3 if trial % 5 else 3]
+
+
+class TestBoundRows:
+    """The bound rows are built once per (dimension, finite pattern); every
+    QP returns the bits of the rows built per call."""
+
+    def test_interleaved_calls_match_the_per_call_rows(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for case in _bound_row_cases(rng):
+            # a cold solve, then a hot start from its working set
+            cold = solve_qp(*case)
+            hot = solve_qp(*case, cold.active)
+            with monkeypatch.context() as patched:
+                patched.setattr(nlp, "_stack_rows", reference_stack_rows)
+                assert _same_qp(cold, solve_qp(*case))
+                assert _same_qp(hot, solve_qp(*case, cold.active))
+            assert cold.status == hot.status == "optimal"
+
+    def test_elastic_layout_matches_the_per_call_rows(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        for H, g, A, b, lower, upper in _bound_row_cases(rng):
+            d = len(g)
+            lower = np.full(d, -np.inf) if lower is None else lower
+            upper = np.full(d, np.inf) if upper is None else upper
+            # two opposite rows that no point satisfies
+            A = np.vstack([A, np.eye(d)[:1], -np.eye(d)[:1]])
+            b = np.concatenate([b, [-0.5, -0.5]])
+            got = nlp._solve_qp_elastic(H, g, A, b, lower, upper, 1e4)
+            with monkeypatch.context() as patched:
+                patched.setattr(nlp, "_stack_rows", reference_stack_rows)
+                want = nlp._solve_qp_elastic(H, g, A, b, lower, upper, 1e4)
+            assert _same_qp(got, want)
+            assert got.status == "optimal"
+
+    def test_cached_rows_are_read_only(self):
+        lower = np.array([-1.0, -np.inf, -2.0])
+        upper = np.array([np.inf, 1.0, 3.0])
+        C, _, lo_idx, up_idx = nlp._stack_rows(np.zeros((0, 3)), np.zeros(0),
+                                               lower, upper)
+        rows, cached_lo, cached_up = nlp._bound_rows(
+            np.isfinite(lower).tobytes(), np.isfinite(upper).tobytes())
+        assert lo_idx is cached_lo and up_idx is cached_up
+        assert C.tobytes() == rows.tobytes()
+        for array in (rows, cached_lo, cached_up):
+            with pytest.raises(ValueError):
+                array[0] = 7
 
 
 def _qp_oracle(H, g, A, b, lower, upper):

@@ -102,6 +102,18 @@ class TestParseSpec:
         assert sf.x_bounds == [[-np.inf, np.inf], [-1.0, 1.0]]
         assert compile_spec(sf).x_bounds.tolist() == [[-1e3, 1e3], [-1.0, 1.0]]
 
+    def test_finite_bounds_beyond_the_default_box_are_kept(self):
+        sf = parse_spec(GOOD.replace("- [-1, 1]", "- [2000, 3000]", 1))
+        assert compile_spec(sf).x_bounds.tolist() == [[2000.0, 3000.0], [-1.0, 1.0]]
+
+    @pytest.mark.parametrize("pair", ["[.inf, .inf]", "[-.inf, -.inf]",
+                                      "[.inf, 1]", "[-1, -.inf]"])
+    def test_bound_without_a_finite_point_rejected(self, pair):
+        with pytest.raises(SpecFileError) as exc:
+            parse_spec(GOOD.replace("- [-1, 1]", f"- {pair}", 1))
+        assert "x_bounds[0]: " in str(exc.value)
+        assert "leaves no finite point" in str(exc.value)
+
     def test_empty_si_list_rejected(self):
         doc = ("n: 1\nm: 1\nobjective: x1\nsi_constraints: []\n"
                "index_constraints:\n  - y1 - 1\n")
