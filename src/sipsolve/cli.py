@@ -153,6 +153,10 @@ def cmd_run(args) -> int:
             "use --mode practical")
     if problem.start is None:
         raise ConfigError(f"problem {problem.name} has no start point (x0)")
+    bounds = problem.x_bounds
+    if np.any(problem.start < bounds[:, 0]) or np.any(problem.start > bounds[:, 1]):
+        raise ConfigError(f"problem {problem.name}: x0 {problem.start.tolist()} "
+                          "lies outside x_bounds")
     opts = run_options(args)
     algorithms = ["bf", "qcad"] if args.alg == "both" else [args.alg]
     results = {}

@@ -16,10 +16,11 @@ is checked for negative curvature of its Lagrangian on the critical cone
 master steps along it and is solved again from there (``_solve_master``).
 
 Iterate bookkeeping: ``history[0]`` is the input point.  Each iteration
-solves the lower levels at x^k, records the iterate, checks termination,
-extends the discretization and solves the master for x^{k+1}.  The record
-for iterate k therefore carries the multipliers of the master that
-produced x^k (none for k = 0).
+solves the lower levels at x^k (following the maximizers found at x^{k-1},
+see ``lower_level``), records the iterate, checks termination, extends the
+discretization and solves the master for x^{k+1}.  The record for iterate
+k therefore carries the multipliers of the master that produced x^k (none
+for k = 0).
 """
 from __future__ import annotations
 
@@ -270,6 +271,8 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
         raise ValueError(f"x0 must have shape ({problem.n},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
+    if np.any(x < problem.x_bounds[:, 0]) or np.any(x > problem.x_bounds[:, 1]):
+        raise ValueError(f"x0 {x.tolist()} lies outside x_bounds")
     if opts.mode == "known" and problem.known_solution is None:
         raise ValueError("known-solution mode needs a problem with a known solution")
 
@@ -283,6 +286,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
     stagnant = 0
     status = "max_iter"
     grid = None         # the lower-level grid, built at the first iteration
+    ll = None           # the lower-level solutions at the previous iterate
 
     try:
         for k in range(opts.max_iter + 1):
@@ -290,7 +294,7 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
             try:
                 if grid is None:
                     grid = index_grid(problem)
-                ll = solve_all_lower_levels(problem, x, grid)
+                ll = solve_all_lower_levels(problem, x, grid, ll)
             except LowerLevelError as exc:
                 warnings.append(f"iteration {k}: lower-level solve failed: {exc}")
                 status = "subsolver_failure"
@@ -348,7 +352,11 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
 
             improved = feasibility < best_feasibility - 1e-12
             best_feasibility = min(best_feasibility, feasibility)
-            if not added_any and not improved:
+            # a master step that reached its trust box is still descending
+            full_step = prev_x is not None and bool(np.any(
+                (x >= prev_x + opts.trust_radius)
+                | (x <= prev_x - opts.trust_radius)))
+            if not added_any and not improved and not full_step:
                 stagnant += 1
                 if stagnant >= _STAGNATION_LIMIT:
                     msg = (f"iteration {k}: no new discretization points and no "

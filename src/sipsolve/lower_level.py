@@ -10,7 +10,18 @@ multipliers of its inactive constraints zeroed.  Each local maximum is one
 record (value, point, multipliers, and the active set its polish used).  The
 KKT system is built only by ``kkt_residual`` and ``kkt_jacobian``: once per
 Newton step of the polish, and once at the returned maximizer, whose matrix
-the solution stores for ``check_regularity`` and ``compute_sensitivity``.
+the solution stores for ``check_regularity`` and ``compute_sensitivity``
+(a followed maximizer, below, brings the matrix of its SOSC test along).
+
+Continuation: at a regular maximizer the solution map y*(x) is smooth, so
+the maximizer of the previous iterate is a few Newton steps from the new
+one.  Given the family's solution at an earlier x, the solver first
+polishes from its point, active set and multipliers at the new x
+(``_followed``) and keeps the result as a maximizer already found when the
+polish converges, the constraints active at the new point are the same
+set, and the point passes the SOSC test; every start is then checked
+against it like against any other maximizer (the local reduction view of
+SIP, Hettich & Kortanek, SIAM Review 35, 1993).
 
 One local run per basin: a start is skipped when the straight segment from
 it to a maximizer already found, sampled one grid step apart, stays in the
@@ -22,8 +33,9 @@ are built in one vectorized pass and evaluated in one ``value_batch`` per
 field.  The starts are the ``N_STARTS`` best feasible grid nodes, best first
 and ties in grid order; ``np.partition`` cuts the grid values at the
 ``N_STARTS``-th best and only the nodes above the cut are sorted.  Distinct
-nodes are at least one grid step apart.  The best start always runs, so the
-returned value still dominates the grid.
+nodes are at least one grid step apart.  The best start runs unless the
+followed maximum is at least its grid value; either way the returned value
+still dominates the grid.
 
 The bounding box is read off the index constraints when they are recognized
 as interval bounds (affine with a +/- unit-vector gradient); otherwise a
@@ -244,13 +256,18 @@ def check_regularity(sol: "LowerLevelSolution") -> RegularityFlags:
         licq = bool(len(active) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
 
     strict = all(mu[l] >= _STRICT_COMP_TOL for l in active)
+    return RegularityFlags(licq, strict, _sosc(jac, mu[active], m))
 
-    strong = [row for row, l in enumerate(active) if mu[l] > _STRICT_COMP_TOL]
-    null_basis = null_space(va[strong], m)
+
+def _sosc(jac: Array, mu_a: Array, m: int) -> bool:
+    """Whether the Lagrangian Hessian of the KKT matrix ``jac``, projected
+    onto the null space of the strongly active constraint gradients, is
+    negative definite; ``mu_a`` holds the multipliers of the active rows."""
+    strong = np.flatnonzero(mu_a > _STRICT_COMP_TOL)
+    null_basis = null_space(jac[m:, :m][strong], m)
     projected = -(null_basis.T @ jac[:m, :m] @ null_basis)
-    sosc = bool(not len(projected)
+    return bool(not len(projected)
                 or np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
-    return RegularityFlags(licq, strict, sosc)
 
 
 def _best_nodes(values: Array, count: int) -> Array:
@@ -299,15 +316,44 @@ def _ascending(g_y, vs, starts: Array, y: Array, step: Array) -> Array:
     return np.logical_and.reduceat(ok, first)
 
 
+def _followed(problem: SipProblem, i: int, x: Array, g_y,
+              previous: LowerLevelSolution):
+    """The maximizer of ``previous`` (family i at an earlier x) followed to
+    x: the polish from its point, active set and multipliers.  A candidate
+    ``(value, y, mu, active, (kkt_matrix, d2_yx))``, or None unless the
+    polish converges, the constraints active at the new point (by the rule
+    of the grid path) are that active set, and the point passes the SOSC
+    test of ``check_regularity``."""
+    vs = problem.index_constraints
+    active = list(previous.active_set)
+    polished = _polish_kkt(problem, i, x, previous.y, active,
+                           previous.multipliers[active])
+    if polished is None:
+        return None
+    y, mu_a = polished
+    if [l for l, v in enumerate(vs) if v.value(y) >= -TOL_ACT] != active:
+        return None
+    kkt = kkt_jacobian(problem, i, x, y, active, mu_a)
+    if not _sosc(kkt[0], mu_a, problem.m):
+        return None
+    mu = np.zeros(len(vs))
+    mu[active] = mu_a
+    return float(g_y.value(y)), y, mu, tuple(active), kkt
+
+
 def solve_lower_level_global(
         problem: SipProblem, i: int, x,
-        grid: Optional[IndexGrid] = None) -> LowerLevelSolution:
+        grid: Optional[IndexGrid] = None,
+        previous: Optional[LowerLevelSolution] = None) -> LowerLevelSolution:
     """Grid multistart with local refinement; value dominates the grid.
 
     Guarantee: the returned value is >= the best value over the feasible
     grid nodes (up to 1e-12).  Value ties within ``TIE_TOL`` among distinct
     local maxima are flagged via ``multiple_global``.  ``grid`` is
-    ``index_grid(problem)``, built here when not given.
+    ``index_grid(problem)``, built here when not given.  ``previous`` is
+    this family's solution at an earlier x, whose maximizer is followed to
+    x before any start runs (``_followed``); without it every start is
+    cold.
     """
     x = np.asarray(x, dtype=float)
     n, m = problem.n, problem.m
@@ -320,7 +366,8 @@ def solve_lower_level_global(
     g_y = restrict_to_y(g, n, x)
     values = g_y.value_batch(nodes)
 
-    starts = nodes[_best_nodes(values, N_STARTS)]
+    picked = _best_nodes(values, N_STARTS)
+    starts = nodes[picked]
     grid_best = float(values.max())
 
     box = grid.box
@@ -329,8 +376,15 @@ def solve_lower_level_global(
     nlp_hi = box[:, 1] + 0.05 * width
     local = NlpProblem(m, negated(g_y), field_rows(vs), nlp_lo, nlp_hi)
 
-    candidates = []   # (value, y, mu, active)
+    candidates = []   # (value, y, mu, active, its KKT matrix or None)
     skipped = np.zeros(len(starts), dtype=bool)
+    followed = (_followed(problem, i, x, g_y, previous)
+                if previous is not None else None)
+    if followed is not None:
+        candidates.append(followed)
+        # a start above the followed maximum cannot climb to it
+        skipped = _ascending(g_y, vs, starts, followed[1], grid.step) \
+            & (values[picked] <= followed[0] + 1e-12)
     for k, start in enumerate(starts):
         if skipped[k]:
             continue
@@ -347,7 +401,8 @@ def solve_lower_level_global(
             mu[active] = mu_a
         else:
             mu = np.where(v_loc >= -TOL_ACT, mu, 0.0)
-        candidates.append((float(g_y.value(y_loc)), y_loc, mu, tuple(active)))
+        candidates.append(
+            (float(g_y.value(y_loc)), y_loc, mu, tuple(active), None))
         # a later start on an ascent path to this maximizer would climb to it
         later = k + 1 + np.flatnonzero(~skipped[k + 1:])
         if len(later):
@@ -370,10 +425,12 @@ def solve_lower_level_global(
             f"lower level {i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
     tied = [c for c in clusters if c[0] >= best_value - TIE_TOL]
-    value, y_star, mu, active = min(tied, key=lambda c: tuple(c[1]))
+    value, y_star, mu, active, kkt = min(tied, key=lambda c: tuple(c[1]))
 
     mu_a = mu[list(active)]
-    kkt_matrix, d2_yx = kkt_jacobian(problem, i, x, y_star, active, mu_a)
+    if kkt is None:
+        kkt = kkt_jacobian(problem, i, x, y_star, active, mu_a)
+    kkt_matrix, d2_yx = kkt
     sol = LowerLevelSolution(
         index=i, x=x.copy(), y=y_star, multipliers=mu, value=value,
         active_set=active,
@@ -389,9 +446,12 @@ def solve_lower_level_global(
 
 
 def solve_all_lower_levels(problem: SipProblem, x,
-                           grid: Optional[IndexGrid] = None) -> list:
-    """One global lower-level solve per semi-infinite constraint."""
+                           grid: Optional[IndexGrid] = None,
+                           previous: Optional[list] = None) -> list:
+    """One global lower-level solve per semi-infinite constraint;
+    ``previous`` is the list this returned at an earlier x, if any."""
     if grid is None:
         grid = index_grid(problem)
-    return [solve_lower_level_global(problem, i, x, grid)
+    return [solve_lower_level_global(problem, i, x, grid,
+                                     previous[i] if previous else None)
             for i in range(problem.n_si)]

@@ -73,24 +73,46 @@ def tie_problem():
                       start=np.array([0.5]), name="tie")
 
 
-def three_peak_problem():
-    """g(x, y) = cos(3 pi y) - x y on [-1,1]: local maxima near -2/3, 0, 2/3.
+def three_peak_problem(scale=1.0):
+    """g(x, y) = scale (cos(3 pi y) - x y) on [-1,1]: local maxima near
+    -2/3, 0, 2/3.
 
-    At x = 0 the three tie at value 1; x > 0 tilts the left one to the top.
+    At x = 0 the three tie at value scale; x > 0 tilts the left one to the
+    top.
     """
     w = 3.0 * np.pi
     f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),
                     hessian=lambda x: np.zeros((1, 1)), name="f_peaks")
     g = ScalarField(
-        2, lambda z: np.cos(w * z[1]) - z[0] * z[1],
-        lambda z: np.array([-z[1], -w * np.sin(w * z[1]) - z[0]]),
-        hessian=lambda z: np.array([[0.0, -1.0],
-                                    [-1.0, -w * w * np.cos(w * z[1])]]),
-        value_batch=lambda pts: np.cos(w * pts[:, 1]) - pts[:, 0] * pts[:, 1],
+        2, lambda z: scale * (np.cos(w * z[1]) - z[0] * z[1]),
+        lambda z: scale * np.array([-z[1], -w * np.sin(w * z[1]) - z[0]]),
+        hessian=lambda z: scale * np.array([[0.0, -1.0],
+                                            [-1.0, -w * w * np.cos(w * z[1])]]),
+        value_batch=lambda pts: scale * (np.cos(w * pts[:, 1])
+                                         - pts[:, 0] * pts[:, 1]),
         name="g_peaks")
     return SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
                       index_constraints=interval_index_fields(),
                       x_bounds=np.array([[-1.0, 1.0]]), name="three_peaks")
+
+
+def two_peak_problem():
+    """g(x, y) = -(y^2 - 1/4)^2 + x y on [-1,1]: local maxima near -1/2 and
+    1/2, a local minimum at y = 0 when x = 0.  The right peak is the global
+    one for x > 0, the left one for x < 0."""
+    f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),
+                    hessian=lambda x: np.zeros((1, 1)), name="f_two_peaks")
+    g = ScalarField(
+        2, lambda z: -(z[1] ** 2 - 0.25) ** 2 + z[0] * z[1],
+        lambda z: np.array([z[1], -4.0 * z[1] * (z[1] ** 2 - 0.25) + z[0]]),
+        hessian=lambda z: np.array([[0.0, 1.0],
+                                    [1.0, 1.0 - 12.0 * z[1] ** 2]]),
+        value_batch=lambda pts: (-(pts[:, 1] ** 2 - 0.25) ** 2
+                                 + pts[:, 0] * pts[:, 1]),
+        name="g_two_peaks")
+    return SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
+                      index_constraints=interval_index_fields(),
+                      x_bounds=np.array([[-1.0, 1.0]]), name="two_peaks")
 
 
 def pinned_index_problem():

@@ -232,6 +232,17 @@ class TestRun:
         last = csv.read_text().splitlines()[-1].split(",")
         assert float(last[1]) == 2000.0
 
+    def test_start_outside_the_box_is_a_configuration_error(self, tmp_path,
+                                                            capsys):
+        spec = tmp_path / "outside.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("[-2, 2]", "[2000, 3000]"))
+        assert main(["run", "--spec", str(spec), "--alg", "both"]) == 2
+        captured = capsys.readouterr()
+        assert ("error: problem outside: x0 [1.0] lies outside x_bounds"
+                in captured.err)
+        assert "tolerance_met" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_defaults_are_the_driver_defaults(self):
         args = build_parser().parse_args(["run", "--problem", "example1"])
         assert run_options(args) == DriverOptions()

@@ -144,6 +144,19 @@ class TestConvergenceBehavior:
         assert any("no new discretization points and no feasibility progress"
                    in w for w in r.warnings)
 
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_descent_at_the_full_trust_radius_is_progress(self, runner):
+        # min x1 s.t. x1 >= -y^2 in the box [2000, 3000]: every master steps
+        # the trust radius down, the maximizer y = 0 repeats and the
+        # feasibility -x1 only rises, yet the run is far from stalled
+        problem = replace(onestep_problem(),
+                          x_bounds=np.array([[2000.0, 3000.0]]),
+                          start=np.array([2500.0]))
+        r = runner(problem, opts=DriverOptions(max_iter=6))
+        assert r.final_status == "max_iter"
+        assert [rec.x[0] for rec in r.history] == [2500.0 - 2.0 * k
+                                                   for k in range(7)]
+
     def test_regularity_warning_at_degenerate_start(self, ex2_qcad_known):
         r = ex2_qcad_known.result
         assert any("regularity failed for constraint 0" in w
@@ -181,8 +194,8 @@ class TestConvergenceBehavior:
         # from this start two masters stop moving long before max_iter:
         # every accepted step rounds back to the same z.  Cutting such a
         # solve short must leave the run exactly as running every step.
-        x0 = [0.03499384480157308, -0.23780634716635007, 1.4844926961990392,
-              1.1773784291182752, 0.43138456473068754]
+        x0 = [0.9320362924289076, 0.5860391173142572, 1.7993953104363045,
+              1.7204577058647854, -0.009712259136400503]
         opts = DriverOptions(mode="known", tol_dist=1e-4)
         statuses, qps = [], []
         solve, qp = driver.solve_nlp, nlp.solve_qp
@@ -285,6 +298,12 @@ class TestInputValidation:
         with pytest.raises(ValueError):
             run_blankenship_falk(always_violated_problem(),
                                  opts=DriverOptions(mode="known"))
+
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    @pytest.mark.parametrize("x0", [[-2.5], [2.0 + 1e-12]])
+    def test_start_outside_the_box(self, runner, x0):
+        with pytest.raises(ValueError, match="outside x_bounds"):
+            runner(onestep_problem(), x0=np.array(x0))
 
     def test_problem_without_start_needs_x0(self):
         with pytest.raises(ValueError, match="has no start point"):

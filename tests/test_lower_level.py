@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from sipsolve import lower_level
-from sipsolve.lower_level import (LowerLevelError, check_regularity,
-                                  index_set_box, kkt_jacobian,
-                                  solve_all_lower_levels,
+from sipsolve import (DriverOptions, driver, lower_level, run_blankenship_falk,
+                      run_qcad)
+from sipsolve.lower_level import (GRID_PER_DIM, LowerLevelError,
+                                  check_regularity, index_set_box,
+                                  kkt_jacobian, solve_all_lower_levels,
                                   solve_lower_level_global)
-from sipsolve.model import ScalarField, SipProblem, grid_nodes
+from sipsolve.model import ScalarField, SipProblem, grid_nodes, restrict_to_y
+from sipsolve.problems import get_problem
 
 from helpers import (interval_index_fields, narrow_peak_problem,
                      pinned_index_problem, reference_ascending,
-                     reference_best_nodes, three_peak_problem, tie_problem)
+                     reference_best_nodes, three_peak_problem, tie_problem,
+                     two_peak_problem)
 
 
 class TestGlobalMaximizer:
@@ -190,6 +195,110 @@ class TestStartSelection:
         assert sol.y == pytest.approx([y_star], abs=1e-10)
         assert sol.multiple_global == tied
         assert sol.regularity.all_ok
+
+
+def _assert_same_record(warm, cold):
+    assert np.abs(warm.y - cold.y).max() <= 1e-10
+    assert warm.active_set == cold.active_set
+    assert warm.regularity == cold.regularity
+
+
+class TestContinuation:
+    """A solve given the record of an earlier x follows its maximizer by
+    Newton steps on the KKT system; the result is the cold solve's."""
+
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_driver_runs_no_local_sqp_after_the_first_iterate(
+            self, dc, runner, local_runs, monkeypatch):
+        runs_before = []
+        solve_all = driver.solve_all_lower_levels
+
+        def recorded(*args, **kwargs):
+            runs_before.append(len(local_runs))
+            return solve_all(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "solve_all_lower_levels", recorded)
+        result = runner(dc, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert result.final_status == "tolerance_met"
+        assert len(result.history) > 2
+        assert runs_before[1] == len(local_runs) > 0
+        for rec in result.history[1:]:
+            for sol in rec.lower_level:
+                _assert_same_record(
+                    sol, solve_lower_level_global(dc, sol.index, rec.x))
+
+    def test_maximizer_reaching_a_bound_with_zero_multiplier(self, ex2,
+                                                             local_runs):
+        # y* = x1^2 is interior at x1 = 0.99 and sits on y <= 1 with a zero
+        # multiplier at x1 = 1; followed with no active constraint it would
+        # pass as a strictly complementary maximizer
+        previous = solve_lower_level_global(ex2, 0, np.array([0.99, 0.13]))
+        assert previous.active_set == ()
+        x = np.array([1.0, 0.13])
+        cold = solve_lower_level_global(ex2, 0, x)
+        local_runs.clear()
+        warm = solve_lower_level_global(ex2, 0, x, previous=previous)
+        assert local_runs
+        _assert_same_record(warm, cold)
+        assert warm.active_set == (0,)
+        assert not warm.regularity.strict_complementarity
+
+    @pytest.mark.parametrize("x_prev, x", [(0.1, -0.1), (-0.1, 0.1)])
+    def test_global_maximizer_switches_peaks(self, x_prev, x):
+        p = two_peak_problem()
+        previous = solve_lower_level_global(p, 0, np.array([x_prev]))
+        warm = solve_lower_level_global(p, 0, np.array([x]),
+                                        previous=previous)
+        _assert_same_record(warm, solve_lower_level_global(p, 0, np.array([x])))
+        assert np.sign(warm.y[0]) == -np.sign(previous.y[0]) == np.sign(x)
+        assert len(warm.local_maxima) == 2
+
+    def test_start_above_the_followed_maximum_runs(self):
+        # scaled to 1e-9, the family falls by less than TIE_TOL between any
+        # two samples, so every start passes the ascent test to the followed
+        # right peak; the best grid node lies above that peak and still runs
+        p = three_peak_problem(scale=1e-9)
+        previous = solve_lower_level_global(p, 0, np.array([-0.05]))
+        x = np.array([0.05])
+        warm = solve_lower_level_global(p, 0, x, previous=previous)
+        _assert_same_record(warm, solve_lower_level_global(p, 0, x))
+        assert warm.y[0] < 0.0 < previous.y[0]
+
+    def test_followed_local_minimizer_fails_sosc(self):
+        # at x = 0, y = 0 is a KKT point of the lower level: the polish
+        # converges there at once, but g has curvature +1 in y
+        p = two_peak_problem()
+        x = np.array([0.0])
+        cold = solve_lower_level_global(p, 0, x)
+        previous = replace(cold, y=np.array([0.0]), active_set=(),
+                           multipliers=np.zeros(2))
+        assert lower_level._polish_kkt(p, 0, x, previous.y, [],
+                                       np.zeros(0)) is not None
+        g_y = restrict_to_y(p.si_constraints[0], p.n, x)
+        assert lower_level._followed(p, 0, x, g_y, previous) is None
+        warm = solve_lower_level_global(p, 0, x, previous=previous)
+        _assert_same_record(warm, cold)
+
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "design_centering"])
+    def test_driver_records_dominate_the_fine_grid(self, name):
+        # criterion 09's 640-per-axis grid, at every iterate of both drivers
+        problem = get_problem(name)
+        box, _ = index_set_box(problem)
+        nodes = grid_nodes(box, 10 * GRID_PER_DIM)
+        for v in problem.index_constraints:
+            nodes = nodes[v.value_batch(nodes) <= 1e-9]
+        opts = DriverOptions(mode="known", tol_dist=1e-4)
+        for runner in (run_blankenship_falk, run_qcad):
+            result = runner(problem, opts=opts)
+            assert result.final_status == "tolerance_met"
+            for rec in result.history:
+                z = np.column_stack(
+                    [np.broadcast_to(rec.x, (len(nodes), problem.n)), nodes])
+                for sol in rec.lower_level:
+                    grid_best = problem.si_constraints[sol.index] \
+                        .value_batch(z).max()
+                    assert grid_best <= sol.value + 1e-9
 
 
 class _Recorded:
