@@ -23,11 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import estimate_order, feasibility_measure, stationarity_residual
-from .driver import DriverOptions, RunResult, run_blankenship_falk, run_qcad
+from .driver import (DriverOptions, RunResult, check_start,
+                     run_blankenship_falk, run_qcad)
 from .model import (FieldEvaluationError, SipProblem, validate_problem,
                     verify_derivatives)
 from .expressions import SpecParseError
-from .lower_level import LowerLevelError
+from .lower_level import LowerLevelError, solve_all_lower_levels
 from .problems import REGISTRY, get_problem
 from .specfile import SpecFileError, load_problem
 
@@ -147,17 +148,11 @@ def run_options(args) -> DriverOptions:
 
 def cmd_run(args) -> int:
     problem = _load(args)
-    if args.mode == "known" and problem.known_solution is None:
-        raise ConfigError(
-            f"problem {problem.name!r} has no known solution; "
-            "use --mode practical")
-    if problem.start is None:
-        raise ConfigError(f"problem {problem.name} has no start point (x0)")
-    bounds = problem.x_bounds
-    if np.any(problem.start < bounds[:, 0]) or np.any(problem.start > bounds[:, 1]):
-        raise ConfigError(f"problem {problem.name}: x0 {problem.start.tolist()} "
-                          "lies outside x_bounds")
     opts = run_options(args)
+    try:
+        check_start(problem, None, opts.mode)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     algorithms = ["bf", "qcad"] if args.alg == "both" else [args.alg]
     results = {}
     for alg in algorithms:
@@ -228,8 +223,9 @@ def cmd_verify(args) -> int:
     if problem.known_solution is not None:
         x_star = problem.known_solution
         try:
-            feas = feasibility_measure(problem, x_star)
-            stat = stationarity_residual(problem, x_star)
+            ll = solve_all_lower_levels(problem, x_star)
+            feas = feasibility_measure(ll)
+            stat = stationarity_residual(problem, x_star, ll)
         except (ArithmeticError, FieldEvaluationError, LowerLevelError) as exc:
             print(f"known solution: {exc}")
             failures.append("known solution cannot be evaluated")

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lower_level import solve_all_lower_levels
 from .model import SipProblem
 from .nlp import solve_qp
 
@@ -46,14 +45,13 @@ class OrderEstimate:
     pairs_used: int
 
 
-def feasibility_measure(problem: SipProblem, x, ll_solutions=None) -> float:
-    """max_i phi_i(x) with phi_i the optimal lower-level value.
+def feasibility_measure(ll_solutions) -> float:
+    """max_i phi_i(x) with phi_i the optimal lower-level value, read off the
+    lower-level solutions at x.
 
     Negative values mean strict feasibility of every semi-infinite
-    constraint.  Pass precomputed lower-level solutions to avoid re-solving.
+    constraint.
     """
-    if ll_solutions is None:
-        ll_solutions = solve_all_lower_levels(problem, x)
     return max(s.value for s in ll_solutions)
 
 
@@ -84,17 +82,16 @@ def _active_columns(problem: SipProblem, x, ll_solutions) -> list:
     return columns
 
 
-def stationarity_residual(problem: SipProblem, x, ll_solutions=None) -> float:
+def stationarity_residual(problem: SipProblem, x, ll_solutions) -> float:
     """Nonnegative least-squares fit of -grad f by active constraint gradients.
 
     residual = min_{lambda >= 0} || grad f(x) + sum_c lambda_c grad c(x) ||
     over the active semi-infinite indices, active finite constraints and
     active bounds.  Zero residual at a KKT point of the SIP; inf when grad f
-    or an active gradient is not finite.
+    or an active gradient is not finite.  ``ll_solutions`` are the
+    lower-level solutions at x.
     """
     x = np.asarray(x, dtype=float)
-    if ll_solutions is None:
-        ll_solutions = solve_all_lower_levels(problem, x)
     fgrad = problem.objective.gradient(x)
     columns = _active_columns(problem, x, ll_solutions)
     if not all(np.isfinite(v).all() for v in [fgrad, *columns]):

@@ -20,7 +20,10 @@ solves the lower levels at x^k (following the maximizers found at x^{k-1},
 see ``lower_level``), records the iterate, checks termination, extends the
 discretization and solves the master for x^{k+1}.  The record for iterate
 k therefore carries the multipliers of the master that produced x^k (none
-for k = 0).
+for k = 0).  Each warning of iteration k is written once, to that record;
+``RunResult.warnings`` is the records' warnings in order, then the message
+of the failure that stopped the run, if one did.  ``check_start`` holds
+the checks of the start point, which ``sipsolve run`` makes too.
 """
 from __future__ import annotations
 
@@ -30,7 +33,8 @@ from typing import Optional
 
 import numpy as np
 
-from .diagnostics import perturbation_params, stationarity_residual
+from .diagnostics import (feasibility_measure, perturbation_params,
+                          stationarity_residual)
 from .lower_level import LowerLevelError, index_grid, solve_all_lower_levels
 from .model import FieldEvaluationError, ScalarField, SipProblem
 from .nlp import (LS_MAX, NlpProblem, Rows, field_rows, negative_curvature,
@@ -73,10 +77,6 @@ class DiscretizationState:
                 return False
         self.points[i].append(y.copy())
         return True
-
-    def copy(self) -> "DiscretizationState":
-        return DiscretizationState(
-            points=[[y.copy() for y in fam] for fam in self.points])
 
     def total_points(self) -> int:
         return sum(len(fam) for fam in self.points)
@@ -259,9 +259,14 @@ def _solve_master(nlp: NlpProblem, x: Array):
     return _snap_to_bounds(nlp, sol)
 
 
-def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
-         opts: DriverOptions, use_linearization: bool,
-         algorithm: str) -> RunResult:
+def check_start(problem: SipProblem, x0, mode: str) -> Array:
+    """The start point of a run as a float copy: ``x0``, or the problem's
+    own start when None.  Raises ValueError when known-solution ``mode``
+    has no known solution, or when there is no start, it has the wrong
+    shape, is not finite or lies outside ``x_bounds``."""
+    if mode == "known" and problem.known_solution is None:
+        raise ValueError(f"problem {problem.name!r} has no known solution; "
+                         "use --mode practical")
     if x0 is None:
         x0 = problem.start
     if x0 is None:
@@ -272,13 +277,17 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     if np.any(x < problem.x_bounds[:, 0]) or np.any(x > problem.x_bounds[:, 1]):
-        raise ValueError(f"x0 {x.tolist()} lies outside x_bounds")
-    if opts.mode == "known" and problem.known_solution is None:
-        raise ValueError("known-solution mode needs a problem with a known solution")
+        raise ValueError(f"problem {problem.name}: x0 {x.tolist()} "
+                         "lies outside x_bounds")
+    return x
 
-    disc = d0.copy() if d0 is not None else DiscretizationState.empty(problem.n_si)
+
+def _run(problem: SipProblem, x0, opts: DriverOptions,
+         use_linearization: bool, algorithm: str) -> RunResult:
+    x = check_start(problem, x0, opts.mode)
+    disc = DiscretizationState.empty(problem.n_si)
     history = []
-    warnings = []
+    failure = None      # the message of a run that stops on a failure
     prev_x = None
     prev_lambda_bar = None
     prev_n_master = None
@@ -296,20 +305,11 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                     grid = index_grid(problem)
                 ll = solve_all_lower_levels(problem, x, grid, ll)
             except LowerLevelError as exc:
-                warnings.append(f"iteration {k}: lower-level solve failed: {exc}")
-                status = "subsolver_failure"
+                failure = f"iteration {k}: lower-level solve failed: {exc}"
                 break
 
-            rec_warnings = []
-            for sol in ll:
-                if sol.multiple_global:
-                    msg = (f"iteration {k}: constraint {sol.index} has multiple "
-                           "global lower-level maximizers")
-                    rec_warnings.append(msg)
-                    warnings.append(msg)
-
-            feasibility = max(s.value for s in ll)
-            stationarity = stationarity_residual(problem, x, ll_solutions=ll)
+            feasibility = feasibility_measure(ll)
+            stationarity = stationarity_residual(problem, x, ll)
             dist = None
             if problem.known_solution is not None:
                 dist = float(np.linalg.norm(x - problem.known_solution))
@@ -335,7 +335,9 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                 wall_time_ms=None,
                 lower_level=ll,
                 lambda_bar=lambda_bar,
-                warnings=rec_warnings)
+                warnings=[f"iteration {k}: constraint {sol.index} has multiple "
+                          "global lower-level maximizers"
+                          for sol in ll if sol.multiple_global])
             history.append(rec)
 
             decided = check_termination(history, opts)
@@ -359,11 +361,9 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
             if not added_any and not improved and not full_step:
                 stagnant += 1
                 if stagnant >= _STAGNATION_LIMIT:
-                    msg = (f"iteration {k}: no new discretization points and no "
-                           "feasibility progress for "
-                           f"{_STAGNATION_LIMIT} iterations")
-                    warnings.append(msg)
-                    status = "subsolver_failure"
+                    failure = (f"iteration {k}: no new discretization points "
+                               "and no feasibility progress for "
+                               f"{_STAGNATION_LIMIT} iterations")
                     rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
                     break
             else:
@@ -374,22 +374,20 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                 for i, sol in enumerate(ll):
                     if not sol.regularity.all_ok:
                         flags = sol.regularity
-                        msg = (f"iteration {k}: regularity failed for "
-                               f"constraint {i} (licq={flags.licq}, "
-                               "strict_complementarity="
-                               f"{flags.strict_complementarity}, "
-                               f"sosc={flags.sosc}); no linearization this "
-                               "iteration")
-                        rec.warnings.append(msg)
-                        warnings.append(msg)
+                        rec.warnings.append(
+                            f"iteration {k}: regularity failed for "
+                            f"constraint {i} (licq={flags.licq}, "
+                            "strict_complementarity="
+                            f"{flags.strict_complementarity}, "
+                            f"sosc={flags.sosc}); no linearization this "
+                            "iteration")
                         continue
                     try:
                         lc = compute_sensitivity(problem, sol)
                     except SensitivityError as exc:
-                        msg = (f"iteration {k}: sensitivity failed for "
-                               f"constraint {i}: {exc}")
-                        rec.warnings.append(msg)
-                        warnings.append(msg)
+                        rec.warnings.append(
+                            f"iteration {k}: sensitivity failed for "
+                            f"constraint {i}: {exc}")
                         continue
                     rec.linearizations[i] = lc
                     lin_rows[i] = linearization_field(lc, problem)
@@ -398,16 +396,13 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
                                             opts.trust_radius)
             master = _solve_master(nlp, x)
             if master.status == "qp_failure":
-                msg = f"iteration {k}: master NLP failed ({master.status})"
-                warnings.append(msg)
-                status = "subsolver_failure"
+                failure = f"iteration {k}: master NLP failed ({master.status})"
                 rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
                 break
             if master.status == "max_iter":
-                msg = (f"iteration {k}: master NLP hit its iteration limit "
-                       f"(kkt residual {master.kkt_residual:.3e})")
-                rec.warnings.append(msg)
-                warnings.append(msg)
+                rec.warnings.append(
+                    f"iteration {k}: master NLP hit its iteration limit "
+                    f"(kkt residual {master.kkt_residual:.3e})")
 
             prev_x = x
             x = master.z.copy()
@@ -417,25 +412,26 @@ def _run(problem: SipProblem, x0, d0: Optional[DiscretizationState],
             prev_n_master = len(nlp.constraints)
             rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
     except (ArithmeticError, FieldEvaluationError) as exc:
-        warnings.append(f"iteration {k}: field evaluation failed: {exc}")
-        status = "subsolver_failure"
+        failure = f"iteration {k}: field evaluation failed: {exc}"
 
+    warnings = [w for rec in history for w in rec.warnings]
+    if failure is not None:
+        warnings.append(failure)
+        status = "subsolver_failure"
     return RunResult(history=history, final_status=status,
                      final_discretization=disc, warnings=warnings,
                      algorithm=algorithm, problem_name=problem.name)
 
 
 def run_blankenship_falk(problem: SipProblem, x0=None,
-                         d0: Optional[DiscretizationState] = None,
                          opts: Optional[DriverOptions] = None) -> RunResult:
     """Classical adaptive discretization: discretize, solve, refine."""
     opts = opts or DriverOptions()
-    return _run(problem, x0, d0, opts, use_linearization=False,
+    return _run(problem, x0, opts, use_linearization=False,
                 algorithm="blankenship_falk")
 
 
 def run_qcad(problem: SipProblem, x0=None,
-             d0: Optional[DiscretizationState] = None,
              opts: Optional[DriverOptions] = None) -> RunResult:
     """Adaptive discretization with linearized lower-level information.
 
@@ -444,5 +440,5 @@ def run_qcad(problem: SipProblem, x0=None,
     discretization rows, which restores local quadratic convergence.
     """
     opts = opts or DriverOptions()
-    return _run(problem, x0, d0, opts, use_linearization=True,
+    return _run(problem, x0, opts, use_linearization=True,
                 algorithm="qcad")

@@ -25,9 +25,12 @@ SIP, Hettich & Kortanek, SIAM Review 35, 1993).
 
 One local run per basin: a start is skipped when the straight segment from
 it to a maximizer already found, sampled one grid step apart, stays in the
-index set and never lets g_i fall by more than ``TIE_TOL`` -- the local run
-would climb to that maximizer again (the second rule of multi-level single
-linkage, Rinnooy Kan & Timmer, Math. Programming 39, 1987).  Each new
+index set and never lets g_i fall by more than the tie tolerance -- the
+local run would climb to that maximizer again (the second rule of
+multi-level single linkage, Rinnooy Kan & Timmer, Math. Programming 39,
+1987).  The tie tolerance is ``TIE_TOL`` times min(1, spread of the finite
+grid values of g_i(x, .)): relative for a family that varies by less than
+1, so the lower level does not depend on the scale of g_i there.  Each new
 maximizer is checked against all remaining starts at once: their segments
 are built in one vectorized pass and evaluated in one ``value_batch`` per
 field.  The starts are the ``N_STARTS`` best feasible grid nodes, best first
@@ -63,7 +66,7 @@ N_STARTS = 8                # best grid nodes tried as local SQP starts
 LOCAL_MAX_ITER = 60         # SQP iteration cap of one local run
 TOL_FEAS = 1e-9             # index-set feasibility of grid nodes and maxima
 TOL_ACT = 1e-7              # index constraint counted active above -TOL_ACT
-TIE_TOL = 1e-9              # value gap under which two maxima tie
+TIE_TOL = 1e-9              # tie tolerance relative to min(1, grid spread)
 SCAN_PER_DIM = 129          # hull scan of an unrecognized index set ...
 SCAN_HALF_WIDTH = 10.0      # ... over [-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH]^m
 
@@ -97,12 +100,11 @@ class LowerLevelSolution:
     multipliers: Array
     value: float
     active_set: tuple
-    kkt_residual: float
     kkt_matrix: Array           # kkt_jacobian at (x, y), the matrix itself ...
     d2_yx: Array                # ... and its D2_yx g_i block
     regularity: RegularityFlags
     local_maxima: list          # [(y, value)] of distinct local solutions
-    multiple_global: bool       # value tie within TIE_TOL among distinct maxima
+    multiple_global: bool       # value tie among distinct maxima
 
 
 @dataclass(frozen=True)
@@ -284,8 +286,9 @@ def _best_nodes(values: Array, count: int) -> Array:
     return np.argsort(keys, kind="stable")[:count]
 
 
-def _ascending(g_y, vs, starts: Array, y: Array, step: Array) -> Array:
-    """Per start, whether g_y never falls by more than ``TIE_TOL`` along the
+def _ascending(g_y, vs, starts: Array, y: Array, step: Array,
+               tol: float) -> Array:
+    """Per start, whether g_y never falls by more than ``tol`` along the
     feasible segment from it to ``y``.  A segment is sampled as
     ``np.linspace(0, 1, ceil(|delta / step|) + 2)`` would sample it (a
     zero-width axis counts no steps), so samples are about one grid step
@@ -309,7 +312,7 @@ def _ascending(g_y, vs, starts: Array, y: Array, step: Array) -> Array:
     t[ends - 1] = 1.0
     pts = np.repeat(starts, counts, axis=0) \
         + t[:, None] * np.repeat(delta, counts, axis=0)
-    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -TIE_TOL
+    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -tol
     ok[first] = True    # no step leads into a segment's first point
     for v in vs:
         ok &= ~(v.value_batch(pts) > TOL_FEAS)
@@ -348,8 +351,8 @@ def solve_lower_level_global(
     """Grid multistart with local refinement; value dominates the grid.
 
     Guarantee: the returned value is >= the best value over the feasible
-    grid nodes (up to 1e-12).  Value ties within ``TIE_TOL`` among distinct
-    local maxima are flagged via ``multiple_global``.  ``grid`` is
+    grid nodes (up to 1e-12).  Value ties within the tie tolerance among
+    distinct local maxima are flagged via ``multiple_global``.  ``grid`` is
     ``index_grid(problem)``, built here when not given.  ``previous`` is
     this family's solution at an earlier x, whose maximizer is followed to
     x before any start runs (``_followed``); without it every start is
@@ -369,6 +372,11 @@ def solve_lower_level_global(
     picked = _best_nodes(values, N_STARTS)
     starts = nodes[picked]
     grid_best = float(values.max())
+    spread = grid_best - float(values.min())
+    if not np.isfinite(spread):     # some node's value is inf or nan
+        finite = values[np.isfinite(values)]
+        spread = np.ptp(finite) if len(finite) else 0.0
+    tie_tol = TIE_TOL * min(1.0, float(spread))
 
     box = grid.box
     width = box[:, 1] - box[:, 0]
@@ -383,8 +391,8 @@ def solve_lower_level_global(
     if followed is not None:
         candidates.append(followed)
         # a start above the followed maximum cannot climb to it
-        skipped = _ascending(g_y, vs, starts, followed[1], grid.step) \
-            & (values[picked] <= followed[0] + 1e-12)
+        skipped = (_ascending(g_y, vs, starts, followed[1], grid.step, tie_tol)
+                   & (values[picked] <= followed[0] + 1e-12))
     for k, start in enumerate(starts):
         if skipped[k]:
             continue
@@ -406,7 +414,8 @@ def solve_lower_level_global(
         # a later start on an ascent path to this maximizer would climb to it
         later = k + 1 + np.flatnonzero(~skipped[k + 1:])
         if len(later):
-            skipped[later] = _ascending(g_y, vs, starts[later], y_loc, grid.step)
+            skipped[later] = _ascending(g_y, vs, starts[later], y_loc,
+                                        grid.step, tie_tol)
 
     if not candidates:
         raise LowerLevelError(
@@ -424,18 +433,15 @@ def solve_lower_level_global(
         raise LowerLevelError(
             f"lower level {i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
-    tied = [c for c in clusters if c[0] >= best_value - TIE_TOL]
+    tied = [c for c in clusters if c[0] >= best_value - tie_tol]
     value, y_star, mu, active, kkt = min(tied, key=lambda c: tuple(c[1]))
 
-    mu_a = mu[list(active)]
     if kkt is None:
-        kkt = kkt_jacobian(problem, i, x, y_star, active, mu_a)
+        kkt = kkt_jacobian(problem, i, x, y_star, active, mu[list(active)])
     kkt_matrix, d2_yx = kkt
     sol = LowerLevelSolution(
         index=i, x=x.copy(), y=y_star, multipliers=mu, value=value,
         active_set=active,
-        kkt_residual=float(np.linalg.norm(
-            kkt_residual(problem, i, x, y_star, active, mu_a))),
         kkt_matrix=kkt_matrix, d2_yx=d2_yx,
         regularity=RegularityFlags(False, False, False),
         local_maxima=[(c[1], c[0]) for c in clusters],

@@ -168,6 +168,17 @@ def _equality_optimum(H: Array, g: Array, C: Array, e: Array, work: list):
     return x, lam, work, "optimal"
 
 
+def _blocking(lam_w: list, r: Array) -> tuple:
+    """The working-set row whose multiplier ``lam_w - t r`` reaches zero
+    first as t grows, and that t: ``(-1, inf)`` when no ``r`` is positive."""
+    positive = r > 1e-12
+    if not positive.any():
+        return -1, np.inf
+    ratios = np.where(positive, np.array(lam_w) / np.where(positive, r, 1.0), np.inf)
+    drop = int(np.argmin(ratios))
+    return drop, float(ratios[drop])
+
+
 def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     """min 1/2 x'Hx + g'x  s.t.  C x <= e  with H positive definite.
 
@@ -220,12 +231,9 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
                 # the normal lies in the span of the working set (a full
                 # set spans everything, an empty one nothing): take a pure
                 # dual step that drops a row
-                positive = r > 1e-12
-                if not positive.any():
+                drop, t = _blocking(lam_w, r)
+                if drop < 0:
                     return x, lam, work, "infeasible"
-                ratios = np.where(positive, np.array(lam_w) / np.where(positive, r, 1.0), np.inf)
-                drop = int(np.argmin(ratios))
-                t = float(ratios[drop])
                 lam_w = [lw - t * rj for lw, rj in zip(lam_w, r)]
                 lam_p += t
                 work.pop(drop)
@@ -236,14 +244,7 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
             if dsp == 0.0:              # ... unless n_h_n underflows to 0
                 return x, lam, work, "infeasible"
             t_full = -s_p / dsp
-            positive = r > 1e-12
-            if positive.any():
-                ratios = np.where(positive, np.array(lam_w) / np.where(positive, r, 1.0), np.inf)
-                drop = int(np.argmin(ratios))
-                t_part = float(ratios[drop])
-            else:
-                drop, t_part = -1, np.inf
-
+            drop, t_part = _blocking(lam_w, r)
             t = min(t_full, t_part)
             x = x + t * z
             lam_w = [max(lw - t * rj, 0.0) for lw, rj in zip(lam_w, r)]
@@ -434,39 +435,34 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
             best = (key, z.copy(), fval, fgrad, cvals, jac)
 
         step = qp.step
-        if np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(z)):
-            ls_failures += 1
-            if ls_failures >= 2:
-                break
-            B = np.eye(d)
-            continue
-
-        sigma = max(sigma, 1.1 * lam.max(initial=0.0) + 1e-4)
-        viol_l1 = np.maximum(cvals, 0.0).sum()
-        lin_after = np.maximum(cvals + jac @ step, 0.0).sum()
-        merit0 = fval + sigma * viol_l1
-        descent = float(fgrad @ step) - sigma * (viol_l1 - lin_after)
-        if descent > -1e-14:
-            descent = -1e-14
-
-        alpha = 1.0
         accepted = False
-        for _ in range(LS_MAX):
-            z_new = np.clip(z + alpha * step, lo, hi)
-            f_new = problem.objective.value(z_new)
-            # a trial point with non-finite values, or where a row's
-            # derivative is undefined, is a rejected step
-            try:
-                c_new, jac_new = problem.constraints(z_new)
-            except ArithmeticError:
+        # a tiny step restarts like a failed line search
+        if not np.linalg.norm(step) <= 1e-13 * (1.0 + np.linalg.norm(z)):
+            sigma = max(sigma, 1.1 * lam.max(initial=0.0) + 1e-4)
+            viol_l1 = np.maximum(cvals, 0.0).sum()
+            lin_after = np.maximum(cvals + jac @ step, 0.0).sum()
+            merit0 = fval + sigma * viol_l1
+            descent = float(fgrad @ step) - sigma * (viol_l1 - lin_after)
+            if descent > -1e-14:
+                descent = -1e-14
+
+            alpha = 1.0
+            for _ in range(LS_MAX):
+                z_new = np.clip(z + alpha * step, lo, hi)
+                f_new = problem.objective.value(z_new)
+                # a trial point with non-finite values, or where a row's
+                # derivative is undefined, is a rejected step
+                try:
+                    c_new, jac_new = problem.constraints(z_new)
+                except ArithmeticError:
+                    alpha *= 0.5
+                    continue
+                merit_new = f_new + sigma * np.maximum(c_new, 0.0).sum()
+                if np.isfinite(merit_new) \
+                        and merit_new <= merit0 + 1e-4 * alpha * descent:
+                    accepted = True
+                    break
                 alpha *= 0.5
-                continue
-            merit_new = f_new + sigma * np.maximum(c_new, 0.0).sum()
-            if np.isfinite(merit_new) \
-                    and merit_new <= merit0 + 1e-4 * alpha * descent:
-                accepted = True
-                break
-            alpha *= 0.5
         if not accepted:
             ls_failures += 1
             if ls_failures >= 2:

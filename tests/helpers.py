@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sipsolve.expressions import Call, Expression, Neg, Num, Var
-from sipsolve.lower_level import (TIE_TOL, TOL_FEAS, LowerLevelError,
+from sipsolve.lower_level import (TOL_FEAS, LowerLevelError,
                                  solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem
 from sipsolve.sensitivity import LinearizedConstraint, linearized_value_and_gradient
@@ -73,26 +73,37 @@ def tie_problem():
                       start=np.array([0.5]), name="tie")
 
 
-def three_peak_problem(scale=1.0):
+def three_peak_problem(scale=1.0, radius=1.0):
     """g(x, y) = scale (cos(3 pi y) - x y) on [-1,1]: local maxima near
     -2/3, 0, 2/3.
 
     At x = 0 the three tie at value scale; x > 0 tilts the left one to the
-    top.
+    top.  A radius above 1 widens the index set to [-radius, radius] and
+    adds the cliff -10 max(0, |y| - 1)^3 beyond |y| = 1, which spreads the
+    family's values over more than 1 whatever the scale.
     """
     w = 3.0 * np.pi
+    c = 10.0 if radius > 1.0 else 0.0
+
+    def cliff(y, power):
+        return np.maximum(np.abs(y) - 1.0, 0.0) ** power
+
     f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]),
                     hessian=lambda x: np.zeros((1, 1)), name="f_peaks")
     g = ScalarField(
-        2, lambda z: scale * (np.cos(w * z[1]) - z[0] * z[1]),
-        lambda z: scale * np.array([-z[1], -w * np.sin(w * z[1]) - z[0]]),
+        2, lambda z: scale * (np.cos(w * z[1]) - z[0] * z[1])
+        - c * cliff(z[1], 3),
+        lambda z: scale * np.array([-z[1], -w * np.sin(w * z[1]) - z[0]])
+        - [0.0, 3.0 * c * np.sign(z[1]) * cliff(z[1], 2)],
         hessian=lambda z: scale * np.array([[0.0, -1.0],
-                                            [-1.0, -w * w * np.cos(w * z[1])]]),
+                                            [-1.0, -w * w * np.cos(w * z[1])]])
+        - [[0.0, 0.0], [0.0, 6.0 * c * cliff(z[1], 1)]],
         value_batch=lambda pts: scale * (np.cos(w * pts[:, 1])
-                                         - pts[:, 0] * pts[:, 1]),
+                                         - pts[:, 0] * pts[:, 1])
+        - c * cliff(pts[:, 1], 3),
         name="g_peaks")
     return SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
-                      index_constraints=interval_index_fields(),
+                      index_constraints=interval_index_fields(radius),
                       x_bounds=np.array([[-1.0, 1.0]]), name="three_peaks")
 
 
@@ -275,7 +286,7 @@ def reference_best_nodes(values, count):
     return np.argsort(-values, kind="stable")[:count]
 
 
-def reference_ascending(g_y, vs, starts, y, step):
+def reference_ascending(g_y, vs, starts, y, step, tol):
     """``lower_level._ascending`` with one ``np.linspace`` per start."""
     segments = []
     for start in starts:
@@ -285,7 +296,7 @@ def reference_ascending(g_y, vs, starts, y, step):
         segments.append(start + t[:, None] * delta)
     pts = np.concatenate(segments)
     first = np.cumsum([0] + [len(seg) for seg in segments[:-1]])
-    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -TIE_TOL
+    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -tol
     ok[first] = True
     for v in vs:
         ok &= ~(v.value_batch(pts) > TOL_FEAS)

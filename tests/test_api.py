@@ -1,6 +1,7 @@
 """The package surface matches the README: every export and every option
 field is documented, so neither can grow back unnoticed."""
 import dataclasses
+import inspect
 
 import sipsolve
 from sipsolve import DriverOptions
@@ -19,6 +20,13 @@ def test_exports_are_the_documented_api():
     assert sorted(sipsolve.__all__) == EXPORTS
     for name in EXPORTS:
         assert hasattr(sipsolve, name)
+
+
+def test_driver_signatures():
+    for runner in (sipsolve.run_blankenship_falk, sipsolve.run_qcad):
+        params = inspect.signature(runner).parameters.values()
+        assert [(p.name, p.default) for p in params] == [
+            ("problem", inspect.Parameter.empty), ("x0", None), ("opts", None)]
 
 
 def test_driver_options_are_the_cli_flags():

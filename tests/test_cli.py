@@ -154,6 +154,15 @@ class TestRun:
         assert main(["run", "--spec", str(spec), "--mode", "known"]) == 2
         assert "no known solution" in capsys.readouterr().err
 
+    def test_known_mode_check_comes_before_the_start_check(self, tmp_path,
+                                                           capsys):
+        spec = tmp_path / "bare.yaml"
+        spec.write_text(MINIMAL_SPEC.replace("x0: [1]\n", ""))
+        assert main(["run", "--spec", str(spec), "--mode", "known"]) == 2
+        assert capsys.readouterr().err == (
+            "error: problem 'bare' has no known solution; use --mode "
+            "practical\n")
+
     @pytest.mark.parametrize("x0", ["[0.1, 0.9]", "[2, 1]"])
     def test_nonfinite_objective_ends_in_subsolver_failure(self, tmp_path,
                                                            capsys, x0):

@@ -8,9 +8,10 @@ from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
 from sipsolve.model import ScalarField
+from sipsolve.specfile import compile_spec, parse_spec
 
 from helpers import (always_violated_problem, onestep_problem,
-                     pinned_index_problem)
+                     pinned_index_problem, tie_problem)
 
 
 class TestDiscretizationState:
@@ -24,15 +25,6 @@ class TestDiscretizationState:
         assert len(disc.points[0]) == 2
         assert len(disc.points[1]) == 1
         assert disc.total_points() == 3
-
-    def test_copy_is_independent(self):
-        disc = DiscretizationState.empty(1)
-        disc.add(0, [0.5])
-        clone = disc.copy()
-        clone.add(0, [0.75])
-        clone.points[0][0][0] = 99.0
-        assert len(disc.points[0]) == 1
-        assert disc.points[0][0][0] == 0.5
 
 
 def _record(k, feasibility=1.0, residual=1.0, dist=None):
@@ -272,19 +264,6 @@ class TestConvergenceBehavior:
             assert len(calls) == len(r.history) - 1
 
 
-class TestPreseeding:
-    def test_seeded_points_survive_and_dedup(self, ex1):
-        d0 = DiscretizationState.empty(1)
-        d0.add(0, [0.5])
-        opts = DriverOptions(mode="known", tol_dist=1e-4)
-        r = run_blankenship_falk(ex1, d0=d0, opts=opts)
-        final = r.final_discretization.points[0]
-        assert any(np.allclose(y, [0.5], atol=1e-12) for y in final)
-        assert r.final_status == "tolerance_met"
-        # the input state is not mutated by the run
-        assert d0.total_points() == 1
-
-
 class TestInputValidation:
     def test_wrong_shape(self, ex1):
         with pytest.raises(ValueError):
@@ -333,3 +312,51 @@ class TestFieldFailures:
         assert any(w.startswith("iteration 0: field evaluation failed")
                    and "f_bare does not define a Hessian" in w
                    for w in r.warnings)
+
+
+# log(x1) is undefined for x1 <= 0; from x0 = (2, 1) a derivative there is
+# asked for at iteration 1
+LOG_SPEC = ("n: 2\nm: 1\nobjective: log(x1) + x2\nsi_constraints:\n"
+            "  - -y1^2 + 2*y1*x1 - x2\nindex_constraints:\n  - y1 - 1\n"
+            "  - -y1 - 1\nx_bounds: [[-1, 2], [-1, 1]]\nx0: [2, 1]\n")
+
+
+def _terminal_warnings(r):
+    """The run's warnings after those of its records, which lead in order."""
+    recorded = [w for rec in r.history for w in rec.warnings]
+    assert r.warnings[:len(recorded)] == recorded
+    return r.warnings[len(recorded):]
+
+
+class TestWarnings:
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_tie_is_warned_once_per_iteration(self, runner):
+        r = runner(tie_problem())
+        assert r.final_status == "tolerance_met"
+        assert [rec.warnings for rec in r.history] == [
+            [f"iteration {k}: constraint 0 has multiple global lower-level "
+             "maximizers"] for k in range(len(r.history))]
+        assert _terminal_warnings(r) == []
+
+    def test_regularity_failure_is_recorded(self, ex2_qcad_known):
+        r = ex2_qcad_known.result
+        assert r.final_status == "tolerance_met"
+        assert [w.startswith("iteration 0: regularity failed")
+                for w in r.warnings] == [True]
+        assert _terminal_warnings(r) == []
+
+    def test_stagnation_is_the_terminal_warning(self, ex1):
+        r = run_blankenship_falk(ex1)
+        assert r.final_status == "subsolver_failure"
+        assert any(rec.warnings for rec in r.history)
+        assert _terminal_warnings(r) == [
+            f"iteration {r.final.k}: no new discretization points and no "
+            "feasibility progress for 3 iterations"]
+
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_field_failure_is_the_terminal_warning(self, runner):
+        r = runner(compile_spec(parse_spec(LOG_SPEC)))
+        assert r.final_status == "subsolver_failure"
+        assert _terminal_warnings(r) == [
+            f"iteration {len(r.history)}: field evaluation failed: log of a "
+            "nonpositive value"]

@@ -5,9 +5,10 @@ import pytest
 
 from sipsolve import (DriverOptions, driver, lower_level, run_blankenship_falk,
                       run_qcad)
-from sipsolve.lower_level import (GRID_PER_DIM, LowerLevelError,
+from sipsolve.lower_level import (GRID_PER_DIM, TIE_TOL, LowerLevelError,
                                   check_regularity, index_set_box,
-                                  kkt_jacobian, solve_all_lower_levels,
+                                  kkt_jacobian, kkt_residual,
+                                  solve_all_lower_levels,
                                   solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem, grid_nodes, restrict_to_y
 from sipsolve.problems import get_problem
@@ -16,6 +17,13 @@ from helpers import (interval_index_fields, narrow_peak_problem,
                      pinned_index_problem, reference_ascending,
                      reference_best_nodes, three_peak_problem, tie_problem,
                      two_peak_problem)
+
+
+def _kkt_residual(problem, sol):
+    """Norm of the active-set KKT residual at a returned maximizer."""
+    active = list(sol.active_set)
+    return np.linalg.norm(kkt_residual(problem, sol.index, sol.x, sol.y,
+                                       active, sol.multipliers[active]))
 
 
 class TestGlobalMaximizer:
@@ -61,7 +69,7 @@ class TestGlobalMaximizer:
     def test_kkt_residual_recomputable(self, dc):
         x = np.asarray(dc.known_solution)
         sol = solve_lower_level_global(dc, 2, x)
-        assert sol.kkt_residual <= 1e-8
+        assert _kkt_residual(dc, sol) <= 1e-8
         # stationarity of g - mu' v at the reported point
         z = np.concatenate([x, sol.y])
         grad = dc.si_constraints[2].gradient(z)[dc.n:]
@@ -116,7 +124,7 @@ class TestGlobalMaximizer:
         sol = solve_lower_level_global(dc, 0, x)
         assert sum(failures) >= 1
         assert abs(np.linalg.norm(sol.y) - 1.0) <= 1e-12
-        assert sol.kkt_residual <= 1e-8
+        assert _kkt_residual(dc, sol) <= 1e-8
         assert sol.regularity.all_ok
         box, _ = index_set_box(dc)
         nodes = grid_nodes(box, lower_level.GRID_PER_DIM)
@@ -179,6 +187,19 @@ class TestStartSelection:
         assert not sol.multiple_global
         assert sol.y == pytest.approx([-0.66723], abs=1e-5)
         assert sol.value == pytest.approx(values[0], abs=1e-15)
+
+    @pytest.mark.parametrize("x, tied", [(0.0, True), (0.05, False)])
+    def test_tie_tolerance_follows_the_scale(self, local_runs, x, tied):
+        # scaled to 1e-9 the whole family varies by about 2e-9: an absolute
+        # TIE_TOL would let every start ascend to the first maximum found
+        # and tie all three
+        sol = solve_lower_level_global(three_peak_problem(scale=1e-9), 0,
+                                       np.array([x]))
+        assert len(local_runs) == 3
+        tops = sorted(y[0] for y, _ in sol.local_maxima)
+        assert np.allclose(tops, [-2 / 3, 0.0, 2 / 3], atol=1e-3)
+        assert sol.multiple_global == tied
+        assert sol.y[0] < -0.5
 
     @pytest.mark.parametrize("x, y_star, tied", [
         (0.0, 0.01 / 6, True), (0.05, 0.00166385218, False)])
@@ -254,10 +275,11 @@ class TestContinuation:
         assert len(warm.local_maxima) == 2
 
     def test_start_above_the_followed_maximum_runs(self):
-        # scaled to 1e-9, the family falls by less than TIE_TOL between any
+        # the peaks scaled to 1e-9 and the cliff beyond |y| = 1 keep the tie
+        # tolerance at TIE_TOL, and g falls by less than that between any
         # two samples, so every start passes the ascent test to the followed
         # right peak; the best grid node lies above that peak and still runs
-        p = three_peak_problem(scale=1e-9)
+        p = three_peak_problem(scale=1e-9, radius=2.0)
         previous = solve_lower_level_global(p, 0, np.array([-0.05]))
         x = np.array([0.05])
         warm = solve_lower_level_global(p, 0, x, previous=previous)
@@ -373,8 +395,10 @@ class TestScanMatchesReference:
 
             g_got, v_got = _Recorded(wavy), _Recorded(ring)
             g_want, v_want = _Recorded(wavy), _Recorded(ring)
-            got = lower_level._ascending(g_got, [v_got], starts, y, step)
-            want = reference_ascending(g_want, [v_want], starts, y, step)
+            got = lower_level._ascending(g_got, [v_got], starts, y, step,
+                                         TIE_TOL)
+            want = reference_ascending(g_want, [v_want], starts, y, step,
+                                       TIE_TOL)
             assert got.tobytes() == want.tobytes()
             assert g_got.pts.shape == g_want.pts.shape
             assert g_got.pts.tobytes() == g_want.pts.tobytes()
@@ -394,8 +418,8 @@ class TestScanMatchesReference:
         y, step = np.zeros(len(legs)), np.ones(len(legs))
         g_got = _Recorded(lambda pts: -(pts ** 2).sum(axis=1))
         g_want = _Recorded(lambda pts: -(pts ** 2).sum(axis=1))
-        got = lower_level._ascending(g_got, [], starts, y, step)
-        want = reference_ascending(g_want, [], starts, y, step)
+        got = lower_level._ascending(g_got, [], starts, y, step, TIE_TOL)
+        want = reference_ascending(g_want, [], starts, y, step, TIE_TOL)
         assert got.all() and want.all()
         assert g_got.pts.tobytes() == g_want.pts.tobytes()
 
@@ -403,7 +427,7 @@ class TestScanMatchesReference:
         y = np.array([0.25, -0.5])
         g = _Recorded(lambda pts: -((pts - y) ** 2).sum(axis=1))
         ok = lower_level._ascending(g, [], np.array([y, y + 0.1]), y,
-                                    np.array([0.0, 0.05]))
+                                    np.array([0.0, 0.05]), TIE_TOL)
         assert ok.tolist() == [True, True]
         # 0.1 over a zero-width axis and 0.1 / 0.05 = 2 steps: 2 + 2 samples
         assert len(g.pts) == 2 + 4
