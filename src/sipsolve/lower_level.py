@@ -5,21 +5,23 @@ set, refine the best feasible nodes with the local SQP solver, then polish
 each local solution with Newton steps on the active-set KKT system (exact
 second derivatives are available, so the polished point carries KKT
 residuals near machine precision -- the sensitivity computations downstream
-need that).  A local solution whose polish fails is kept unpolished, with the
-multipliers of its inactive constraints zeroed.  Each local maximum is one
-record (value, point, multipliers, and the active set its polish used).  The
-KKT system is built only by ``kkt_residual`` and ``kkt_jacobian``: once per
-Newton step of the polish, and once at the returned maximizer, whose matrix
-the solution stores for ``check_regularity`` and ``compute_sensitivity``
-(a followed maximizer, below, brings the matrix of its SOSC test along).
+need that); its stationarity residual and multiplier signs are measured
+relative to the scale of the tie tolerance (below).  A local solution whose
+polish fails is kept unpolished, with the multipliers of its inactive
+constraints zeroed.  Each candidate maximizer is one record (``_candidate``):
+value, point, multipliers, active set, the ``kkt_jacobian`` matrix at the
+point and the regularity flags that ``_regularity`` reads off that matrix.
+The KKT system is built only by ``kkt_residual`` and ``kkt_jacobian``: once
+per Newton step of the polish, and once per record.  The solution is the
+winning record; ``compute_sensitivity`` reads its matrix.
 
 Continuation: at a regular maximizer the solution map y*(x) is smooth, so
 the maximizer of the previous iterate is a few Newton steps from the new
 one.  Given the family's solution at an earlier x, the solver first
 polishes from its point, active set and multipliers at the new x
-(``_followed``) and keeps the result as a maximizer already found when the
+(``_followed``) and keeps the record as a maximizer already found when the
 polish converges, the constraints active at the new point are the same
-set, and the point passes the SOSC test; every start is then checked
+set, and the record passes the SOSC test; every start is then checked
 against it like against any other maximizer (the local reduction view of
 SIP, Hettich & Kortanek, SIAM Review 35, 1993).
 
@@ -51,7 +53,7 @@ lexicographically smallest maximizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -92,7 +94,8 @@ class RegularityFlags:
 
 @dataclass
 class LowerLevelSolution:
-    """Global maximizer of g_i(x, .) over the index set, with KKT data."""
+    """A KKT point of g_i(x, .) over the index set, with its KKT data; the
+    solver returns the record of the global maximizer."""
 
     index: int
     x: Array
@@ -103,8 +106,10 @@ class LowerLevelSolution:
     kkt_matrix: Array           # kkt_jacobian at (x, y), the matrix itself ...
     d2_yx: Array                # ... and its D2_yx g_i block
     regularity: RegularityFlags
-    local_maxima: list          # [(y, value)] of distinct local solutions
-    multiple_global: bool       # value tie among distinct maxima
+    # set on the returned record: [(y, value)] of the distinct local
+    # solutions, and whether distinct maxima tie in value
+    local_maxima: list = field(default_factory=list)
+    multiple_global: bool = False
 
 
 @dataclass(frozen=True)
@@ -204,14 +209,21 @@ def kkt_jacobian(problem: SipProblem, i: int, x: Array, y: Array, active,
 
 
 def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
-                mu_a: Array):
-    """Newton iterations on the active-set KKT system: (y, mu_A) or None."""
+                mu: Array, scale: float):
+    """Newton iterations on the active-set KKT system from (y, mu), ``mu``
+    the full multiplier vector: (y, mu) polished, inactive multipliers zero,
+    or None.  The residual's stationarity rows and the multiplier signs are
+    measured relative to ``scale``."""
     m = problem.m
     vs = problem.index_constraints
+    mu_a = mu[active]
+    weight = np.ones(m + len(active))
+    weight[:m] = scale
     res = kkt_residual(problem, i, x, y, active, mu_a)
-    best = (np.linalg.norm(res), y, mu_a)
+    norm = np.linalg.norm(res / weight)
+    best = (norm, y, mu_a)
     for _ in range(8):
-        if np.linalg.norm(res) <= 1e-13 * (1.0 + np.linalg.norm(res)):
+        if norm <= 1e-13 * (1.0 + norm):
             break
         jac, _ = kkt_jacobian(problem, i, x, y, active, mu_a)
         try:
@@ -221,55 +233,59 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
         y = y + delta[:m]
         mu_a = mu_a + delta[m:]
         res = kkt_residual(problem, i, x, y, active, mu_a)
-        norm = np.linalg.norm(res)
+        norm = np.linalg.norm(res / weight)
         if norm < best[0]:
             best = (norm, y, mu_a)
-        if norm <= 1e-13:
-            break
     norm, y, mu_a = best
-    if norm > 1e-10:
-        return None
-    if any(mu_a < -1e-10):
+    if norm > 1e-10 or any(mu_a < -1e-10 * scale):
         return None
     # the polished point must still satisfy the inactive constraints
     for l, v in enumerate(vs):
         if l not in active and v.value(y) > TOL_FEAS:
             return None
-    return y, np.maximum(mu_a, 0.0)
+    mu = np.zeros(len(vs))
+    mu[active] = np.maximum(mu_a, 0.0)
+    return y, mu
 
 
-def check_regularity(sol: "LowerLevelSolution") -> RegularityFlags:
-    """LICQ, strict complementarity, and second-order sufficiency at sol,
-    read off its KKT matrix ``sol.kkt_matrix``.
+def _regularity(kkt_matrix: Array, mu_a: Array) -> RegularityFlags:
+    """LICQ, strict complementarity, and second-order sufficiency of a KKT
+    point, read off its ``kkt_jacobian`` matrix; ``mu_a`` holds the
+    multipliers of the active rows.
 
     SOSC is tested for the maximization: the Lagrangian Hessian projected
     onto the null space of the strongly active constraint gradients
     (``nlp.null_space``, the rule of ``nlp.negative_curvature``) must be
     negative definite (min eigenvalue of the sign-flipped projection >= 1e-8).
     """
-    mu, jac = sol.multipliers, sol.kkt_matrix
-    m = len(sol.y)
-    active = list(sol.active_set)
-    va = jac[m:, :m]
+    m = len(kkt_matrix) - len(mu_a)
+    va = kkt_matrix[m:, :m]
 
     licq = True
-    if active:
+    if len(mu_a):
         svals = np.linalg.svd(va, compute_uv=False)
-        licq = bool(len(active) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
+        licq = bool(len(mu_a) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
 
-    strict = all(mu[l] >= _STRICT_COMP_TOL for l in active)
-    return RegularityFlags(licq, strict, _sosc(jac, mu[active], m))
-
-
-def _sosc(jac: Array, mu_a: Array, m: int) -> bool:
-    """Whether the Lagrangian Hessian of the KKT matrix ``jac``, projected
-    onto the null space of the strongly active constraint gradients, is
-    negative definite; ``mu_a`` holds the multipliers of the active rows."""
-    strong = np.flatnonzero(mu_a > _STRICT_COMP_TOL)
-    null_basis = null_space(jac[m:, :m][strong], m)
-    projected = -(null_basis.T @ jac[:m, :m] @ null_basis)
-    return bool(not len(projected)
+    strict = bool(np.all(mu_a >= _STRICT_COMP_TOL))
+    null_basis = null_space(va[np.flatnonzero(mu_a > _STRICT_COMP_TOL)], m)
+    projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
+    sosc = bool(not len(projected)
                 or np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
+    return RegularityFlags(licq, strict, sosc)
+
+
+def _candidate(problem: SipProblem, i: int, x: Array, g_y, y: Array,
+               active: list, mu: Array) -> LowerLevelSolution:
+    """The record of the KKT point y of family i, with active set ``active``
+    and full multiplier vector ``mu``: its value, the ``kkt_jacobian``
+    matrix and D2_yx block built at that point, and the regularity flags
+    read off that matrix."""
+    mu_a = mu[active]
+    kkt_matrix, d2_yx = kkt_jacobian(problem, i, x, y, active, mu_a)
+    return LowerLevelSolution(
+        index=i, x=x, y=y, multipliers=mu, value=float(g_y.value(y)),
+        active_set=tuple(active), kkt_matrix=kkt_matrix, d2_yx=d2_yx,
+        regularity=_regularity(kkt_matrix, mu_a))
 
 
 def _best_nodes(values: Array, count: int) -> Array:
@@ -320,28 +336,23 @@ def _ascending(g_y, vs, starts: Array, y: Array, step: Array,
 
 
 def _followed(problem: SipProblem, i: int, x: Array, g_y,
-              previous: LowerLevelSolution):
+              previous: LowerLevelSolution, scale: float):
     """The maximizer of ``previous`` (family i at an earlier x) followed to
-    x: the polish from its point, active set and multipliers.  A candidate
-    ``(value, y, mu, active, (kkt_matrix, d2_yx))``, or None unless the
-    polish converges, the constraints active at the new point (by the rule
-    of the grid path) are that active set, and the point passes the SOSC
-    test of ``check_regularity``."""
+    x: the record of the polish from its point, active set and multipliers,
+    or None unless the polish converges, the constraints active at the new
+    point (by the rule of the grid path) are that active set, and the record
+    passes the SOSC test."""
     vs = problem.index_constraints
     active = list(previous.active_set)
     polished = _polish_kkt(problem, i, x, previous.y, active,
-                           previous.multipliers[active])
+                           previous.multipliers, scale)
     if polished is None:
         return None
-    y, mu_a = polished
+    y, mu = polished
     if [l for l, v in enumerate(vs) if v.value(y) >= -TOL_ACT] != active:
         return None
-    kkt = kkt_jacobian(problem, i, x, y, active, mu_a)
-    if not _sosc(kkt[0], mu_a, problem.m):
-        return None
-    mu = np.zeros(len(vs))
-    mu[active] = mu_a
-    return float(g_y.value(y)), y, mu, tuple(active), kkt
+    record = _candidate(problem, i, x, g_y, y, active, mu)
+    return record if record.regularity.sosc else None
 
 
 def solve_lower_level_global(
@@ -358,7 +369,7 @@ def solve_lower_level_global(
     x before any start runs (``_followed``); without it every start is
     cold.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     n, m = problem.n, problem.m
     g = problem.si_constraints[i]
     vs = problem.index_constraints
@@ -376,7 +387,9 @@ def solve_lower_level_global(
     if not np.isfinite(spread):     # some node's value is inf or nan
         finite = values[np.isfinite(values)]
         spread = np.ptp(finite) if len(finite) else 0.0
-    tie_tol = TIE_TOL * min(1.0, float(spread))
+    scale = min(1.0, float(spread))
+    tie_tol = TIE_TOL * scale
+    scale = scale or 1.0            # a constant family: absolute polish
 
     box = grid.box
     width = box[:, 1] - box[:, 0]
@@ -384,15 +397,15 @@ def solve_lower_level_global(
     nlp_hi = box[:, 1] + 0.05 * width
     local = NlpProblem(m, negated(g_y), field_rows(vs), nlp_lo, nlp_hi)
 
-    candidates = []   # (value, y, mu, active, its KKT matrix or None)
+    candidates = []
     skipped = np.zeros(len(starts), dtype=bool)
-    followed = (_followed(problem, i, x, g_y, previous)
+    followed = (_followed(problem, i, x, g_y, previous, scale)
                 if previous is not None else None)
     if followed is not None:
         candidates.append(followed)
         # a start above the followed maximum cannot climb to it
-        skipped = (_ascending(g_y, vs, starts, followed[1], grid.step, tie_tol)
-                   & (values[picked] <= followed[0] + 1e-12))
+        skipped = (_ascending(g_y, vs, starts, followed.y, grid.step, tie_tol)
+                   & (values[picked] <= followed.value + 1e-12))
     for k, start in enumerate(starts):
         if skipped[k]:
             continue
@@ -402,15 +415,10 @@ def solve_lower_level_global(
         if max(v_loc, default=0.0) > 10 * TOL_FEAS:
             continue
         active = [l for l in range(len(vs)) if v_loc[l] >= -TOL_ACT]
-        polished = _polish_kkt(problem, i, x, y_loc, active, mu[active])
-        if polished is not None:
-            y_loc, mu_a = polished
-            mu = np.zeros(len(vs))
-            mu[active] = mu_a
-        else:
-            mu = np.where(v_loc >= -TOL_ACT, mu, 0.0)
-        candidates.append(
-            (float(g_y.value(y_loc)), y_loc, mu, tuple(active), None))
+        # a local solution whose polish fails is kept unpolished
+        y_loc, mu = (_polish_kkt(problem, i, x, y_loc, active, mu, scale)
+                     or (y_loc, np.where(v_loc >= -TOL_ACT, mu, 0.0)))
+        candidates.append(_candidate(problem, i, x, g_y, y_loc, active, mu))
         # a later start on an ascent path to this maximizer would climb to it
         later = k + 1 + np.flatnonzero(~skipped[k + 1:])
         if len(later):
@@ -422,33 +430,21 @@ def solve_lower_level_global(
             f"lower level {i}: all local refinements failed from the grid starts")
 
     # cluster distinct maxima (keep the best value per cluster)
-    candidates.sort(key=lambda c: (-c[0], tuple(c[1])))
+    candidates.sort(key=lambda c: (-c.value, tuple(c.y)))
     clusters = []
     for c in candidates:
-        if all(np.linalg.norm(c[1] - kept[1]) >= 1e-6 for kept in clusters):
+        if all(np.linalg.norm(c.y - kept.y) >= 1e-6 for kept in clusters):
             clusters.append(c)
 
-    best_value = clusters[0][0]
+    best_value = clusters[0].value
     if best_value < grid_best - 1e-12:
         raise LowerLevelError(
             f"lower level {i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
-    tied = [c for c in clusters if c[0] >= best_value - tie_tol]
-    value, y_star, mu, active, kkt = min(tied, key=lambda c: tuple(c[1]))
-
-    if kkt is None:
-        kkt = kkt_jacobian(problem, i, x, y_star, active, mu[list(active)])
-    kkt_matrix, d2_yx = kkt
-    sol = LowerLevelSolution(
-        index=i, x=x.copy(), y=y_star, multipliers=mu, value=value,
-        active_set=active,
-        kkt_matrix=kkt_matrix, d2_yx=d2_yx,
-        regularity=RegularityFlags(False, False, False),
-        local_maxima=[(c[1], c[0]) for c in clusters],
-        multiple_global=len(tied) > 1,
-    )
-    sol.regularity = check_regularity(sol)
-    return sol
+    tied = [c for c in clusters if c.value >= best_value - tie_tol]
+    return replace(min(tied, key=lambda c: tuple(c.y)),
+                   local_maxima=[(c.y, c.value) for c in clusters],
+                   multiple_global=len(tied) > 1)
 
 
 def solve_all_lower_levels(problem: SipProblem, x,

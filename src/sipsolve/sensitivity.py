@@ -49,7 +49,6 @@ class LinearizedConstraint:
     mu_base: Array
     dy_dx: Array
     dmu_dx: Array
-    condition_estimate: float
 
     def predicted_maximizer(self, x) -> Array:
         dx = np.asarray(x, dtype=float) - self.x_base
@@ -81,25 +80,23 @@ def compute_sensitivity(problem: SipProblem,
     rhs = np.zeros((m + len(active), n))
     rhs[:m] = -sol.d2_yx
 
-    cond = float(np.linalg.cond(kkt)) if kkt.size else 0.0
     try:
         sol_mat = np.linalg.solve(kkt, rhs)
     except np.linalg.LinAlgError as exc:
         raise SensitivityError(
             f"singular KKT differentiation system for constraint {i} "
-            f"(condition estimate {cond:.3e})") from exc
+            f"(condition estimate {np.linalg.cond(kkt):.3e})") from exc
     residual = np.linalg.norm(kkt @ sol_mat - rhs)
     if residual > _RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
         raise SensitivityError(
             f"KKT differentiation residual {residual:.3e} too large for "
-            f"constraint {i} (condition estimate {cond:.3e})")
+            f"constraint {i} (condition estimate {np.linalg.cond(kkt):.3e})")
 
     dmu_dx = np.zeros((len(problem.index_constraints), n))
     dmu_dx[active] = sol_mat[m:]
     return LinearizedConstraint(
         index=i, x_base=sol.x.copy(), y_base=sol.y.copy(),
-        mu_base=sol.multipliers.copy(), dy_dx=sol_mat[:m], dmu_dx=dmu_dx,
-        condition_estimate=cond)
+        mu_base=sol.multipliers.copy(), dy_dx=sol_mat[:m], dmu_dx=dmu_dx)
 
 
 def linearized_value_and_gradient(lc: LinearizedConstraint,

@@ -6,8 +6,7 @@ import pytest
 from sipsolve import (DriverOptions, driver, lower_level, run_blankenship_falk,
                       run_qcad)
 from sipsolve.lower_level import (GRID_PER_DIM, TIE_TOL, LowerLevelError,
-                                  check_regularity, index_set_box,
-                                  kkt_jacobian, kkt_residual,
+                                  index_set_box, kkt_jacobian, kkt_residual,
                                   solve_all_lower_levels,
                                   solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem, grid_nodes, restrict_to_y
@@ -201,6 +200,18 @@ class TestStartSelection:
         assert sol.multiple_global == tied
         assert sol.y[0] < -0.5
 
+    def test_polish_follows_the_scale(self):
+        # scaled to 1e-9 the KKT residual at a local run's maximizer is
+        # below an absolute stopping test before any Newton step; measured
+        # relative to the family's scale, the polish reaches the maxima of
+        # the unscaled family
+        x = np.array([0.05])
+        tops = [sorted(y[0] for y, _ in solve_lower_level_global(
+            three_peak_problem(scale=scale), 0, x).local_maxima)
+            for scale in (1.0, 1e-9)]
+        assert len(tops[0]) == len(tops[1]) == 3
+        assert np.abs(np.subtract(*tops)).max() <= 1e-14
+
     @pytest.mark.parametrize("x, y_star, tied", [
         (0.0, 0.01 / 6, True), (0.05, 0.00166385218, False)])
     def test_narrow_index_set(self, local_runs, x, y_star, tied):
@@ -295,9 +306,9 @@ class TestContinuation:
         previous = replace(cold, y=np.array([0.0]), active_set=(),
                            multipliers=np.zeros(2))
         assert lower_level._polish_kkt(p, 0, x, previous.y, [],
-                                       np.zeros(0)) is not None
+                                       np.zeros(2), 1.0) is not None
         g_y = restrict_to_y(p.si_constraints[0], p.n, x)
-        assert lower_level._followed(p, 0, x, g_y, previous) is None
+        assert lower_level._followed(p, 0, x, g_y, previous, 1.0) is None
         warm = solve_lower_level_global(p, 0, x, previous=previous)
         _assert_same_record(warm, cold)
 
@@ -461,19 +472,19 @@ class TestKktMatrix:
 class TestRegularity:
     def test_interior_maximizer_is_regular(self, ex1):
         sol = solve_lower_level_global(ex1, 0, np.array([0.5, 0.0]))
-        flags = check_regularity(sol)
+        flags = sol.regularity
         assert flags.licq and flags.strict_complementarity and flags.sosc
 
     def test_active_disk_with_positive_multiplier(self, dc):
         sol = solve_lower_level_global(dc, 2, np.asarray(dc.known_solution))
         assert sol.multipliers[sol.active_set[0]] > 1e-6
-        flags = check_regularity(sol)
+        flags = sol.regularity
         assert flags.licq and flags.strict_complementarity and flags.sosc
 
     def test_pinned_point_fails_licq(self):
         p = pinned_index_problem()
         sol = solve_lower_level_global(p, 0, np.array([0.0]))
-        flags = check_regularity(sol)
+        flags = sol.regularity
         assert not flags.licq
         assert not flags.strict_complementarity
         assert flags.sosc
@@ -482,7 +493,7 @@ class TestRegularity:
         # at x1 = 1 the maximizer sits on y = 1 with multiplier exactly 0
         sol = solve_lower_level_global(ex1, 0, np.array([1.0, 0.0]))
         assert sol.y == pytest.approx([1.0], abs=1e-9)
-        flags = check_regularity(sol)
+        flags = sol.regularity
         assert not flags.strict_complementarity
 
 
