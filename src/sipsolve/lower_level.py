@@ -42,11 +42,10 @@ nodes are at least one grid step apart.  The best start runs unless the
 followed maximum is at least its grid value; either way the returned value
 still dominates the grid.
 
-The bounding box is read off the index constraints when they are recognized
-as interval bounds (affine with a +/- unit-vector gradient); otherwise a
-coarse scan of a large box locates the feasible hull, which is then padded.
-The box and the feasible grid nodes depend on the problem only
-(``index_grid``); the drivers build them once per run.
+The grid's box is ``model.index_set_box``: ``y_bounds`` when declared, else
+read off interval-bound index constraints; without either, the first solve
+raises ``LowerLevelError``.  The box and the feasible grid nodes depend on
+the problem only (``index_grid``); the drivers build them once per run.
 
 Deterministic by construction: fixed grid order, ties broken toward the
 lexicographically smallest maximizer.
@@ -58,7 +57,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import SipProblem, index_set_nodes, negated, restrict_to_y
+from .model import SipProblem, index_set_box, negated, restrict_to_y
 from .nlp import NlpProblem, field_rows, null_space, solve_nlp
 
 Array = np.ndarray
@@ -69,8 +68,6 @@ LOCAL_MAX_ITER = 60         # SQP iteration cap of one local run
 TOL_FEAS = 1e-9             # index-set feasibility of grid nodes and maxima
 TOL_ACT = 1e-7              # index constraint counted active above -TOL_ACT
 TIE_TOL = 1e-9              # tie tolerance relative to min(1, grid spread)
-SCAN_PER_DIM = 129          # hull scan of an unrecognized index set ...
-SCAN_HALF_WIDTH = 10.0      # ... over [-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH]^m
 
 _LICQ_SVD_CUTOFF = 1e-8
 _SOSC_EIG_CUTOFF = 1e-8
@@ -123,56 +120,24 @@ class IndexGrid:
 
 
 def index_grid(problem: SipProblem) -> IndexGrid:
-    """Feasible ``GRID_PER_DIM``-per-axis grid over the index-set box."""
-    box, _ = index_set_box(problem)
-    nodes = index_set_nodes(problem, box, GRID_PER_DIM, TOL_FEAS)
-    if not len(nodes):
+    """The ``GRID_PER_DIM``-per-axis grid over ``index_set_box``: its nodes
+    at which every index constraint is at most ``TOL_FEAS``, in grid order
+    (C order, last coordinate fastest)."""
+    try:
+        box = index_set_box(problem)
+    except ValueError as exc:
+        raise LowerLevelError(str(exc)) from None
+    axes = np.meshgrid(*(np.linspace(lo, hi, GRID_PER_DIM) for lo, hi in box),
+                       indexing="ij")
+    nodes = np.stack([a.ravel() for a in axes], axis=1)
+    feasible = np.ones(len(nodes), dtype=bool)
+    for v in problem.index_constraints:
+        feasible &= v.value_batch(nodes) <= TOL_FEAS
+    if not feasible.any():
         raise LowerLevelError(
             "no feasible grid node (empty or degenerate index set)")
-    return IndexGrid(box, nodes, (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
-
-
-def index_set_box(problem: SipProblem):
-    """Bounding box of the index set: (box (m, 2), recognized_exact flag)."""
-    m = problem.m
-    lo = np.full(m, -np.inf)
-    hi = np.full(m, np.inf)
-    recognized = True
-    probes = [np.zeros(m), np.full(m, 0.37)]
-    for v in problem.index_constraints:
-        grads = [v.gradient(p) for p in probes]
-        hess = v.hessian(probes[0])
-        affine = (np.abs(hess).max() <= 1e-12
-                  and np.abs(grads[0] - grads[1]).max() <= 1e-12)
-        grad = grads[0]
-        nonzero = np.flatnonzero(np.abs(grad) > 1e-12)
-        if not (affine and len(nonzero) == 1):
-            recognized = False
-            break
-        j = int(nonzero[0])
-        a = grad[j]
-        c = v.value(probes[0]) - a * probes[0][j]
-        if a > 0:
-            hi[j] = min(hi[j], -c / a)
-        else:
-            lo[j] = max(lo[j], -c / a)
-    if recognized and np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) \
-            and np.all(lo <= hi):
-        return np.stack([lo, hi], axis=1), True
-
-    # scan a large box for the feasible hull
-    width = SCAN_HALF_WIDTH
-    pts = index_set_nodes(problem, [[-width, width]] * m, SCAN_PER_DIM, TOL_FEAS)
-    if not len(pts):
-        raise LowerLevelError(
-            "no feasible point of the index set in the scan box "
-            f"[-{width}, {width}]^{m}")
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    pad = np.maximum(0.05 * (hi - lo), 1e-6)
-    lo = np.maximum(lo - pad, -width)
-    hi = np.minimum(hi + pad, width)
-    return np.stack([lo, hi], axis=1), False
+    return IndexGrid(box, nodes[feasible],
+                     (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
 
 
 def kkt_residual(problem: SipProblem, i: int, x: Array, y: Array, active,

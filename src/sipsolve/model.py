@@ -2,8 +2,8 @@
 
 A semi-infinite program (SIP) minimizes ``f(x)`` over ``x`` in a box, subject
 to ``g_i(x, y) <= 0`` for every ``y`` in the index set
-``Y = {y : v_l(y) <= 0 for all l}`` and to finitely many upper-level
-constraints ``c_j(x) <= 0``.
+``Y = {y in y_bounds : v_l(y) <= 0 for all l}`` (:func:`index_set_box`)
+and to finitely many upper-level constraints ``c_j(x) <= 0``.
 
 All functions are carried as :class:`ScalarField` objects: plain callables
 bundled with their exact gradient and Hessian.  Every field of a problem
@@ -141,26 +141,6 @@ def negated(field: ScalarField) -> ScalarField:
                        name=f"-({field.name})")
 
 
-def grid_nodes(box, per_dim: int) -> Array:
-    """Tensor grid with ``per_dim`` nodes per axis over an ``(m, 2)`` box.
-
-    Rows are the nodes in C order (last coordinate fastest).
-    """
-    axes = [np.linspace(lo, hi, per_dim) for lo, hi in box]
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def index_set_nodes(problem: SipProblem, box, per_dim: int, tol: float) -> Array:
-    """The nodes of ``grid_nodes(box, per_dim)``, in grid order, at which
-    every index constraint ``v_l`` is at most ``tol``."""
-    nodes = grid_nodes(box, per_dim)
-    feasible = np.ones(len(nodes), dtype=bool)
-    for v in problem.index_constraints:
-        feasible &= v.value_batch(nodes) <= tol
-    return nodes[feasible]
-
-
 @dataclass(frozen=True)
 class SipProblem:
     """A semi-infinite program.
@@ -170,7 +150,8 @@ class SipProblem:
     (arity n+m), each ``index_constraints`` entry over y (arity m), and each
     ``finite_constraints`` entry over x.  ``x_bounds`` is an (n, 2) array of
     per-coordinate intervals; a -inf lower or +inf upper entry is replaced
-    by the default box's, and every other entry is kept.
+    by the default box's, and every other entry is kept.  ``y_bounds``, an
+    optional (m, 2) array of finite intervals, holds the index set.
     ``known_solution``/``known_objective`` are optional reference data,
     ``start`` an optional canonical initial point.
     """
@@ -182,6 +163,7 @@ class SipProblem:
     index_constraints: tuple
     finite_constraints: tuple = ()
     x_bounds: Optional[Array] = None
+    y_bounds: Optional[Array] = None
     known_solution: Optional[Array] = None
     known_objective: Optional[float] = None
     start: Optional[Array] = None
@@ -200,6 +182,9 @@ class SipProblem:
         bounds[bounds[:, 0] == -np.inf, 0] = -DEFAULT_BOUND
         bounds[bounds[:, 1] == np.inf, 1] = DEFAULT_BOUND
         object.__setattr__(self, "x_bounds", bounds)
+        if self.y_bounds is not None:
+            object.__setattr__(self, "y_bounds", np.asarray(
+                self.y_bounds, dtype=float).reshape(self.m, 2))
         if self.known_solution is not None:
             object.__setattr__(self, "known_solution",
                                np.asarray(self.known_solution, dtype=float))
@@ -209,6 +194,40 @@ class SipProblem:
     @property
     def n_si(self) -> int:
         return len(self.si_constraints)
+
+
+def index_set_box(problem: SipProblem) -> Array:
+    """The (m, 2) box around the index set: ``y_bounds`` when declared,
+    else the box of the index constraints when each is affine in one y_j
+    (an interval bound) or constant, read off at two probe points.
+    ValueError, naming ``y_bounds``, when neither gives a finite box."""
+    if problem.y_bounds is not None:
+        box = problem.y_bounds
+        if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+            raise ValueError(f"y_bounds {box.tolist()}: expected finite "
+                             "[lo, hi] pairs with lo <= hi")
+        return box
+    lo, hi = np.full(problem.m, -np.inf), np.full(problem.m, np.inf)
+    zero = np.zeros(problem.m)
+    for l, v in enumerate(problem.index_constraints):
+        grad = v.gradient(zero)
+        affine = (np.abs(grad - v.gradient(zero + 0.37)).max() <= 1e-12
+                  and np.abs(v.hessian(zero)).max() <= 1e-12)
+        (axes,) = np.nonzero(np.abs(grad) > 1e-12)
+        if not affine or len(axes) > 1:
+            raise ValueError(
+                f"index_constraints[{l}] is not an interval bound on one y_j, "
+                "so the index set may be empty or unbounded: declare y_bounds")
+        for j in axes:      # none when v is constant: it bounds nothing
+            end = -v.value(zero) / grad[j]
+            if grad[j] > 0:
+                hi[j] = min(hi[j], end)
+            else:
+                lo[j] = max(lo[j], end)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("unbounded index set: some y_j lacks a lower or an "
+                         "upper interval bound; declare y_bounds")
+    return np.stack([lo, hi], axis=1)
 
 
 @dataclass
@@ -290,20 +309,11 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     if problem.start is not None and problem.start.shape != (n,):
         issues.append("start: dimension mismatch")
 
-    # Coarse grid probe of the index set: detect emptiness and evidence of
-    # unboundedness (feasible nodes on the edge of a large scan box).
-    ok_index = all(v.arity == m for v in problem.index_constraints)
-    if problem.index_constraints and ok_index and m <= 3:
-        width = 10.0
-        try:
-            pts = index_set_nodes(problem, [[-width, width]] * m, 33, 1e-9)
-        except Exception as exc:  # noqa: BLE001
-            issues.append(f"index set probe failed ({exc})")
-        else:
-            if not len(pts):
-                issues.append("index set appears empty (no feasible point in scan box)")
-            elif np.any(np.abs(pts).max(axis=1) >= width - 1e-12):
-                issues.append("unbounded index set (feasible points on scan-box edge)")
+    from .lower_level import index_grid     # lower_level imports this module
+    try:    # the index set has a box, and the grid over it a feasible node
+        index_grid(problem)
+    except Exception as exc:  # noqa: BLE001
+        issues.append(f"index set: {exc}")
 
     return ValidationReport(not issues, issues)
 

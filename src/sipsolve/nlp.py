@@ -129,7 +129,7 @@ class QpResult:
     multipliers: Array          # duals of the A-rows
     lower_multipliers: Array
     upper_multipliers: Array
-    status: str                 # 'optimal' | 'infeasible' | 'max_iter' | 'nonfinite'
+    status: str     # 'optimal' | 'infeasible' | 'max_iter' | 'nonfinite' | 'singular'
     active: tuple = ()          # working set at return, stacked-row indices
 
 
@@ -190,7 +190,10 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     n_rows = C.shape[0]
     if not all(np.isfinite(M).all() for M in (H, g, C, e)):
         return np.zeros(d), np.zeros(n_rows), [], "nonfinite"
-    x = -np.linalg.solve(H, g)
+    try:
+        x = -np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        return np.zeros(d), np.zeros(n_rows), [], "singular"
     lam = np.zeros(n_rows)
     work: list = []     # active row indices, in order of addition
     lam_w: list = []
@@ -212,7 +215,7 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
         normal = C[p]
         if np.abs(normal).max() == 0.0:
             return x, lam, work, "infeasible"   # 0'x <= e_p with e_p < 0
-        h_normal = np.linalg.solve(H, normal)
+        h_normal = np.linalg.solve(H, normal)   # same H as above: not singular
         n_h_n = float(normal @ h_normal)
         lam_p = 0.0
         for _inner in range(n_rows + d + 8):
@@ -292,8 +295,9 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     ``H`` must be symmetric positive definite.  Returns the step, duals of
     the A-rows and the bound rows, the working set at the solution, and a
     status of 'optimal', 'infeasible' (inconsistent constraints),
-    'max_iter', or 'nonfinite' (the dual method was given inf or nan
-    data; the step and duals are then zero).  Rows are indexed as stacked: the
+    'max_iter', 'nonfinite' (the dual method was given inf or nan data; the
+    step and duals are then zero) or 'singular' (H is singular to working
+    precision).  Rows are indexed as stacked: the
     A-rows, then the finite lower bounds, then the finite upper bounds.
     ``active`` is a hint in that indexing, usually the previous QP's
     ``active``: the equality QP on those rows is solved first and kept if
@@ -381,8 +385,9 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
     Returns status 'converged' when the KKT residual, feasibility, and
     complementarity all meet their tolerances; 'max_iter' with the best
     iterate otherwise; 'qp_failure' if even the elastic QP cannot be
-    solved, or a QP's data are not finite.  A Hessian approximation that
-    stops being numerically positive definite is reset to the identity.
+    solved, or a QP's data are not finite or its Hessian singular.  A
+    Hessian approximation whose smallest eigenvalue falls to 1e-12 of its
+    largest is reset to the identity.
     """
     d = problem.dim
     lo, hi = problem.lower, problem.upper
@@ -481,11 +486,12 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         fval, fgrad = f_new, fgrad_new
         cvals, jac = c_new, jac_new
         # The damped update is positive definite in exact arithmetic, but
-        # rounding can take its smallest eigenvalue to zero or below (steep
-        # curvature along one direction, or unbounded curvature near a log
-        # or 1/x singularity); the next QP would not be convex.  Restart
-        # from the identity, as after a failed line search.
-        if not np.linalg.eigvalsh(B)[0] > 0.0:
+        # rounding can leave it singular to working precision or worse
+        # (steep curvature along one direction, or unbounded curvature near
+        # a log or 1/x singularity).  Restart from the identity, as after a
+        # failed line search.
+        eigs = np.linalg.eigvalsh(B)
+        if not eigs[0] > 1e-12 * eigs[-1]:
             B = np.eye(d)
         # z plus the accepted step rounded to z and nothing else moved (the
         # values are functions of z): each later step would repeat this one

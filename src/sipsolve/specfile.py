@@ -13,6 +13,8 @@ Schema (see README for a complete example)::
       - "-y1 - 1"
     finite_constraints: []          # optional expressions over x, c <= 0
     x_bounds: [[-1, 1], [-1, 1]]    # optional, n pairs [lo, hi]
+    y_bounds: [[-1, 1]]             # m finite pairs, Y = {y in them : v <= 0};
+                                    # optional for interval bounds like these
     x0: [1, -1]                     # optional canonical start
     known_solution: [0.333, 0.111]  # optional reference minimizer
     known_objective: -0.1666        # optional reference value
@@ -36,12 +38,12 @@ import yaml
 # here by name until it reads the run's own records (ROADMAP item 3).
 from .expressions import (Expression, SpecParseError, compile_functions,  # noqa: F401
                           eval_taylor2, eval_value, parse_expression, variables)
-from .model import ScalarField, SipProblem
+from .model import ScalarField, SipProblem, index_set_box
 
 
 _KNOWN_KEYS = {"name", "n", "m", "objective", "si_constraints",
                "index_constraints", "finite_constraints", "x_bounds",
-               "x0", "known_solution", "known_objective"}
+               "y_bounds", "x0", "known_solution", "known_objective"}
 
 
 @dataclass
@@ -56,6 +58,7 @@ class ProblemSpecFile:
     index_constraints: list
     finite_constraints: list
     x_bounds: Optional[list]
+    y_bounds: Optional[list]
     x0: Optional[list]
     known_solution: Optional[list]
     known_objective: Optional[float]
@@ -83,6 +86,24 @@ def _number(value, where: str, finite: bool) -> float:
     _require(np.isfinite(number) or not finite,
              f"{where}: expected a finite number, got {value!r}")
     return number
+
+
+def _bounds(doc, key: str, count: int, finite: bool):
+    """The ``count`` [lo, hi] pairs under ``key`` as floats, or None."""
+    pairs = doc.get(key)
+    if pairs is None:
+        return None
+    _require(isinstance(pairs, list) and len(pairs) == count,
+             f"{key}: expected {count} [lo, hi] pairs")
+    _require(all(isinstance(pair, list) and len(pair) == 2 for pair in pairs),
+             f"{key}: each entry must be a [lo, hi] pair")
+    pairs = [[_number(v, f"{key}[{j}]", finite) for v in pair]
+             for j, pair in enumerate(pairs)]
+    for j, (lo, hi) in enumerate(pairs):
+        _require(lo != np.inf and hi != -np.inf,
+                 f"{key}[{j}]: [{lo}, {hi}] leaves no finite point")
+        _require(lo <= hi, f"{key}: lower {lo} exceeds upper {hi}")
+    return pairs
 
 
 def _parse_expr(text, where: str, n: int, m: int, allow_x: bool, allow_y: bool):
@@ -141,20 +162,10 @@ def parse_spec(text: str) -> ProblemSpecFile:
     index = _expr_list(doc, "index_constraints", n, m, False, True, True, asts)
     finite = _expr_list(doc, "finite_constraints", n, m, True, False, False, asts)
 
-    x_bounds = doc.get("x_bounds")
-    if x_bounds is not None:
-        _require(isinstance(x_bounds, list) and len(x_bounds) == n,
-                 f"x_bounds: expected {n} [lo, hi] pairs")
-        _require(all(isinstance(pair, list) and len(pair) == 2 for pair in x_bounds),
-                 "x_bounds: each entry must be a [lo, hi] pair")
-        # -inf lower and +inf upper are no bound: SipProblem puts the
-        # default box's there
-        x_bounds = [[_number(v, f"x_bounds[{j}]", finite=False) for v in pair]
-                    for j, pair in enumerate(x_bounds)]
-        for j, (lo, hi) in enumerate(x_bounds):
-            _require(lo != np.inf and hi != -np.inf,
-                     f"x_bounds[{j}]: [{lo}, {hi}] leaves no finite point")
-            _require(lo <= hi, f"x_bounds: lower {lo} exceeds upper {hi}")
+    # -inf lower and +inf upper x bounds are no bound: SipProblem puts the
+    # default box's there
+    x_bounds = _bounds(doc, "x_bounds", n, finite=False)
+    y_bounds = _bounds(doc, "y_bounds", m, finite=True)
 
     def _point(key: str):
         value = doc.get(key)
@@ -176,6 +187,7 @@ def parse_spec(text: str) -> ProblemSpecFile:
         index_constraints=index,
         finite_constraints=finite,
         x_bounds=x_bounds,
+        y_bounds=y_bounds,
         x0=_point("x0"),
         known_solution=_point("known_solution"),
         known_objective=known_objective,
@@ -211,6 +223,7 @@ def compile_spec(spec: ProblemSpecFile) -> SipProblem:
         index_constraints=fields("index_constraints", "y", "v"),
         finite_constraints=fields("finite_constraints", "x", "c"),
         x_bounds=np.asarray(spec.x_bounds, dtype=float) if spec.x_bounds else None,
+        y_bounds=spec.y_bounds,
         known_solution=spec.known_solution,
         known_objective=spec.known_objective,
         start=spec.x0,
@@ -219,9 +232,14 @@ def compile_spec(spec: ProblemSpecFile) -> SipProblem:
 
 
 def load_problem(path) -> SipProblem:
-    """Read, parse, and compile a problem document from ``path``."""
+    """Read, parse, and compile a problem document from ``path``; an index
+    set without a box (``index_set_box``) is a SpecFileError."""
     path = Path(path)
     problem = compile_spec(parse_spec(path.read_text(encoding="utf-8")))
+    try:
+        index_set_box(problem)
+    except (ValueError, ArithmeticError) as exc:
+        raise SpecFileError(f"index set: {exc}") from None
     if not problem.name:
         object.__setattr__(problem, "name", path.stem)
     return problem

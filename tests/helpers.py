@@ -10,6 +10,14 @@ from sipsolve.model import ScalarField, SipProblem
 from sipsolve.sensitivity import LinearizedConstraint, linearized_value_and_gradient
 
 
+def grid_nodes(box, per_dim: int) -> np.ndarray:
+    """Tensor grid with ``per_dim`` nodes per axis over an ``(m, 2)`` box,
+    in C order (last coordinate fastest), like ``lower_level.index_grid``."""
+    axes = np.meshgrid(*(np.linspace(lo, hi, per_dim) for lo, hi in box),
+                       indexing="ij")
+    return np.stack([a.ravel() for a in axes], axis=1)
+
+
 def interval_index_fields(radius=1.0):
     """Index constraints describing Y = [-radius, radius] in one dimension."""
     upper = ScalarField(

@@ -11,12 +11,11 @@ from sipsolve.cli import main
 from sipsolve.diagnostics import estimate_order
 from sipsolve.lower_level import (GRID_PER_DIM, index_set_box,
                                   solve_lower_level_global)
-from sipsolve.model import grid_nodes
 from sipsolve.problems import get_problem
 from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearized_value_and_gradient)
 
-from helpers import fd_maximizer_jacobian, linearization_gaps
+from helpers import fd_maximizer_jacobian, grid_nodes, linearization_gaps
 
 
 def _report(number, label, ok, detail):
@@ -204,7 +203,7 @@ def test_criterion_09_global_dominance_over_fine_grid():
     per_dim = 10 * GRID_PER_DIM
     for name in ("example1", "example2", "design_centering"):
         problem = get_problem(name)
-        box, _ = index_set_box(problem)
+        box = index_set_box(problem)
         nodes = grid_nodes(box, per_dim)
         mask = np.ones(len(nodes), dtype=bool)
         for v in problem.index_constraints:

@@ -9,13 +9,17 @@ from sipsolve.cli import build_parser, main, run_options
 
 MINIMAL_SPEC = ("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n"
                 "  - -y1^2 - x1\nindex_constraints:\n  - y1^2 - 1\n"
-                "x_bounds:\n  - [-2, 2]\nx0: [1]\n")
+                "y_bounds: [[-1, 1]]\nx_bounds:\n  - [-2, 2]\nx0: [1]\n")
 
 # log(x1) is undefined for x1 <= 0, inside the box; the problem is unbounded
 # below as x1 -> 0+
 LOG_SPEC = ("n: 2\nm: 1\nobjective: log(x1) + x2\nsi_constraints:\n"
             "  - -y1^2 + 2*y1*x1 - x2\nindex_constraints:\n  - y1 - 1\n"
             "  - -y1 - 1\nx_bounds: [[-1, 2], [-1, 1]]\n")
+
+# a disk index set with no y_bounds: its box cannot be read off
+DISK_SPEC = ("n: 1\nm: 2\nobjective: x1\nsi_constraints:\n  - y1 - x1\n"
+             "index_constraints:\n  - y1^2 + y2^2 - 1\nx0: [2]\n")
 
 EXPECTED_HEADER = ("k,x_1,x_2,objective,feasibility,stationarity_residual,"
                    "dist_to_known,step_norm,beta_norm,alpha_max,"
@@ -39,6 +43,12 @@ class TestList:
     def test_empty_spec_dir(self, tmp_path, capsys):
         assert main(["list", "--spec-dir", str(tmp_path)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 3
+
+    def test_spec_without_a_box_noted(self, tmp_path, capsys):
+        (tmp_path / "disk.yaml").write_text(DISK_SPEC)
+        assert main(["list", "--spec-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "unreadable" in out[3] and "y_bounds" in out[3]
 
     def test_unreadable_spec_noted(self, tmp_path, capsys):
         (tmp_path / "broken.yaml").write_text("n: 0\n")
@@ -67,6 +77,15 @@ class TestSourceSelection:
     def test_missing_spec_file_exits_2(self, capsys):
         assert main(["run", "--spec", "/nonexistent/x.yaml"]) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_index_set_without_a_box_exits_2(self, tmp_path, capsys, command):
+        spec = tmp_path / "disk.yaml"
+        spec.write_text(DISK_SPEC)
+        assert main([command, "--spec", str(spec)]) == 2
+        assert "y_bounds" in capsys.readouterr().err
+        spec.write_text(DISK_SPEC + "y_bounds: [[-1, 1], [-1, 1]]\n")
+        assert main([command, "--spec", str(spec)]) == 0
 
     def test_spec_file_works_as_source(self, tmp_path, capsys):
         spec = tmp_path / "mini.yaml"

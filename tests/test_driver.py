@@ -182,6 +182,17 @@ class TestConvergenceBehavior:
         assert r.final_status == "tolerance_met"
         assert r.final.k == 2
 
+    def test_near_singular_bfgs_matrix_restarts(self, dc):
+        # on the box [-1, 1]^2 the first master from this start gets a BFGS
+        # matrix that is positive definite but singular to working precision;
+        # the SQP restarts from the identity instead of solving a QP on it
+        x0 = [0.05663372243244269, 0.2706774314584631, 0.5504147567809613,
+              0.6823188888562653, -0.3241708295993819]
+        unit = replace(dc, y_bounds=[[-1.0, 1.0], [-1.0, 1.0]])
+        r = run_qcad(unit, x0, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert r.final_status == "tolerance_met"
+        assert r.final.k == 2
+
     def test_master_at_a_fixed_point_keeps_its_iterates(self, dc, monkeypatch):
         # from this start two masters stop moving long before max_iter:
         # every accepted step rounds back to the same z.  Cutting such a

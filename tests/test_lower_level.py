@@ -9,10 +9,10 @@ from sipsolve.lower_level import (GRID_PER_DIM, TIE_TOL, LowerLevelError,
                                   index_set_box, kkt_jacobian, kkt_residual,
                                   solve_all_lower_levels,
                                   solve_lower_level_global)
-from sipsolve.model import ScalarField, SipProblem, grid_nodes, restrict_to_y
+from sipsolve.model import ScalarField, SipProblem, restrict_to_y
 from sipsolve.problems import get_problem
 
-from helpers import (interval_index_fields, narrow_peak_problem,
+from helpers import (grid_nodes, interval_index_fields, narrow_peak_problem,
                      pinned_index_problem, reference_ascending,
                      reference_best_nodes, three_peak_problem, tie_problem,
                      two_peak_problem)
@@ -125,10 +125,7 @@ class TestGlobalMaximizer:
         assert abs(np.linalg.norm(sol.y) - 1.0) <= 1e-12
         assert _kkt_residual(dc, sol) <= 1e-8
         assert sol.regularity.all_ok
-        box, _ = index_set_box(dc)
-        nodes = grid_nodes(box, lower_level.GRID_PER_DIM)
-        nodes = nodes[dc.index_constraints[0].value_batch(nodes)
-                      <= lower_level.TOL_FEAS]
+        nodes = lower_level.index_grid(dc).nodes
         z = np.column_stack([np.broadcast_to(x, (len(nodes), 5)), nodes])
         assert sol.value >= dc.si_constraints[0].value_batch(z).max()
 
@@ -317,7 +314,7 @@ class TestContinuation:
     def test_driver_records_dominate_the_fine_grid(self, name):
         # criterion 09's 640-per-axis grid, at every iterate of both drivers
         problem = get_problem(name)
-        box, _ = index_set_box(problem)
+        box = index_set_box(problem)
         nodes = grid_nodes(box, 10 * GRID_PER_DIM)
         for v in problem.index_constraints:
             nodes = nodes[v.value_batch(nodes) <= 1e-9]
@@ -499,15 +496,26 @@ class TestRegularity:
 
 class TestIndexSetBox:
     def test_interval_recognized_exactly(self, ex1):
-        box, recognized = index_set_box(ex1)
-        assert recognized
+        box = index_set_box(ex1)
         assert np.array_equal(box, [[-1.0, 1.0]])
 
-    def test_disk_scanned_with_padding(self, dc):
-        box, recognized = index_set_box(dc)
-        assert not recognized
-        assert box.shape == (2, 2)
-        assert np.allclose(box, [[-1.03125, 1.03125], [-1.03125, 1.03125]])
+    def test_declared_box_used_exactly(self, dc):
+        # the disk's box is its spec's y_bounds, bit for bit
+        assert np.array_equal(index_set_box(dc),
+                              [[-1.03125, 1.03125], [-1.03125, 1.03125]])
+        assert np.array_equal(lower_level.index_grid(dc).box, dc.y_bounds)
+        # a declared box wins over interval-bound index constraints
+        wide = replace(get_problem("example1"), y_bounds=[[-2.0, 3.0]])
+        assert np.array_equal(index_set_box(wide), [[-2.0, 3.0]])
+
+    def test_disk_without_a_box_fails_its_first_solve(self, dc):
+        bare = replace(dc, y_bounds=None)
+        with pytest.raises(LowerLevelError, match="y_bounds"):
+            solve_lower_level_global(bare, 0, dc.start)
+        r = run_qcad(bare, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert r.final_status == "subsolver_failure"
+        assert not r.history
+        assert len(r.warnings) == 1 and "y_bounds" in r.warnings[0]
 
     def test_empty_index_set_raises(self):
         impossible = ScalarField(
@@ -526,15 +534,14 @@ class TestIndexSetBox:
             solve_lower_level_global(p, 0, np.array([0.0]))
 
     def test_pinned_interval_collapses_to_point(self):
-        box, recognized = index_set_box(pinned_index_problem())
-        assert recognized
+        box = index_set_box(pinned_index_problem())
         assert box.shape == (1, 2)
         assert abs(box[0, 0]) == 0.0 and abs(box[0, 1]) == 0.0
 
 
 class TestGridDominance:
     def test_returned_value_dominates_fine_grid(self, ex2):
-        box, _ = index_set_box(ex2)
+        box = index_set_box(ex2)
         nodes = grid_nodes(box, 320)
         rng = np.random.default_rng(21)
         for _ in range(5):

@@ -214,6 +214,18 @@ class TestValidateProblem:
         assert not report.valid
         assert any("empty" in msg for msg in report.issues)
 
+    def test_index_set_without_a_box_named(self):
+        # a disk is no interval bound: its box must be declared
+        disk = ScalarField(1, lambda y: y[0] ** 2 - 1.0, lambda y: 2.0 * y,
+                           hessian=lambda y: 2.0 * np.eye(1),
+                           value_batch=lambda pts: pts[:, 0] ** 2 - 1.0)
+        for y_bounds in (None, [[1.0, -1.0]], [[-np.inf, 1.0]]):
+            report = validate_problem(
+                _toy_problem(index_constraints=(disk,), y_bounds=y_bounds))
+            assert [msg for msg in report.issues if "y_bounds" in msg]
+        assert validate_problem(_toy_problem(index_constraints=(disk,),
+                                             y_bounds=[[-1.0, 1.0]])).valid
+
     def test_crossed_bounds_detected(self):
         report = validate_problem(
             _toy_problem(x_bounds=np.array([[1.0, -1.0], [-1.0, 1.0]])))

@@ -51,6 +51,14 @@ class TestSolveQp:
         assert r.status == "nonfinite"
         assert not r.step.any() and not r.multipliers.any()
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_singular_hessian_is_a_status(self, rows):
+        # [[1, 1], [1, 1]] has no inverse: a status, not a LinAlgError
+        r = solve_qp(np.ones((2, 2)), np.array([1.0, 0.0]),
+                     np.array([[1.0, 0.0]])[:rows], np.array([-1.0])[:rows])
+        assert r.status == "singular"
+        assert not r.step.any() and not r.multipliers.any()
+
     def test_bounds_become_active(self):
         r = solve_qp(np.eye(1), np.array([-3.0]), np.zeros((0, 1)),
                      np.zeros(0), lower=np.array([-1.0]), upper=np.array([1.0]))
@@ -424,6 +432,33 @@ class TestSolveNlp:
             a, b = np.asarray(getattr(short, name)), np.asarray(getattr(full, name))
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
         assert (short_qps, len(qps)) == (3, 51)
+
+    def test_singular_qp_ends_in_qp_failure(self, monkeypatch):
+        singular = nlp.QpResult(np.zeros(2), np.zeros(0), np.zeros(2),
+                                np.zeros(2), "singular")
+        monkeypatch.setattr(nlp, "solve_qp", lambda *args: singular)
+        sol = solve_nlp(NlpProblem(2, _quadratic_objective()),
+                        np.array([3.0, 4.0]))
+        assert sol.status == "qp_failure" and sol.iterations == 1
+
+    def test_ill_conditioned_bfgs_matrix_is_reset(self, monkeypatch):
+        # an update whose smallest eigenvalue is 1e-14 of its largest is
+        # positive definite but singular to working precision: the next QP
+        # gets the identity instead
+        hessians = []
+        solve = nlp.solve_qp
+
+        def recorded(H, *args):
+            hessians.append(H)
+            return solve(H, *args)
+
+        monkeypatch.setattr(nlp, "solve_qp", recorded)
+        monkeypatch.setattr(nlp, "_damped_bfgs",
+                            lambda B, s, y: np.diag([1e-14, 1.0]))
+        solve_nlp(NlpProblem(2, _quadratic_objective()), np.array([3.0, 4.0]),
+                  max_iter=2)
+        assert len(hessians) >= 2
+        assert all(np.array_equal(H, np.eye(2)) for H in hessians)
 
     def test_respects_iteration_budget(self):
         p = NlpProblem(2, _quadratic_objective())

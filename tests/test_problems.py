@@ -1,10 +1,15 @@
+import re
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
+from sipsolve import DriverOptions, run_blankenship_falk, run_qcad
 from sipsolve.diagnostics import feasibility_measure, stationarity_residual
 from sipsolve.lower_level import solve_all_lower_levels, solve_lower_level_global
 from sipsolve.model import verify_derivatives, validate_problem
 from sipsolve.problems import REGISTRY, get_problem, list_problems
+from sipsolve.specfile import compile_spec, parse_spec
 
 
 class TestRegistry:
@@ -115,3 +120,26 @@ class TestKnownValues:
         sol = solve_lower_level_global(dc, 2, np.asarray(dc.start))
         assert sol.value == pytest.approx(np.sqrt(17.0) / 4.0 - 0.75,
                                           abs=1e-9)
+
+
+def _disk_of_radius(r: float) -> str:
+    """design_centering's spec text with y measured in units of 1/r: Y is
+    the disk of radius r, g reads y/r, and y_bounds scale by r."""
+    text = (files("sipsolve") / "data" / "design_centering.yaml").read_text()
+    si = text[text.index("si_constraints:"):text.index("index_constraints:")]
+    text = text.replace(si, re.sub(r"y(\d)", rf"(y\1/{r!r})", si))
+    text = text.replace('"y1^2 + y2^2 - 1"', f'"y1^2 + y2^2 - {r * r!r}"')
+    return text.replace("[-1.03125, 1.03125]", f"[{-1.03125 * r!r}, {1.03125 * r!r}]")
+
+
+class TestIndexRescaling:
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_small_disk_keeps_status_and_k(self, runner):
+        # the declared box scales with Y; a box searched for over a fixed
+        # region does not
+        opts = DriverOptions(mode="known", tol_dist=1e-4)
+        small = compile_spec(parse_spec(_disk_of_radius(0.01)))
+        base = runner(get_problem("design_centering"), opts=opts)
+        scaled = runner(small, opts=opts)
+        assert base.final_status == scaled.final_status == "tolerance_met"
+        assert scaled.final.k == base.final.k

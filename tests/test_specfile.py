@@ -138,6 +138,22 @@ class TestParseSpec:
             parse_spec("objective: [unclosed\n")
         assert "YAML" in str(exc.value)
 
+    def test_declared_index_box(self):
+        sf = parse_spec(GOOD + "y_bounds: [[-2, 0.5]]\n")
+        assert sf.y_bounds == [[-2.0, 0.5]]
+        assert compile_spec(sf).y_bounds.tolist() == [[-2.0, 0.5]]
+
+    @pytest.mark.parametrize("pairs, fragment", [
+        ("[[-1, 1], [-1, 1]]", "y_bounds: expected 1 [lo, hi] pairs"),
+        ("[5]", "y_bounds: each entry must be a [lo, hi] pair"),
+        ("[[1, -1]]", "y_bounds: lower 1.0 exceeds upper -1.0"),
+        ("[[-.inf, 1]]", "y_bounds[0]: expected a finite number, got -inf"),
+        ("[[a, 1]]", "y_bounds[0]: expected a number, got 'a'")])
+    def test_malformed_index_box(self, pairs, fragment):
+        with pytest.raises(SpecFileError) as exc:
+            parse_spec(GOOD + f"y_bounds: {pairs}\n")
+        assert fragment in str(exc.value)
+
     def test_optional_keys_default_to_none(self):
         doc = ("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n  - y1 - x1\n"
                "index_constraints:\n  - y1^2 - 1\n")
@@ -243,9 +259,18 @@ class TestLoadProblem:
         assert report.valid, report.issues
         assert p.name == "toy"
 
+    def test_index_set_without_a_box_rejected(self, tmp_path):
+        path = tmp_path / "disk.yaml"
+        path.write_text("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n"
+                        "  - y1 - x1\nindex_constraints:\n  - y1^2 - 1\n")
+        with pytest.raises(SpecFileError) as exc:
+            load_problem(path)
+        assert "index_constraints[0]" in str(exc.value)
+        assert "y_bounds" in str(exc.value)
+
     def test_unnamed_problem_takes_file_stem(self, tmp_path):
         doc = ("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n  - y1 - x1\n"
-               "index_constraints:\n  - y1^2 - 1\n")
+               "index_constraints:\n  - y1^2 - 1\ny_bounds: [[-1, 1]]\n")
         path = tmp_path / "nameless.yaml"
         path.write_text(doc)
         assert load_problem(path).name == "nameless"
