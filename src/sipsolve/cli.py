@@ -223,7 +223,7 @@ def cmd_verify(args) -> int:
     if problem.known_solution is not None:
         x_star = problem.known_solution
         try:
-            ll = solve_all_lower_levels(problem, x_star)
+            ll = solve_all_lower_levels(problem, x_star, report.grid)
             feas = feasibility_measure(ll)
             stat = stationarity_residual(problem, x_star, ll)
         except (ArithmeticError, FieldEvaluationError, LowerLevelError) as exc:

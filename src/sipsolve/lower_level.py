@@ -58,7 +58,7 @@ from typing import Optional
 import numpy as np
 
 from .model import SipProblem, index_set_box, negated, restrict_to_y
-from .nlp import NlpProblem, field_rows, null_space, solve_nlp
+from .nlp import NlpProblem, field_rows, null_space, solve_linear, solve_nlp
 
 Array = np.ndarray
 
@@ -177,8 +177,9 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
                 mu: Array, scale: float):
     """Newton iterations on the active-set KKT system from (y, mu), ``mu``
     the full multiplier vector: (y, mu) polished, inactive multipliers zero,
-    or None.  The residual's stationarity rows and the multiplier signs are
-    measured relative to ``scale``."""
+    or None, also as soon as a Newton step is singular or not finite.  The
+    residual's stationarity rows and the multiplier signs are measured
+    relative to ``scale``."""
     m = problem.m
     vs = problem.index_constraints
     mu_a = mu[active]
@@ -187,20 +188,20 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
     res = kkt_residual(problem, i, x, y, active, mu_a)
     norm = np.linalg.norm(res / weight)
     best = (norm, y, mu_a)
-    for _ in range(8):
-        if norm <= 1e-13 * (1.0 + norm):
-            break
-        jac, _ = kkt_jacobian(problem, i, x, y, active, mu_a)
-        try:
-            delta = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        y = y + delta[:m]
-        mu_a = mu_a + delta[m:]
-        res = kkt_residual(problem, i, x, y, active, mu_a)
-        norm = np.linalg.norm(res / weight)
-        if norm < best[0]:
-            best = (norm, y, mu_a)
+    with np.errstate(all="ignore"):     # for solve_linear
+        for _ in range(8):
+            if norm <= 1e-13 * (1.0 + norm):
+                break
+            jac, _ = kkt_jacobian(problem, i, x, y, active, mu_a)
+            delta = solve_linear(jac, -res)
+            if delta is None:
+                return None
+            y = y + delta[:m]
+            mu_a = mu_a + delta[m:]
+            res = kkt_residual(problem, i, x, y, active, mu_a)
+            norm = np.linalg.norm(res / weight)
+            if norm < best[0]:
+                best = (norm, y, mu_a)
     norm, y, mu_a = best
     if norm > 1e-10 or any(mu_a < -1e-10 * scale):
         return None

@@ -125,8 +125,10 @@ def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:
         return field.hessian(np.concatenate([x, y]))[n:, n:]
 
     def batch(Y):
-        X = np.tile(x, (Y.shape[0], 1))
-        return field.value_batch(np.hstack([X, Y]))
+        Z = np.empty((len(Y), n + m))
+        Z[:, :n] = x
+        Z[:, n:] = Y
+        return field.value_batch(Z)
 
     return ScalarField(m, val, grad, hess, batch, name=f"{field.name}|x fixed")
 
@@ -232,10 +234,13 @@ def index_set_box(problem: SipProblem) -> Array:
 
 @dataclass
 class ValidationReport:
-    """Outcome of :func:`validate_problem`; never raises on bad data."""
+    """Outcome of :func:`validate_problem`; never raises on bad data.
+    ``grid`` is the lower-level grid (``lower_level.index_grid``) built to
+    check the index set, None when none could be built."""
 
     valid: bool
     issues: list
+    grid: object = None
 
     def __str__(self):
         if self.valid:
@@ -271,6 +276,8 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
     """Structural checks: dimensions, derivative availability, index set.
 
     Only reports problems; solver entry points assume a valid instance.
+    The report keeps the lower-level grid built for the index-set check,
+    for a caller that goes on to solve the lower levels.
     """
     issues: list = []
     n, m = problem.n, problem.m
@@ -310,12 +317,13 @@ def validate_problem(problem: SipProblem) -> ValidationReport:
         issues.append("start: dimension mismatch")
 
     from .lower_level import index_grid     # lower_level imports this module
+    grid = None
     try:    # the index set has a box, and the grid over it a feasible node
-        index_grid(problem)
+        grid = index_grid(problem)
     except Exception as exc:  # noqa: BLE001
         issues.append(f"index set: {exc}")
 
-    return ValidationReport(not issues, issues)
+    return ValidationReport(not issues, issues, grid)
 
 
 def verify_derivatives(field: ScalarField, points: Sequence, h: float = 1e-6) -> float:

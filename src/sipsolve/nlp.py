@@ -18,6 +18,13 @@ penalized slack.  ``negative_curvature`` tests the second-order necessary
 condition at a KKT point, with the exact Lagrangian Hessian on the critical
 cone.
 
+Every dense solve of the QP, and the Newton steps of the lower level's KKT
+polish, go through ``solve_linear``: the LAPACK ``gesv`` gufunc that
+``np.linalg.solve`` runs, called without that wrapper's argument checks and
+per-call error state, so with the same bits.  At size 10 or less the
+wrapper costs about three times the solve (numpy 2.4: 11 us a call against
+3 us for the gufunc).  Each QP and each polish sets the error state once.
+
 Everything is deterministic: no randomness, fixed tie-breaking by lowest
 constraint index.
 """
@@ -25,10 +32,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .model import ScalarField
 
@@ -137,50 +146,68 @@ class QpResult:
 # QP: dual active-set method for strictly convex problems
 # ---------------------------------------------------------------------------
 
+def solve_linear(a: Array, b: Array) -> Optional[Array]:
+    """x with a x = b, for a square float matrix a and a float vector b;
+    None when a is singular or x is not finite (an inf in a can still give
+    a finite x, as in ``np.linalg.solve``).  The same LAPACK ``gesv`` as
+    ``np.linalg.solve``, so the same bits.  Call it under
+    ``np.errstate(all="ignore")``: a singular a sets numpy's invalid flag,
+    which ``np.linalg.solve`` turns into ``LinAlgError``."""
+    x = _umath_linalg.solve1(a, b, signature="dd->d")
+    # x.x is finite when x is, unless the square overflows
+    return x if math.isfinite(x.dot(x)) or np.isfinite(x).all() else None
+
+
 def _kkt_solve(H: Array, N: Array, top: Array, bottom: Array):
-    """Solve [[H, N], [N', 0]] [u; v] = [top; bottom]; None when singular."""
+    """Solve [[H, N], [N', 0]] [u; v] = [top; bottom] by ``solve_linear``;
+    None when it gives None."""
     d, k = N.shape
     kkt = np.zeros((d + k, d + k))
     kkt[:d, :d] = H
     kkt[:d, d:] = N
     kkt[d:, :d] = N.T
-    try:
-        sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
-    except np.linalg.LinAlgError:
-        return None
-    return sol[:d], sol[d:]
+    sol = solve_linear(kkt, np.concatenate([top, bottom]))
+    return None if sol is None else (sol[:d], sol[d:])
 
 
-def _equality_optimum(H: Array, g: Array, C: Array, e: Array, work: list):
+def _equality_optimum(H: Array, g: Array, C: Array, e: Array, tol: Array,
+                      work: list):
     """Solve the equality QP on the rows ``work`` and return it as the QP's
     optimum (x, lam, work, 'optimal'); None when a multiplier is negative,
-    a row is violated, or the KKT matrix is singular.  H is positive
-    definite, so a point that passes is the unique optimum."""
+    a row is violated by more than its ``tol``, or the KKT matrix is
+    singular.  H is positive definite, so a point that passes is the
+    unique optimum."""
     sol = _kkt_solve(H, C[work].T, -g, e[work])
     if sol is None:
         return None
     x, lam_w = sol
-    if not ((lam_w >= 0.0).all()
-            and (C @ x - e <= _QP_FEAS_TOL * (1.0 + np.abs(e))).all()):
+    if not ((lam_w >= 0.0).all() and (C @ x - e <= tol).all()):
         return None
     lam = np.zeros(len(e))
     lam[work] = lam_w
     return x, lam, work, "optimal"
 
 
-def _blocking(lam_w: list, r: Array) -> tuple:
+def _blocking(lam_w: list, r: list) -> tuple:
     """The working-set row whose multiplier ``lam_w - t r`` reaches zero
-    first as t grows, and that t: ``(-1, inf)`` when no ``r`` is positive."""
-    positive = r > 1e-12
-    if not positive.any():
-        return -1, np.inf
-    ratios = np.where(positive, np.array(lam_w) / np.where(positive, r, 1.0), np.inf)
-    drop = int(np.argmin(ratios))
-    return drop, float(ratios[drop])
+    first as t grows, and that t: ``(-1, inf)`` when no ``r`` is positive.
+    The row is np.argmin's over the ratios, inf where r is not positive:
+    ties go to the lowest index, the first nan wins, and all inf is row 0."""
+    drop, t, positive = -1, math.inf, False
+    for j, (lw, rj) in enumerate(zip(lam_w, r)):
+        if rj > 1e-12:
+            positive = True
+            ratio = lw / rj
+            if ratio != ratio:
+                return j, ratio
+            if ratio < t:
+                drop, t = j, ratio
+    return (0, t) if positive and drop < 0 else (drop, t)
 
 
-def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
-    """min 1/2 x'Hx + g'x  s.t.  C x <= e  with H positive definite.
+def _dual_active_set(H: Array, g: Array, C: Array, e: Array, tol: Array):
+    """min 1/2 x'Hx + g'x  s.t.  C x <= e  with H positive definite; row j
+    holds when violated by at most ``tol[j]``.
 
     Returns (x, lam, work, status), ``work`` the working set at return.
     Ties in the most-violated selection and in the dual blocking test are
@@ -190,10 +217,10 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
     n_rows = C.shape[0]
     if not all(np.isfinite(M).all() for M in (H, g, C, e)):
         return np.zeros(d), np.zeros(n_rows), [], "nonfinite"
-    try:
-        x = -np.linalg.solve(H, g)
-    except np.linalg.LinAlgError:
+    x = solve_linear(H, g)
+    if x is None:
         return np.zeros(d), np.zeros(n_rows), [], "singular"
+    x = -x
     lam = np.zeros(n_rows)
     work: list = []     # active row indices, in order of addition
     lam_w: list = []
@@ -202,11 +229,11 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
         s = C @ x - e
         s[work] = 0.0
         p = int(np.argmax(s)) if n_rows else 0
-        if n_rows == 0 or s[p] <= _QP_FEAS_TOL * (1.0 + abs(e[p])):
+        if n_rows == 0 or s[p] <= tol[p]:
             # a dual step on a nearly dependent row keeps stationarity only
             # up to the row's distance from the span; one KKT solve on the
             # final working set restores it
-            polished = _equality_optimum(H, g, C, e, work) if work else None
+            polished = _equality_optimum(H, g, C, e, tol, work) if work else None
             if polished is not None:
                 return polished
             lam[work] = np.maximum(lam_w, 0.0)
@@ -215,7 +242,9 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
         normal = C[p]
         if np.abs(normal).max() == 0.0:
             return x, lam, work, "infeasible"   # 0'x <= e_p with e_p < 0
-        h_normal = np.linalg.solve(H, normal)   # same H as above: not singular
+        h_normal = solve_linear(H, normal)
+        if h_normal is None:    # H solved above: the solution overflowed
+            return x, lam, work, "singular"
         n_h_n = float(normal @ h_normal)
         lam_p = 0.0
         for _inner in range(n_rows + d + 8):
@@ -224,10 +253,10 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array):
                 sol = _kkt_solve(H, C[work].T, -normal, np.zeros(k))
                 if sol is None:
                     return x, lam, work, "max_iter"
-                z, r = sol[0], -sol[1]
+                z, r = sol[0], (-sol[1]).tolist()
             else:
                 z = -h_normal
-                r = np.zeros(0)
+                r = []
 
             s_p = float(normal @ x - e[p])
             if k == d or (k and -float(normal @ z) <= _QP_DEPENDENT * n_h_n):
@@ -297,8 +326,9 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     status of 'optimal', 'infeasible' (inconsistent constraints),
     'max_iter', 'nonfinite' (the dual method was given inf or nan data; the
     step and duals are then zero) or 'singular' (H is singular to working
-    precision).  Rows are indexed as stacked: the
-    A-rows, then the finite lower bounds, then the finite upper bounds.
+    precision, or a solve with it overflows).  Rows are indexed as
+    stacked: the A-rows, then the finite lower bounds, then the finite
+    upper bounds.
     ``active`` is a hint in that indexing, usually the previous QP's
     ``active``: the equality QP on those rows is solved first and kept if
     it is the optimum; otherwise the dual active-set method starts from
@@ -313,9 +343,12 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     upper = np.full(d, np.inf) if upper is None else np.asarray(upper, dtype=float)
 
     C, e, lo_idx, up_idx = _stack_rows(A, b, lower, upper)
+    tol = _QP_FEAS_TOL * (1.0 + np.abs(e))
     hint = list(dict.fromkeys(active))
-    hot = _equality_optimum(H, g, C, e, hint) if 0 < len(hint) <= d else None
-    x, lam, work, status = hot or _dual_active_set(H, g, C, e)
+    with np.errstate(all="ignore"):     # for solve_linear
+        hot = (_equality_optimum(H, g, C, e, tol, hint)
+               if 0 < len(hint) <= d else None)
+        x, lam, work, status = hot or _dual_active_set(H, g, C, e, tol)
 
     n_rows, n_lo = A.shape[0], len(lo_idx)
     lo_mult = np.zeros(d)

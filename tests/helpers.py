@@ -7,6 +7,7 @@ from sipsolve.expressions import Call, Expression, Neg, Num, Var
 from sipsolve.lower_level import (TOL_FEAS, LowerLevelError,
                                  solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem
+from sipsolve.nlp import _QP_DEPENDENT, _QP_FEAS_TOL, QpResult, _stack_rows
 from sipsolve.sensitivity import LinearizedConstraint, linearized_value_and_gradient
 
 
@@ -319,3 +320,151 @@ def reference_stack_rows(A, b, lower, upper):
     C = np.vstack([A, -eye[lo_idx], eye[up_idx]])
     e = np.concatenate([b, -lower[lo_idx], upper[up_idx]])
     return C, e, lo_idx, up_idx
+
+
+# Reference copies of the QP's dense solves as they were before
+# ``nlp.solve_linear``: np.linalg.solve per solve, numpy arrays for the
+# blocking test, the row tolerance per check; ``nlp.solve_qp`` must match
+# them bit for bit
+
+def reference_kkt_solve(H, N, top, bottom):
+    """Solve [[H, N], [N', 0]] [u; v] = [top; bottom]; None when singular."""
+    d, k = N.shape
+    kkt = np.zeros((d + k, d + k))
+    kkt[:d, :d] = H
+    kkt[:d, d:] = N
+    kkt[d:, :d] = N.T
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
+    except np.linalg.LinAlgError:
+        return None
+    return sol[:d], sol[d:]
+
+
+def reference_equality_optimum(H, g, C, e, work):
+    """``nlp._equality_optimum`` with the row tolerance computed here."""
+    sol = reference_kkt_solve(H, C[work].T, -g, e[work])
+    if sol is None:
+        return None
+    x, lam_w = sol
+    if not ((lam_w >= 0.0).all()
+            and (C @ x - e <= _QP_FEAS_TOL * (1.0 + np.abs(e))).all()):
+        return None
+    lam = np.zeros(len(e))
+    lam[work] = lam_w
+    return x, lam, work, "optimal"
+
+
+def reference_blocking(lam_w, r):
+    """``nlp._blocking`` by np.argmin over the ratios."""
+    positive = r > 1e-12
+    if not positive.any():
+        return -1, np.inf
+    ratios = np.where(positive, np.array(lam_w) / np.where(positive, r, 1.0), np.inf)
+    drop = int(np.argmin(ratios))
+    return drop, float(ratios[drop])
+
+
+def reference_dual_active_set(H, g, C, e):
+    """``nlp._dual_active_set`` with np.linalg.solve and numpy multipliers."""
+    d = H.shape[0]
+    n_rows = C.shape[0]
+    if not all(np.isfinite(M).all() for M in (H, g, C, e)):
+        return np.zeros(d), np.zeros(n_rows), [], "nonfinite"
+    try:
+        x = -np.linalg.solve(H, g)
+    except np.linalg.LinAlgError:
+        return np.zeros(d), np.zeros(n_rows), [], "singular"
+    lam = np.zeros(n_rows)
+    work: list = []
+    lam_w: list = []
+
+    for _ in range(4 * (n_rows + d) + 16):
+        s = C @ x - e
+        s[work] = 0.0
+        p = int(np.argmax(s)) if n_rows else 0
+        if n_rows == 0 or s[p] <= _QP_FEAS_TOL * (1.0 + abs(e[p])):
+            polished = reference_equality_optimum(H, g, C, e, work) if work else None
+            if polished is not None:
+                return polished
+            lam[work] = np.maximum(lam_w, 0.0)
+            return x, lam, work, "optimal"
+
+        normal = C[p]
+        if np.abs(normal).max() == 0.0:
+            return x, lam, work, "infeasible"
+        h_normal = np.linalg.solve(H, normal)
+        n_h_n = float(normal @ h_normal)
+        lam_p = 0.0
+        for _inner in range(n_rows + d + 8):
+            k = len(work)
+            if k:
+                sol = reference_kkt_solve(H, C[work].T, -normal, np.zeros(k))
+                if sol is None:
+                    return x, lam, work, "max_iter"
+                z, r = sol[0], -sol[1]
+            else:
+                z = -h_normal
+                r = np.zeros(0)
+
+            s_p = float(normal @ x - e[p])
+            if k == d or (k and -float(normal @ z) <= _QP_DEPENDENT * n_h_n):
+                drop, t = reference_blocking(lam_w, r)
+                if drop < 0:
+                    return x, lam, work, "infeasible"
+                lam_w = [lw - t * rj for lw, rj in zip(lam_w, r)]
+                lam_p += t
+                work.pop(drop)
+                lam_w.pop(drop)
+                continue
+
+            dsp = float(normal @ z)
+            if dsp == 0.0:
+                return x, lam, work, "infeasible"
+            t_full = -s_p / dsp
+            drop, t_part = reference_blocking(lam_w, r)
+            t = min(t_full, t_part)
+            x = x + t * z
+            lam_w = [max(lw - t * rj, 0.0) for lw, rj in zip(lam_w, r)]
+            lam_p += t
+            if t_full <= t_part:
+                work.append(p)
+                lam_w.append(lam_p)
+                break
+            work.pop(drop)
+            lam_w.pop(drop)
+        else:
+            return x, lam, work, "max_iter"
+
+    return x, lam, work, "max_iter"
+
+
+def reference_solve_qp(H, g, A, b, lower=None, upper=None, active=()):
+    """``nlp.solve_qp`` on the reference dual method and equality solve."""
+    H = np.asarray(H, dtype=float)
+    g = np.asarray(g, dtype=float)
+    d = len(g)
+    A = np.asarray(A, dtype=float).reshape(-1, d) if np.size(A) else np.zeros((0, d))
+    b = np.asarray(b, dtype=float).reshape(-1) if np.size(b) else np.zeros(0)
+    lower = np.full(d, -np.inf) if lower is None else np.asarray(lower, dtype=float)
+    upper = np.full(d, np.inf) if upper is None else np.asarray(upper, dtype=float)
+
+    C, e, lo_idx, up_idx = _stack_rows(A, b, lower, upper)
+    hint = list(dict.fromkeys(active))
+    hot = reference_equality_optimum(H, g, C, e, hint) if 0 < len(hint) <= d else None
+    x, lam, work, status = hot or reference_dual_active_set(H, g, C, e)
+
+    n_rows, n_lo = A.shape[0], len(lo_idx)
+    lo_mult = np.zeros(d)
+    up_mult = np.zeros(d)
+    lo_mult[lo_idx] = lam[n_rows:n_rows + n_lo]
+    up_mult[up_idx] = lam[n_rows + n_lo:]
+    if status == "optimal" and len(e) > n_rows:
+        x = np.clip(x, lower, upper)
+    return QpResult(x, lam[:n_rows], lo_mult, up_mult, status, active=tuple(work))
+
+
+def reference_restricted_batch(field, n, x, Y):
+    """``restrict_to_y(field, n, x).value_batch(Y)`` by np.tile and np.hstack."""
+    X = np.tile(np.asarray(x, dtype=float), (Y.shape[0], 1))
+    return field.value_batch(np.hstack([X, Y]))

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from sipsolve import DriverOptions
+from sipsolve import DriverOptions, lower_level
 from sipsolve.cli import build_parser, main, run_options
+from sipsolve.lower_level import index_grid
 
 MINIMAL_SPEC = ("n: 1\nm: 1\nobjective: x1\nsi_constraints:\n"
                 "  - -y1^2 - x1\nindex_constraints:\n  - y1^2 - 1\n"
@@ -292,6 +293,20 @@ class TestVerify:
         assert "all checks passed" in out
         assert "derivatives objective" in out
         assert "known solution: feasibility" in out
+
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "design_centering"])
+    def test_grid_built_once(self, name, monkeypatch):
+        # the validation's grid is the one the known solution is checked on
+        built = []
+
+        def counted(problem):
+            built.append(problem.name)
+            return index_grid(problem)
+
+        monkeypatch.setattr(lower_level, "index_grid", counted)
+        assert main(["verify", "--problem", name]) == 0
+        assert built == [name]
 
     def test_structurally_broken_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "bad.yaml"

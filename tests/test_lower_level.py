@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -464,6 +465,49 @@ class TestKktMatrix:
             inactive = [l for l in range(len(dc.index_constraints))
                         if l not in sol.active_set]
             assert not sol.multipliers[inactive].any()
+
+
+class TestPolish:
+    def test_non_finite_newton_step_fails_at_once(self):
+        # g = -(y - 1/4)^2 - x peaks at y = 1/4; its Hessian is nan at the
+        # start, 1e-12 from the peak.  The first Newton step is nan: the
+        # polish fails there, and does not keep the start as polished
+        y0 = np.array([0.25 + 1e-12])
+        hessians = []
+
+        def hessian(z):
+            hessians.append(z[1])
+            h = np.array([[0.0, 0.0], [0.0, -2.0]])
+            return h * np.nan if z[1] == y0[0] else h
+
+        g = ScalarField(2, lambda z: -(z[1] - 0.25) ** 2 - z[0],
+                        lambda z: np.array([-1.0, -2.0 * (z[1] - 0.25)]),
+                        hessian=hessian)
+        f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]))
+        p = SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
+                       index_constraints=interval_index_fields(),
+                       x_bounds=np.array([[-2.0, 2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lower_level._polish_kkt(p, 0, np.array([0.0]), y0, [],
+                                           np.zeros(2), 1.0) is None
+        assert hessians == [y0[0]]
+
+    def test_singular_newton_step_fails_without_a_warning(self):
+        # g = 1e-12 y - x is flat in y to second order: the KKT matrix is
+        # [[0]], which LAPACK flags as singular
+        g = ScalarField(2, lambda z: 1e-12 * z[1] - z[0],
+                        lambda z: np.array([-1.0, 1e-12]),
+                        hessian=lambda z: np.zeros((2, 2)))
+        f = ScalarField(1, lambda x: x[0], lambda x: np.array([1.0]))
+        p = SipProblem(n=1, m=1, objective=f, si_constraints=(g,),
+                       index_constraints=interval_index_fields(),
+                       x_bounds=np.array([[-2.0, 2.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lower_level._polish_kkt(p, 0, np.array([0.0]),
+                                           np.array([0.5]), [], np.zeros(2),
+                                           1.0) is None
 
 
 class TestRegularity:

@@ -7,7 +7,8 @@ from sipsolve.model import (FieldEvaluationError, ScalarField, SipProblem,
                             verify_derivatives)
 from sipsolve.problems import get_problem
 
-from helpers import fd_block_hessian, interval_index_fields
+from helpers import (fd_block_hessian, interval_index_fields,
+                     reference_restricted_batch)
 
 
 def quad_field():
@@ -72,6 +73,23 @@ class TestRestrictions:
         assert gy.value(y) == 18.0
         assert np.allclose(gy.gradient(y), [12.0])
         assert np.allclose(gy.hessian(y), [[4.0]])
+
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "design_centering"])
+    def test_restricted_batch_matches_tile_and_hstack(self, name):
+        # the batch fills one (N, n + m) array: the bits of np.tile plus
+        # np.hstack, for compiled fields and for a field evaluated per row
+        problem = get_problem(name)
+        rng = np.random.default_rng(7)
+        per_row = ScalarField(problem.n + problem.m, lambda z: float(z @ z),
+                              lambda z: 2.0 * z)
+        for g in problem.si_constraints + (per_row,):
+            for count in (1, 2, 65):
+                x = rng.normal(size=problem.n)
+                Y = rng.uniform(-1.0, 1.0, size=(count, problem.m))
+                got = restrict_to_y(g, problem.n, x).value_batch(Y)
+                want = reference_restricted_batch(g, problem.n, x, Y)
+                assert got.tobytes() == want.tobytes()
 
     def test_restrict_to_x_slices_derivatives(self):
         # a master family block: the rows x -> g(x, y_j) of one family

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from sipsolve import nlp
 from sipsolve.model import ScalarField
 from sipsolve.nlp import NlpProblem, NlpSolution, field_rows, solve_nlp, solve_qp
 
-from helpers import reference_stack_rows
+from helpers import reference_blocking, reference_solve_qp, reference_stack_rows
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +179,186 @@ class TestBoundRows:
         for array in (rows, cached_lo, cached_up):
             with pytest.raises(ValueError):
                 array[0] = 7
+
+
+class TestSolveLinear:
+    """``nlp.solve_linear`` is numpy's LAPACK gufunc without the wrapper of
+    ``np.linalg.solve``; this also pins the private gufunc it calls."""
+
+    @staticmethod
+    def _systems(rng):
+        for n in range(1, 13):
+            yield rng.normal(size=(n, n)), rng.normal(size=n)
+            # singular values from 1 down to 1e-15
+            u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            yield (u * np.logspace(0.0, -15.0, n)) @ v.T, rng.normal(size=n)
+            hilbert = 1.0 / (np.arange(n)[:, None] + np.arange(n) + 1.0)
+            yield hilbert, rng.normal(size=n)
+
+    def test_same_bits_as_numpy(self):
+        rng = np.random.default_rng(11)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            for a, b in self._systems(rng):
+                got = nlp.solve_linear(a, b)
+                assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+
+    def test_square_overflow_is_still_finite(self):
+        # x @ x overflows, x does not
+        a, b = np.eye(2), np.array([1e200, -1e200])
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            got = nlp.solve_linear(a, b)
+        assert got.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("a, b", [
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0]),       # singular
+        ([[0.0]], [1.0]),
+        ([[np.nan, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+        ([[1.0, np.inf], [1.0, 1.0]], [1.0, 2.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [np.nan, 1.0]),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, -np.inf]),
+        ([[1e-300, 0.0], [0.0, 1.0]], [1e300, 1.0]),   # x overflows
+    ])
+    def test_none_where_numpy_raises_or_is_not_finite(self, a, b):
+        a, b = np.array(a), np.array(b)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("error")
+            assert nlp.solve_linear(a, b) is None
+            try:
+                x = np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                return
+        assert not np.isfinite(x).all()
+
+    def test_inf_with_a_finite_solution_is_numpys(self):
+        # LAPACK divides by the inf pivot: x = [1 / inf, 1], as numpy has it
+        a, b = np.array([[np.inf, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])
+        with np.errstate(all="ignore"):
+            got = nlp.solve_linear(a, b)
+        assert got.tobytes() == np.linalg.solve(a, b).tobytes()
+        assert got.tolist() == [0.0, 1.0]
+
+    def test_qp_sets_its_own_error_state(self):
+        # a singular Hessian, and a hint whose KKT matrix is singular: the
+        # gufunc flags both, and solve_qp lets no warning out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = solve_qp(np.ones((2, 2)), np.array([1.0, 0.0]),
+                         np.zeros((0, 2)), np.zeros(0))
+            assert r.status == "singular"
+            A = np.array([[1.0, 0.0], [1.0, 0.0]])
+            r = solve_qp(np.eye(2), np.array([-1.0, 0.0]), A,
+                         np.array([0.5, 0.5]), active=(0, 1))
+            assert r.status == "optimal" and r.active == (0,)
+
+
+def _same_bits_cases(rng):
+    """Strictly convex QPs with d = 1..6: duplicate, scaled and nearly
+    dependent rows, small-integer data whose ratio tests tie, infeasible
+    rows, and bounds absent, one-sided, two-sided or partly infinite."""
+    for trial in range(900):
+        d = 1 + trial % 6
+        integer = trial % 3 == 0
+        if integer and trial % 2:
+            # every upper bound x_i <= 0 becomes active with the same
+            # multiplier, then the row sum(x) / 8 <= -1 / 8: the pure dual
+            # step's ratios tie d ways
+            yield np.eye(d), -float(rng.integers(1, 3)) * np.ones(d), \
+                np.full((1, d), 0.125), np.array([-0.125]), None, np.zeros(d)
+            continue
+        if integer:
+            # symmetric data: rows +-e_i, +-(e_i + e_j) and +-1 over the
+            # unit Hessian, so multipliers and ratios come out equal
+            H = np.eye(d)
+            g = -float(rng.integers(1, 3)) * np.ones(d)
+            eye = np.eye(d)
+            pool = np.vstack([eye, -eye, np.ones((1, d)), -np.ones((1, d)),
+                              eye + np.roll(eye, 1, axis=1)])
+            A = pool[rng.integers(0, len(pool), size=int(rng.integers(0, 2 * d + 3)))]
+            b = rng.integers(-1, 2, size=len(A)).astype(float)
+        else:
+            M = rng.normal(size=(d, d))
+            H = M @ M.T + 0.1 * np.eye(d)
+            g = rng.normal(size=d) * 3.0
+            A = rng.normal(size=(int(rng.integers(0, 2 * d + 3)), d))
+            b = rng.uniform(-0.5, 1.0, size=len(A))
+        if len(A) >= 2:
+            i, j = rng.choice(len(A), size=2, replace=False)
+            kind = trial % 4
+            if kind == 1:
+                A[j], b[j] = A[i], b[i]                 # duplicate
+            elif kind == 2:
+                A[j], b[j] = 2.0 * A[i], 2.0 * b[i]     # scaled copy
+            elif kind == 3:
+                A[j] = A[i] + 1e-10 * rng.normal(size=d)  # nearly dependent
+                b[j] = b[i]
+        pattern = rng.integers(0, 4, size=d)            # none, lo, up, both
+        lower = np.where(pattern % 2 == 1, -rng.uniform(0.1, 2.0, size=d), -np.inf)
+        upper = np.where(pattern >= 2, rng.uniform(0.1, 2.0, size=d), np.inf)
+        if integer:
+            lower, upper = np.round(lower), np.round(upper)
+        which = trial % 5
+        yield (H, g, A, b) + ((None, None), (lower, None), (None, upper),
+                              (lower, upper), (lower, upper))[which]
+
+
+class TestSameBitsAsNumpySolve:
+    """``solve_qp`` on ``solve_linear``, Python-float ratio tests and per-QP
+    row tolerances returns the bits of the np.linalg.solve version
+    (``helpers.reference_solve_qp``)."""
+
+    def test_cold_and_hinted_solves(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        blocked, tied, statuses = [], [], set()
+        blocking = nlp._blocking
+
+        def recorded(lam_w, r):
+            out = blocking(lam_w, r)
+            assert out == reference_blocking(lam_w, np.array(r))
+            ratios = [lw / rj for lw, rj in zip(lam_w, r) if rj > 1e-12]
+            blocked.append(out[0] >= 0)
+            tied.append(bool(ratios) and ratios.count(min(ratios)) > 1)
+            return out
+
+        monkeypatch.setattr(nlp, "_blocking", recorded)
+        for H, g, A, b, lower, upper in _same_bits_cases(rng):
+            cold = solve_qp(H, g, A, b, lower, upper)
+            assert _same_qp(cold, reference_solve_qp(H, g, A, b, lower, upper))
+            statuses.add(cold.status)
+            n_stacked = len(A) + sum(np.isfinite(bound).sum()
+                                     for bound in (lower, upper)
+                                     if bound is not None)
+            bad = tuple(rng.integers(0, max(n_stacked, 1),
+                                     size=int(rng.integers(1, 8))))
+            for hint in (cold.active, cold.active[::-1], bad):
+                if n_stacked == 0:
+                    break
+                got = solve_qp(H, g, A, b, lower, upper, hint)
+                want = reference_solve_qp(H, g, A, b, lower, upper, hint)
+                assert _same_qp(got, want)
+        # the cases reach the dual method's branches and its ratio ties
+        assert {"optimal", "infeasible"} <= statuses
+        assert sum(blocked) >= 1000 and sum(tied) >= 100
+
+    @pytest.mark.parametrize("lam_w, r", [
+        ([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]),             # a three-way tie
+        ([0.0, 0.0], [1.0, 1.0]),
+        ([1.0, 2.0], [-1.0, 0.0]),                      # none positive
+        ([], []),
+        ([1.0, 2.0], [1e-13, 1.0]),                     # at the cutoff
+        ([np.inf, np.inf], [-1.0, 2.0]),                # all ratios inf
+        ([1.0, np.nan, np.nan], [1.0, 1.0, 1.0]),       # first nan wins
+        ([-np.inf, 1.0], [1.0, 1.0]),
+        ([1e300, 1.0], [1e-11, 1.0]),
+    ])
+    def test_blocking_edge_cases(self, lam_w, r):
+        got = nlp._blocking(lam_w, r)
+        with np.errstate(all="ignore"):
+            want = reference_blocking(lam_w, np.array(r, dtype=float))
+        assert got[0] == want[0]
+        assert np.array(got[1]).tobytes() == np.array(want[1]).tobytes()
 
 
 def _qp_oracle(H, g, A, b, lower, upper):
