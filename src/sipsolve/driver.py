@@ -38,7 +38,7 @@ from .diagnostics import (feasibility_measure, perturbation_params,
 from .lower_level import LowerLevelError, index_grid, solve_all_lower_levels
 from .model import FieldEvaluationError, ScalarField, SipProblem
 from .nlp import (LS_MAX, NlpProblem, Rows, field_rows, negative_curvature,
-                  solve_nlp)
+                  norm, solve_nlp)
 from .sensitivity import (SensitivityError, compute_sensitivity,
                           linearization_field)
 
@@ -73,7 +73,7 @@ class DiscretizationState:
         """Add y to family i unless a copy is already present."""
         y = np.asarray(y, dtype=float).reshape(-1)
         for existing in self.points[i]:
-            if np.linalg.norm(existing - y) <= _DEDUP_TOL:
+            if norm(existing - y) <= _DEDUP_TOL:
                 return False
         self.points[i].append(y.copy())
         return True
@@ -136,13 +136,13 @@ def check_termination(history, opts: DriverOptions) -> Optional[str]:
 
 def _family_rows(g: ScalarField, n: int, points) -> tuple:
     """Row block x -> g(x, y_j) over one family's points: one ``value_batch``
-    for the values, per-point gradients sliced to x, and per-point Hessians
-    sliced to x for the points with a nonzero weight."""
+    for the values, one ``gradient_batch`` sliced to x for the Jacobian, and
+    per-point Hessians sliced to x for the points with a nonzero weight."""
     z = np.hstack([np.zeros((len(points), n)), np.array(points)])  # x refilled per call
 
     def evaluate(x):
         z[:, :n] = x
-        return g.value_batch(z), [g.gradient(row)[:n] for row in z]
+        return g.value_batch(z), g.gradient_batch(z)[:, :n]
 
     def hessian(x, w):
         z[:, :n] = x

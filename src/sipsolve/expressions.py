@@ -12,6 +12,8 @@ to rounding.  :func:`compile_functions` turns an expression and its
 derivative tables into Python functions once; the generated source is built
 from the AST alone (numbers by ``repr``, the names ``x1..xn`` / ``y1..ym``,
 the four operators, constant powers and the whitelisted numpy functions).
+Their ``gradient_batch`` evaluates the gradient at every row of an array in
+one call, with the bits of the pointwise gradient row by row.
 :func:`eval_value` and :func:`eval_taylor2` walk the AST instead; they are
 the reference that the compiled functions must match bit for bit.
 """
@@ -430,14 +432,22 @@ _GLOBALS = {"np": np, "DomainError": DomainError, "inf": math.inf,
             "nan": math.nan}
 
 
-def _function(name: str, arg: str, keys: list, expr: Expression, table,
-              guard: bool) -> str:
-    """Source of one function of ``arg``: the value of ``expr``, or ``table``
+def _function(name: str, keys: list, expr: Expression, table, guard: bool,
+              batch: bool) -> str:
+    """Source of one function of a point ``z``, or with ``batch`` of the
+    rows of an ``(N, d)`` array ``Z``: the value of ``expr``, or ``table``
     filled after its domain checks as :func:`eval_taylor2` does.  Each AST
     node gets its own assignment, so no nesting limit of the Python parser
     applies, and a node object the tables share is computed once.  A binary
-    operation without variables is folded to its :func:`eval_value`."""
+    operation without variables is folded to its :func:`eval_value`.
+
+    A batch table gives each row the bits of the pointwise function: its
+    powers are ``np.float_power``, the libm ``pow`` that a float64 scalar's
+    ``**`` calls (an array's ``**`` may round otherwise), and when a domain
+    check fails on any row the rows go one by one through the pointwise
+    function, which raises that function's error."""
     lines, names, used = [], {}, {}
+    exact_powers = batch and table is not None
 
     def operand(node) -> str:
         if isinstance(node, Num) and isinstance(node.value, float):
@@ -459,6 +469,8 @@ def _function(name: str, arg: str, keys: list, expr: Expression, table,
             text = f"np.{node.fn}({operand(node.arg)})"
         elif isinstance(node, Bin) and node.op == "^" and node.right.value == 0.5:
             text = f"np.sqrt({operand(node.left)})"
+        elif isinstance(node, Bin) and node.op == "^" and exact_powers:
+            text = f"np.float_power({operand(node.left)}, {operand(node.right)})"
         elif isinstance(node, Bin) and node.op in _BIN_OPS:
             op = "**" if node.op == "^" else node.op
             text = f"{operand(node.left)} {op} {operand(node.right)}"
@@ -470,21 +482,29 @@ def _function(name: str, arg: str, keys: list, expr: Expression, table,
 
     if table is None:
         result = operand(expr)
-        if arg == "Z" and not used:
+        if batch and not used:
             result = f"np.full(len(Z), {result})"
     else:
         shape, entries, checks = table
         for check, op in checks:
             v = operand(check)
-            lines += [f"if {v} == 0.0:" if op == "/" else f"if {v} == 0.0 or {v} < 0.0:",
-                      "    raise DomainError('division by zero')" if op == "/"
-                      else f"    raise DomainError('{op} of a nonpositive value')"]
-        lines.append(f"out = np.zeros({shape!r})")
+            if not batch:
+                lines += [f"if {v} == 0.0:" if op == "/" else f"if {v} == 0.0 or {v} < 0.0:",
+                          "    raise DomainError('division by zero')" if op == "/"
+                          else f"    raise DomainError('{op} of a nonpositive value')"]
+            else:   # a check without variables is one float for all rows
+                fails = f"{v} == 0.0" if op == "/" else f"{v} <= 0.0"
+                pointwise = f"{name.removesuffix('_batch')}(z) for z in Z"
+                lines += [f"if ({fails}).any():" if variables(check) else f"if {fails}:",
+                          f"    return np.array([{pointwise}]).reshape(len(Z), *{shape!r})"]
+        lines.append(f"out = np.zeros((len(Z), *{shape!r}))" if batch
+                     else f"out = np.zeros({shape!r})")
         for positions, e in entries:
-            targets = [f"out[{pos!r}]" for pos in positions]
+            targets = [f"out[{':, ' * batch}{pos!r}]" for pos in positions]
             lines.append(" = ".join(targets + [operand(e)]))
         result = "out"
-    column = "[:, {}]" if arg == "Z" else "[{}]"
+    column = "[:, {}]" if batch else "[{}]"
+    arg = "Z" if batch else "z"
     body = [f"{v} = {arg}{column.format(i)}" for v, i in used.items()]
     body += lines + [f"return {result}"]
     if guard:
@@ -494,18 +514,22 @@ def _function(name: str, arg: str, keys: list, expr: Expression, table,
 
 
 def compile_functions(expr: Expression, keys: list, label: str = "field"):
-    """``(value, gradient, hessian, value_batch)`` of ``expr`` over the
-    variables ``keys`` (``z[i]`` holds ``keys[i]``): Python functions that
-    give the same floats as :func:`eval_value` and :func:`eval_taylor2` on
-    the tables of :func:`derivative_tables`, and raise :class:`DomainError`
-    where that does.  Only an expression with a log, sqrt, ``^0.5`` or
-    division is evaluated under ``np.errstate`` (a microsecond a call)."""
+    """``(value, gradient, hessian, value_batch, gradient_batch)`` of
+    ``expr`` over the variables ``keys`` (``z[i]`` holds ``keys[i]``):
+    Python functions that give the same floats as :func:`eval_value` and
+    :func:`eval_taylor2` on the tables of :func:`derivative_tables`, and
+    raise :class:`DomainError` where that does.  The batch functions take
+    an ``(N, len(keys))`` array; ``gradient_batch`` gives row k the bits
+    of ``gradient`` at row k, and raises where that does on some row.
+    Only an expression with a log, sqrt, ``^0.5`` or division is evaluated
+    under ``np.errstate`` (a microsecond a call)."""
     grad, hess = derivative_tables(expr, keys)
     guard = bool(grad[2])
-    functions = (("value", "z", None), ("gradient", "z", grad),
-                 ("hessian", "z", hess), ("value_batch", "Z", None))
-    source = "\n".join(_function(name, arg, keys, expr, table, guard)
-                       for name, arg, table in functions)
+    functions = (("value", None, False), ("gradient", grad, False),
+                 ("hessian", hess, False), ("value_batch", None, True),
+                 ("gradient_batch", grad, True))
+    source = "\n".join(_function(name, keys, expr, table, guard, batch)
+                       for name, table, batch in functions)
     namespace = dict(_GLOBALS)
     exec(compile(source, f"<{label}>", "exec"), namespace)
     return tuple(namespace[name] for name, _, _ in functions)

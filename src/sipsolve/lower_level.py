@@ -58,7 +58,8 @@ from typing import Optional
 import numpy as np
 
 from .model import SipProblem, index_set_box, negated, restrict_to_y
-from .nlp import NlpProblem, field_rows, null_space, solve_linear, solve_nlp
+from .nlp import (NlpProblem, field_rows, norm, null_space, solve_linear,
+                  solve_nlp)
 
 Array = np.ndarray
 
@@ -186,11 +187,11 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
     weight = np.ones(m + len(active))
     weight[:m] = scale
     res = kkt_residual(problem, i, x, y, active, mu_a)
-    norm = np.linalg.norm(res / weight)
-    best = (norm, y, mu_a)
+    res_norm = norm(res / weight)
+    best = (res_norm, y, mu_a)
     with np.errstate(all="ignore"):     # for solve_linear
         for _ in range(8):
-            if norm <= 1e-13 * (1.0 + norm):
+            if res_norm <= 1e-13 * (1.0 + res_norm):
                 break
             jac, _ = kkt_jacobian(problem, i, x, y, active, mu_a)
             delta = solve_linear(jac, -res)
@@ -199,11 +200,11 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
             y = y + delta[:m]
             mu_a = mu_a + delta[m:]
             res = kkt_residual(problem, i, x, y, active, mu_a)
-            norm = np.linalg.norm(res / weight)
-            if norm < best[0]:
-                best = (norm, y, mu_a)
-    norm, y, mu_a = best
-    if norm > 1e-10 or any(mu_a < -1e-10 * scale):
+            res_norm = norm(res / weight)
+            if res_norm < best[0]:
+                best = (res_norm, y, mu_a)
+    res_norm, y, mu_a = best
+    if res_norm > 1e-10 or any(mu_a < -1e-10 * scale):
         return None
     # the polished point must still satisfy the inactive constraints
     for l, v in enumerate(vs):
@@ -399,7 +400,7 @@ def solve_lower_level_global(
     candidates.sort(key=lambda c: (-c.value, tuple(c.y)))
     clusters = []
     for c in candidates:
-        if all(np.linalg.norm(c.y - kept.y) >= 1e-6 for kept in clusters):
+        if all(norm(c.y - kept.y) >= 1e-6 for kept in clusters):
             clusters.append(c)
 
     best_value = clusters[0].value

@@ -50,21 +50,25 @@ class ScalarField:
         field of a :class:`SipProblem` needs one (see
         :func:`validate_problem`); a field without one raises
         :class:`FieldEvaluationError` when its Hessian is asked for.
-    value_batch:
-        Optional vectorized evaluation of an ``(N, arity)`` array of points;
-        a row-by-row fallback is used when absent.
+    value_batch, gradient_batch:
+        Optional vectorized evaluations of an ``(N, arity)`` array of
+        points: the ``N`` values, and the ``(N, arity)`` gradients with row
+        k that of ``gradient`` at row k.  A row-by-row fallback is used when
+        one is absent.
     """
 
-    __slots__ = ("arity", "name", "_value", "_gradient", "_hessian", "_batch")
+    __slots__ = ("arity", "name", "_value", "_gradient", "_hessian", "_batch",
+                 "_gradient_batch")
 
     def __init__(self, arity, value, gradient, hessian=None, value_batch=None,
-                 name=""):
+                 name="", gradient_batch=None):
         self.arity = int(arity)
         self.name = name
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
         self._batch = value_batch
+        self._gradient_batch = gradient_batch
 
     def __repr__(self):  # pragma: no cover - debugging aid
         label = self.name or "<anonymous>"
@@ -99,15 +103,33 @@ class ScalarField:
                 f"expected ({self.arity}, {self.arity})")
         return h
 
-    def value_batch(self, points) -> Array:
-        """Values at every row of an ``(N, arity)`` array."""
+    def _as_points(self, points) -> Array:
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != self.arity:
             raise ValueError(f"expected (N, {self.arity}) array, got {points.shape}")
+        return points
+
+    def value_batch(self, points) -> Array:
+        """Values at every row of an ``(N, arity)`` array."""
+        points = self._as_points(points)
         if self._batch is not None:
             out = np.asarray(self._batch(points), dtype=float)
             return out.reshape(points.shape[0])
         return np.array([self._value(row) for row in points], dtype=float)
+
+    def gradient_batch(self, points) -> Array:
+        """Gradients at every row of an ``(N, arity)`` array, one per row;
+        without a batch function, ``gradient`` row by row."""
+        points = self._as_points(points)
+        if self._gradient_batch is None:
+            return np.array([self.gradient(row) for row in points],
+                            dtype=float).reshape(points.shape)
+        out = np.asarray(self._gradient_batch(points), dtype=float)
+        if out.shape != points.shape:
+            raise FieldEvaluationError(
+                f"gradient_batch of {self.name or 'field'} has shape "
+                f"{out.shape}, expected {points.shape}")
+        return out
 
 
 def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:

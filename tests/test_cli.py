@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sipsolve
 from sipsolve import DriverOptions, lower_level
 from sipsolve.cli import build_parser, main, run_options
 from sipsolve.lower_level import index_grid
@@ -21,6 +26,10 @@ LOG_SPEC = ("n: 2\nm: 1\nobjective: log(x1) + x2\nsi_constraints:\n"
 # a disk index set with no y_bounds: its box cannot be read off
 DISK_SPEC = ("n: 1\nm: 2\nobjective: x1\nsi_constraints:\n  - y1 - x1\n"
              "index_constraints:\n  - y1^2 + y2^2 - 1\nx0: [2]\n")
+
+# design_centering with every g_i scaled by 1e-3: its lower-level polish
+# meets singular Newton steps
+MILLI_SPEC = Path(__file__).with_name("data") / "design_centering_milli.yaml"
 
 EXPECTED_HEADER = ("k,x_1,x_2,objective,feasibility,stationarity_residual,"
                    "dist_to_known,step_norm,beta_norm,alpha_max,"
@@ -365,3 +374,35 @@ class TestVerify:
                         "known_objective: 0.0\n")
         assert main(["verify", "--spec", str(spec)]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+class TestWarningsAsErrors:
+    """A floating-point warning that leaks out of a solve ends a run under
+    ``python -W error`` in a traceback."""
+
+    def test_singular_polish_steps_leak_no_warning(self):
+        src = str(Path(sipsolve.__file__).parents[1])
+        paths = [src, os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "sipsolve.cli", "run",
+             "--spec", str(MILLI_SPEC), "--alg", "both"],
+            capture_output=True, text=True, env=env, timeout=600)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        # a run that ends in subsolver_failure exits 1
+        assert proc.returncode in (0, 1)
+
+    def test_the_spec_meets_singular_polish_steps(self, monkeypatch):
+        # without them the run above would check nothing
+        singular = []
+
+        def counted(a, b):
+            x = solve_linear(a, b)
+            singular.append(x is None)
+            return x
+
+        solve_linear = lower_level.solve_linear
+        monkeypatch.setattr(lower_level, "solve_linear", counted)
+        problem = sipsolve.load_problem(MILLI_SPEC)
+        sipsolve.run_qcad(problem, problem.start)
+        assert sum(singular) > 0

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from sipsolve.driver import _family_rows
+from sipsolve.expressions import parse_expression
 from sipsolve.model import (FieldEvaluationError, ScalarField, SipProblem,
                             negated, restrict_to_y, validate_problem,
                             verify_derivatives)
 from sipsolve.problems import get_problem
+from sipsolve.specfile import _compile_field
 
+import helpers
 from helpers import (fd_block_hessian, interval_index_fields,
                      reference_restricted_batch)
 
@@ -58,6 +61,97 @@ class TestScalarField:
         z = np.array([0.3, -0.7])
         assert f.value(z) == f.value(z)
         assert np.array_equal(f.gradient(z), f.gradient(z))
+
+
+def _rowwise_or_raised(call, points):
+    """``call(points)``, or the type and message of what it raises."""
+    try:
+        return call(points)
+    except Exception as exc:    # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+
+
+def _assert_batch_is_rowwise(field, points):
+    """``gradient_batch`` gives the stacked per-row gradients bit for bit,
+    or the exception and message of the first row that raises."""
+    want = _rowwise_or_raised(
+        lambda pts: np.array([field.gradient(z) for z in pts]), points)
+    got = _rowwise_or_raised(field.gradient_batch, points)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.shape == points.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# spec expressions over (x1, x2, y1): each domain check of the grammar, a
+# constant one, powers, and an expression whose gradient is constant
+_DOMAIN_SPECS = ["log(x1) + y1/x1", "sqrt(x1*x2) - y1^0.5",
+                 "(x1 - y1)^0.5 + 3/x2", "log(x2^2 + 1) / (y1 - 0.5)",
+                 "x2 / 2 + x1^4 - (x1 + y1)^5 * sin(y1)",
+                 "x1^3 * exp(x2 / 4) - cos(x1*y1)^2 + x1 / (2 - 2)",
+                 "2*x1 - 3*y1 + 1", "5"]
+
+
+class TestGradientBatch:
+    @staticmethod
+    def _points(rng, arity):
+        inside = np.abs(rng.normal(size=(40, arity))) + 0.1
+        yield inside
+        yield rng.normal(size=(40, arity)) * 10.0
+        yield np.zeros((0, arity))
+        for col in range(arity):
+            for bad in (0.0, -1.0, -0.0):
+                outside = inside.copy()
+                outside[-1, col] = bad      # the last row outside a domain
+                yield outside
+
+    def test_builtin_fields(self):
+        rng = np.random.default_rng(5)
+        for name in ("example1", "example2", "design_centering"):
+            p = get_problem(name)
+            fields = ([p.objective] + list(p.si_constraints)
+                      + list(p.index_constraints) + list(p.finite_constraints))
+            for f in fields:
+                for points in self._points(rng, f.arity):
+                    _assert_batch_is_rowwise(f, points)
+
+    @pytest.mark.parametrize("text", _DOMAIN_SPECS)
+    def test_spec_fields_inside_and_outside_their_domain(self, text):
+        rng = np.random.default_rng(7)
+        f = _compile_field(parse_expression(text), 2, 1, "xy", text)
+        for points in self._points(rng, 3):
+            _assert_batch_is_rowwise(f, points)
+
+    def test_row_outside_the_domain_raises_the_rows_error(self):
+        f = _compile_field(parse_expression("log(x1) + y1/x1"), 1, 1, "xy", "f")
+        with pytest.raises(ArithmeticError, match="log of a nonpositive"):
+            f.gradient_batch(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_hand_built_fields_use_the_fallback(self):
+        rng = np.random.default_rng(9)
+        problems = [helpers.three_peak_problem(), helpers.two_peak_problem(),
+                    helpers.pinned_index_problem(), helpers.tie_problem(),
+                    helpers.narrow_peak_problem()]
+        for p in problems:
+            for f in [p.objective, *p.si_constraints, *p.index_constraints]:
+                assert f._gradient_batch is None
+                for points in self._points(rng, f.arity):
+                    _assert_batch_is_rowwise(f, points)
+
+    def test_family_rows_jacobian_is_the_per_point_gradients(self, dc):
+        g = dc.si_constraints[2]
+        points = [np.array([0.3, -0.8]), np.array([-1.0, 0.0])]
+        x = np.array([1.0, -0.5, 2.0, 0.7, -1.2])
+        _, jac = _family_rows(g, dc.n, points)[1](x)
+        assert np.array_equal(
+            jac, [g.gradient(np.concatenate([x, y]))[:dc.n] for y in points])
+
+    def test_bad_batch_shape_reported(self):
+        f = ScalarField(2, lambda x: x[0], lambda x: np.ones(2),
+                        gradient_batch=lambda pts: np.ones(len(pts)))
+        with pytest.raises(FieldEvaluationError):
+            f.gradient_batch(np.zeros((3, 2)))
 
 
 class TestRestrictions:

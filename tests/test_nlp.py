@@ -304,6 +304,35 @@ def _same_bits_cases(rng):
                               (lower, upper), (lower, upper))[which]
 
 
+def _outcome(call, a):
+    """``call(a)`` as its output arrays' bytes, or its exception's type and
+    message, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call(a)
+        except Exception as exc:    # noqa: BLE001 - compared, not handled
+            return type(exc), str(exc)
+    return [np.asarray(o).tobytes() for o in
+            (out if isinstance(out, tuple) else (out,))]
+
+
+class TestNorm:
+    """``nlp.norm`` gives ``np.linalg.norm``'s bits, and its warnings."""
+
+    def test_same_bits_as_numpy(self):
+        rng = np.random.default_rng(29)
+        for n in range(1, 9):
+            for scale in (1.0, 1e-160, 1e150, 1e-310):
+                v = rng.normal(size=n) * scale
+                assert (np.array(nlp.norm(v)).tobytes()
+                        == np.linalg.norm(v).tobytes())
+        for v in ([np.nan, 1.0], [np.inf, -np.inf], [1e200, 1e200], [-0.0]):
+            # the square overflows: numpy's warning, as an error here
+            v = np.array(v)
+            assert _outcome(nlp.norm, v) == _outcome(np.linalg.norm, v)
+
+
 class TestSameBitsAsNumpySolve:
     """``solve_qp`` on ``solve_linear``, Python-float ratio tests and per-QP
     row tolerances returns the bits of the np.linalg.solve version
@@ -341,6 +370,20 @@ class TestSameBitsAsNumpySolve:
         # the cases reach the dual method's branches and its ratio ties
         assert {"optimal", "infeasible"} <= statuses
         assert sum(blocked) >= 1000 and sum(tied) >= 100
+
+    def test_overflowed_step_ends_the_dual_method(self, monkeypatch):
+        # the full step onto a row with a tiny normal overflows x; on the
+        # next row the step length is nan and no working row can drop
+        blocked = []
+        blocking = nlp._blocking
+        monkeypatch.setattr(nlp, "_blocking",
+                            lambda lam_w, r: blocked.append(blocking(lam_w, r))
+                            or blocked[-1])
+        A = np.array([[1e-160, 0.0], [0.0, 1.0]])
+        res = solve_qp(np.eye(2), np.zeros(2), A, np.array([-1e-10, 0.0]),
+                       None, None)
+        assert res.status == "max_iter" and res.active == (0,)
+        assert blocked[-1] == (-1, np.inf)
 
     @pytest.mark.parametrize("lam_w, r", [
         ([1.0, 2.0, 0.5], [1.0, 2.0, 0.5]),             # a three-way tie
