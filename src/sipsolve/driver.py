@@ -180,35 +180,33 @@ def _master_problem(problem: SipProblem, disc: DiscretizationState,
     return nlp, families
 
 
+def _l1_merit(sol, f, c):
+    """The l1 merit f + sigma * sum max(c, 0) of objective and row values
+    about the master's solution ``sol``, sigma = 1.1 * its largest
+    multiplier + 1e-4."""
+    sigma = 1.1 * sol.multipliers.max(initial=0.0) + 1e-4
+    return f + sigma * np.maximum(c, 0.0).sum()
+
+
 def _snap_to_bounds(nlp: NlpProblem, sol, snap_tol: float = 1e-4):
     """Project near-bound coordinates exactly onto their bound.
 
     Degenerate masters (a constraint row parallel to an active bound)
     converge with a coordinate a few 1e-5 off the bound: the row value
     scales quadratically with the offset and meets the feasibility
-    tolerance early.  The projection is kept only when it does not hurt
-    feasibility or the objective.
+    tolerance early.  The projection is kept unless it raises the l1 merit.
     """
     z = sol.z.copy()
-    hit = False
-    for j in range(len(z)):
-        if np.isfinite(nlp.lower[j]) and 0.0 < z[j] - nlp.lower[j] <= snap_tol:
-            z[j] = nlp.lower[j]
-            hit = True
-        elif np.isfinite(nlp.upper[j]) and 0.0 < nlp.upper[j] - z[j] <= snap_tol:
-            z[j] = nlp.upper[j]
-            hit = True
-    if not hit:
+    near_lo = (0.0 < z - nlp.lower) & (z - nlp.lower <= snap_tol)
+    near_hi = ~near_lo & (0.0 < nlp.upper - z) & (nlp.upper - z <= snap_tol)
+    if not (near_lo.any() or near_hi.any()):
         return sol
-    viol = max(nlp.constraints(z)[0].tolist(), default=0.0)
-    f_new = nlp.objective.value(z)
-    # l1-merit comparison: trade objective against infeasibility
-    rho = 1e4
-    merit_new = f_new + rho * max(viol, 0.0)
-    merit_old = sol.objective_value + rho * max(sol.max_violation, 0.0)
-    if merit_new <= merit_old + 1e-12 * (1.0 + abs(merit_old)):
-        return replace(sol, z=z, objective_value=f_new,
-                       max_violation=viol)
+    z[near_lo], z[near_hi] = nlp.lower[near_lo], nlp.upper[near_hi]
+    f_new, c_new = nlp.objective.value(z), nlp.constraints(z)[0]
+    merit_old = _l1_merit(sol, sol.objective_value, sol.constraint_values)
+    if _l1_merit(sol, f_new, c_new) <= merit_old + 1e-12 * (1.0 + abs(merit_old)):
+        return replace(sol, z=z, objective_value=f_new, constraint_values=c_new,
+                       max_violation=max(c_new.tolist(), default=0.0))
     return sol
 
 
@@ -219,17 +217,13 @@ def _escape_point(nlp: NlpProblem, sol, direction: Array, curvature: float):
     The step halves, at most ``LS_MAX`` times, until the l1 merit falls by
     the predicted second-order decrease (Moré & Sorensen, 1979).
     """
-    sigma = 1.1 * sol.multipliers.max(initial=0.0) + 1e-4
-
-    def merit(z):
-        return nlp.objective.value(z) + sigma * np.maximum(nlp.constraints(z)[0], 0.0).sum()
-
-    merit0 = merit(sol.z)
+    merit0 = _l1_merit(sol, sol.objective_value, sol.constraint_values)
     alpha = 1.0
     for _ in range(LS_MAX):
         z = np.clip(sol.z + alpha * direction, nlp.lower, nlp.upper)
         try:
-            merit_z = merit(z)
+            merit_z = _l1_merit(sol, nlp.objective.value(z),
+                                nlp.constraints(z)[0])
         except ArithmeticError:     # a row's derivative is undefined there
             merit_z = np.nan
         if np.isfinite(merit_z) and merit_z <= merit0 + 0.5e-4 * alpha ** 2 * curvature:
@@ -374,9 +368,12 @@ def _run(problem: SipProblem, x0, opts: DriverOptions,
                 for i, sol in enumerate(ll):
                     if not sol.regularity.all_ok:
                         flags = sol.regularity
+                        # no sensitivity exists off a KKT point
+                        why = ("" if flags.kkt_point else
+                               "not a KKT point of its active set, ")
                         rec.warnings.append(
                             f"iteration {k}: regularity failed for "
-                            f"constraint {i} (licq={flags.licq}, "
+                            f"constraint {i} ({why}licq={flags.licq}, "
                             "strict_complementarity="
                             f"{flags.strict_complementarity}, "
                             f"sosc={flags.sosc}); no linearization this "

@@ -1,19 +1,26 @@
-"""Global solution of the lower-level problems max_y g_i(x, y) s.t. v(y) <= 0.
+"""Global solution of the lower-level problems max_y g_i(x, y) over Y.
 
-Strategy: evaluate g_i on a uniform grid over a bounding box of the index
-set, refine the best feasible nodes with the local SQP solver, then polish
-each local solution with Newton steps on the active-set KKT system (exact
-second derivatives are available, so the polished point carries KKT
-residuals near machine precision -- the sensitivity computations downstream
-need that); its stationarity residual and multiplier signs are measured
-relative to the scale of the tie tolerance (below).  A local solution whose
-polish fails is kept unpolished, with the multipliers of its inactive
-constraints zeroed.  Each candidate maximizer is one record (``_candidate``):
-value, point, multipliers, active set, the ``kkt_jacobian`` matrix at the
-point and the regularity flags that ``_regularity`` reads off that matrix.
-The KKT system is built only by ``kkt_residual`` and ``kkt_jacobian``: once
-per Newton step of the polish, and once per record.  The solution is the
-winning record; ``compute_sensitivity`` reads its matrix.
+Y = {y in box : v(y) <= 0}.  ``FamilyProblem`` poses family i's problem at
+x, the local runs' NLP over exactly the grid's box included; every path
+reads Y's one membership and active-set rule, ``index_set_rule``.
+
+Strategy: evaluate g_i on a uniform grid over the box, refine the best
+nodes in Y with the local SQP solver, then polish each local solution with
+Newton steps on the active-set KKT system (exact second derivatives are
+available, so the polished point carries KKT residuals near machine
+precision -- the sensitivity computations downstream need that); its
+stationarity residual and multiplier signs are measured relative to the
+scale of the tie tolerance (below), and the polished point must be in Y.
+A local solution whose polish fails is kept unpolished, with the
+multipliers of its inactive constraints zeroed, and is a KKT point only if
+it passes the polish's residual test (a maximizer on a face of the box
+does not: the box has no multipliers).  Each candidate maximizer is one
+record (``_candidate``): value, point, multipliers, active set, the
+``kkt_jacobian`` matrix at the point and the regularity flags that
+``_regularity`` reads off that matrix.  The KKT system is built only by
+``kkt_residual`` and ``kkt_jacobian``: once per Newton step of the polish,
+and once per record.  The solution is the winning record;
+``compute_sensitivity`` reads its matrix.
 
 Continuation: at a regular maximizer the solution map y*(x) is smooth, so
 the maximizer of the previous iterate is a few Newton steps from the new
@@ -26,26 +33,26 @@ against it like against any other maximizer (the local reduction view of
 SIP, Hettich & Kortanek, SIAM Review 35, 1993).
 
 One local run per basin: a start is skipped when the straight segment from
-it to a maximizer already found, sampled one grid step apart, stays in the
-index set and never lets g_i fall by more than the tie tolerance -- the
-local run would climb to that maximizer again (the second rule of
+it to a maximizer already found, sampled one grid step apart, stays in Y
+and never lets g_i fall by more than the tie tolerance -- the local run
+would climb to that maximizer again (the second rule of
 multi-level single linkage, Rinnooy Kan & Timmer, Math. Programming 39,
 1987).  The tie tolerance is ``TIE_TOL`` times min(1, spread of the finite
 grid values of g_i(x, .)): relative for a family that varies by less than
 1, so the lower level does not depend on the scale of g_i there.  Each new
 maximizer is checked against all remaining starts at once: their segments
 are built in one vectorized pass and evaluated in one ``value_batch`` per
-field.  The starts are the ``N_STARTS`` best feasible grid nodes, best first
+field.  The starts are the ``N_STARTS`` best grid nodes in Y, best first
 and ties in grid order; ``np.partition`` cuts the grid values at the
 ``N_STARTS``-th best and only the nodes above the cut are sorted.  Distinct
 nodes are at least one grid step apart.  The best start runs unless the
 followed maximum is at least its grid value; either way the returned value
 still dominates the grid.
 
-The grid's box is ``model.index_set_box``: ``y_bounds`` when declared, else
-read off interval-bound index constraints; without either, the first solve
-raises ``LowerLevelError``.  The box and the feasible grid nodes depend on
-the problem only (``index_grid``); the drivers build them once per run.
+The box is ``model.index_set_box``: ``y_bounds`` when declared, else read
+off interval-bound index constraints; without either, the first solve
+raises ``LowerLevelError``.  The box and the grid nodes in Y depend on the
+problem only (``index_grid``); the drivers build them once per run.
 
 Deterministic by construction: fixed grid order, ties broken toward the
 lexicographically smallest maximizer.
@@ -53,11 +60,12 @@ lexicographically smallest maximizer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .model import SipProblem, index_set_box, negated, restrict_to_y
+from .model import ScalarField, SipProblem, index_set_box
 from .nlp import (NlpProblem, field_rows, norm, null_space, solve_linear,
                   solve_nlp)
 
@@ -66,7 +74,7 @@ Array = np.ndarray
 GRID_PER_DIM = 64           # grid nodes per index dimension
 N_STARTS = 8                # best grid nodes tried as local SQP starts
 LOCAL_MAX_ITER = 60         # SQP iteration cap of one local run
-TOL_FEAS = 1e-9             # index-set feasibility of grid nodes and maxima
+TOL_FEAS = 1e-9             # a point is in Y to this (index_set_rule)
 TOL_ACT = 1e-7              # index constraint counted active above -TOL_ACT
 TIE_TOL = 1e-9              # tie tolerance relative to min(1, grid spread)
 
@@ -81,13 +89,14 @@ class LowerLevelError(RuntimeError):
 
 @dataclass(frozen=True)
 class RegularityFlags:
+    kkt_point: bool     # the point solves its active-set KKT system
     licq: bool
     strict_complementarity: bool
     sosc: bool
 
     @property
     def all_ok(self) -> bool:
-        return self.licq and self.strict_complementarity and self.sosc
+        return all(vars(self).values())
 
 
 @dataclass
@@ -112,18 +121,28 @@ class LowerLevelSolution:
 
 @dataclass(frozen=True)
 class IndexGrid:
-    """The lower-level grid of one problem: its box, the feasible nodes in
-    grid order, and the node spacing per axis."""
+    """The lower-level grid of one problem: its box, the nodes in Y in grid
+    order, and the node spacing per axis."""
 
     box: Array
     nodes: Array
     step: Array
 
 
+def index_set_rule(vs, box: Array, y: Array):
+    """Y's rule at a point y, or at each row of an (N, m) array y: ``(in Y,
+    active)``.  In Y: every v_l and every bound of ``box`` holds to
+    ``TOL_FEAS`` (nan does not); v_l active where v_l >= -``TOL_ACT``.  A
+    point goes through ``value``, an array through one ``value_batch``."""
+    values = [v.value(y) if y.ndim == 1 else v.value_batch(y) for v in vs]
+    bounds = np.array(values + [b for (lo, hi), y_j in zip(box.tolist(), y.T)
+                                for b in (lo - y_j, y_j - hi)])
+    return (bounds <= TOL_FEAS).all(axis=0), bounds[:len(vs)] >= -TOL_ACT
+
+
 def index_grid(problem: SipProblem) -> IndexGrid:
     """The ``GRID_PER_DIM``-per-axis grid over ``index_set_box``: its nodes
-    at which every index constraint is at most ``TOL_FEAS``, in grid order
-    (C order, last coordinate fastest)."""
+    in Y, in grid order (C order, last coordinate fastest)."""
     try:
         box = index_set_box(problem)
     except ValueError as exc:
@@ -131,14 +150,38 @@ def index_grid(problem: SipProblem) -> IndexGrid:
     axes = np.meshgrid(*(np.linspace(lo, hi, GRID_PER_DIM) for lo, hi in box),
                        indexing="ij")
     nodes = np.stack([a.ravel() for a in axes], axis=1)
-    feasible = np.ones(len(nodes), dtype=bool)
-    for v in problem.index_constraints:
-        feasible &= v.value_batch(nodes) <= TOL_FEAS
+    feasible, _ = index_set_rule(problem.index_constraints, box, nodes)
     if not feasible.any():
         raise LowerLevelError(
             "no feasible grid node (empty or degenerate index set)")
     return IndexGrid(box, nodes[feasible],
                      (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
+
+
+class FamilyProblem:
+    """Family i's lower-level problem at x: maximize g_i(x, .) over
+    Y = {y in box : v(y) <= 0}.  ``nlp`` poses it for the local runs:
+    minimize -g_i(x, .) over the box s.t. v(y) <= 0, one call of g_i per
+    evaluation.  ``value``/``values`` give g_i(x, .) at a point or at the
+    rows of an array, ``rule`` is ``index_set_rule`` over the box."""
+
+    def __init__(self, problem: SipProblem, i: int, x: Array, box: Array):
+        n, m, g = problem.n, problem.m, problem.si_constraints[i]
+        self.problem, self.i, self.x = problem, i, x
+
+        def batch(ys):
+            z = np.empty((len(ys), n + m))
+            z[:, :n], z[:, n:] = x, ys
+            return -g.value_batch(z)
+        objective = ScalarField(
+            m, lambda y: -g.value(np.concatenate([x, y])),
+            lambda y: -g.gradient(np.concatenate([x, y]))[n:],
+            lambda y: -g.hessian(np.concatenate([x, y]))[n:, n:], batch)
+        self.nlp = NlpProblem(m, objective, field_rows(problem.index_constraints),
+                              box[:, 0], box[:, 1])
+        self.value = lambda y: -objective.value(y)
+        self.values = lambda ys: -objective.value_batch(ys)
+        self.rule = partial(index_set_rule, problem.index_constraints, box)
 
 
 def kkt_residual(problem: SipProblem, i: int, x: Array, y: Array, active,
@@ -174,18 +217,16 @@ def kkt_jacobian(problem: SipProblem, i: int, x: Array, y: Array, active,
     return jac, h[n:, :n]
 
 
-def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
-                mu: Array, scale: float):
+def _polish_kkt(family: FamilyProblem, y: Array, active: list, mu: Array,
+                scale: float):
     """Newton iterations on the active-set KKT system from (y, mu), ``mu``
-    the full multiplier vector: (y, mu) polished, inactive multipliers zero,
-    or None, also as soon as a Newton step is singular or not finite.  The
-    residual's stationarity rows and the multiplier signs are measured
-    relative to ``scale``."""
-    m = problem.m
-    vs = problem.index_constraints
+    the full multiplier vector: ``(y, mu, active set at y)`` polished,
+    inactive multipliers zero, or None, also as soon as a Newton step is
+    singular or not finite, and when the point is not in Y.  Stationarity
+    rows and multiplier signs are measured relative to ``scale``."""
+    problem, i, x, m = family.problem, family.i, family.x, family.problem.m
     mu_a = mu[active]
-    weight = np.ones(m + len(active))
-    weight[:m] = scale
+    weight = np.concatenate([np.full(m, scale), np.ones(len(active))])
     res = kkt_residual(problem, i, x, y, active, mu_a)
     res_norm = norm(res / weight)
     best = (res_norm, y, mu_a)
@@ -206,19 +247,19 @@ def _polish_kkt(problem: SipProblem, i: int, x: Array, y: Array, active: list,
     res_norm, y, mu_a = best
     if res_norm > 1e-10 or any(mu_a < -1e-10 * scale):
         return None
-    # the polished point must still satisfy the inactive constraints
-    for l, v in enumerate(vs):
-        if l not in active and v.value(y) > TOL_FEAS:
-            return None
-    mu = np.zeros(len(vs))
+    inside, now_active = family.rule(y)
+    if not inside:
+        return None
+    mu = np.zeros(len(now_active))
     mu[active] = np.maximum(mu_a, 0.0)
-    return y, mu
+    return y, mu, np.flatnonzero(now_active).tolist()
 
 
-def _regularity(kkt_matrix: Array, mu_a: Array) -> RegularityFlags:
-    """LICQ, strict complementarity, and second-order sufficiency of a KKT
-    point, read off its ``kkt_jacobian`` matrix; ``mu_a`` holds the
-    multipliers of the active rows.
+def _regularity(kkt_matrix: Array, mu_a: Array,
+                kkt_point: bool) -> RegularityFlags:
+    """``kkt_point`` (the point solves its active-set KKT system) with LICQ,
+    strict complementarity, and second-order sufficiency, read off the
+    point's ``kkt_jacobian`` matrix; ``mu_a`` holds the active multipliers.
 
     SOSC is tested for the maximization: the Lagrangian Hessian projected
     onto the null space of the strongly active constraint gradients
@@ -238,21 +279,22 @@ def _regularity(kkt_matrix: Array, mu_a: Array) -> RegularityFlags:
     projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
     sosc = bool(not len(projected)
                 or np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
-    return RegularityFlags(licq, strict, sosc)
+    return RegularityFlags(kkt_point, licq, strict, sosc)
 
 
-def _candidate(problem: SipProblem, i: int, x: Array, g_y, y: Array,
-               active: list, mu: Array) -> LowerLevelSolution:
-    """The record of the KKT point y of family i, with active set ``active``
-    and full multiplier vector ``mu``: its value, the ``kkt_jacobian``
-    matrix and D2_yx block built at that point, and the regularity flags
-    read off that matrix."""
+def _candidate(family: FamilyProblem, y: Array, active: list, mu: Array,
+               kkt_point: bool = True) -> LowerLevelSolution:
+    """The record of the family's point y with active set ``active`` and
+    full multiplier vector ``mu``: its value, the ``kkt_jacobian`` matrix
+    and D2_yx block built there, and the regularity flags read off it."""
     mu_a = mu[active]
-    kkt_matrix, d2_yx = kkt_jacobian(problem, i, x, y, active, mu_a)
+    kkt_matrix, d2_yx = kkt_jacobian(family.problem, family.i, family.x, y,
+                                     active, mu_a)
     return LowerLevelSolution(
-        index=i, x=x, y=y, multipliers=mu, value=float(g_y.value(y)),
-        active_set=tuple(active), kkt_matrix=kkt_matrix, d2_yx=d2_yx,
-        regularity=_regularity(kkt_matrix, mu_a))
+        index=family.i, x=family.x, y=y, multipliers=mu,
+        value=family.value(y), active_set=tuple(active),
+        kkt_matrix=kkt_matrix, d2_yx=d2_yx,
+        regularity=_regularity(kkt_matrix, mu_a, kkt_point))
 
 
 def _best_nodes(values: Array, count: int) -> Array:
@@ -269,14 +311,15 @@ def _best_nodes(values: Array, count: int) -> Array:
     return np.argsort(keys, kind="stable")[:count]
 
 
-def _ascending(g_y, vs, starts: Array, y: Array, step: Array,
+def _ascending(values, rule, starts: Array, y: Array, step: Array,
                tol: float) -> Array:
-    """Per start, whether g_y never falls by more than ``tol`` along the
-    feasible segment from it to ``y``.  A segment is sampled as
+    """Per start, whether g (batch ``values``) never falls by more than
+    ``tol`` along the segment from it to ``y``, which stays in Y (``rule``).
+    A segment is sampled as
     ``np.linspace(0, 1, ceil(|delta / step|) + 2)`` would sample it (a
     zero-width axis counts no steps), so samples are about one grid step
-    apart.  All segments are built in one pass and go through one
-    ``value_batch`` per field."""
+    apart.  All segments are built in one pass and go through one batch of
+    ``values`` and of ``rule``."""
     delta = y - starts
     in_steps = np.divide(delta, step, out=np.zeros_like(delta), where=step > 0)
     norms = np.sqrt(np.einsum("ij,ij->i", in_steps, in_steps))
@@ -295,30 +338,23 @@ def _ascending(g_y, vs, starts: Array, y: Array, step: Array,
     t[ends - 1] = 1.0
     pts = np.repeat(starts, counts, axis=0) \
         + t[:, None] * np.repeat(delta, counts, axis=0)
-    ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -tol
+    ok = np.diff(values(pts), prepend=np.inf) >= -tol
     ok[first] = True    # no step leads into a segment's first point
-    for v in vs:
-        ok &= ~(v.value_batch(pts) > TOL_FEAS)
+    ok &= rule(pts)[0]
     return np.logical_and.reduceat(ok, first)
 
 
-def _followed(problem: SipProblem, i: int, x: Array, g_y,
-              previous: LowerLevelSolution, scale: float):
-    """The maximizer of ``previous`` (family i at an earlier x) followed to
-    x: the record of the polish from its point, active set and multipliers,
-    or None unless the polish converges, the constraints active at the new
-    point (by the rule of the grid path) are that active set, and the record
-    passes the SOSC test."""
-    vs = problem.index_constraints
+def _followed(family, previous: LowerLevelSolution, scale: float):
+    """The maximizer of ``previous`` (the family at an earlier x) followed
+    to x: the record of the polish from its point, active set and
+    multipliers, or None unless the polish converges with that same set
+    active and the record passes the SOSC test."""
     active = list(previous.active_set)
-    polished = _polish_kkt(problem, i, x, previous.y, active,
-                           previous.multipliers, scale)
-    if polished is None:
+    polished = _polish_kkt(family, previous.y, active, previous.multipliers,
+                           scale)
+    if polished is None or polished[2] != active:
         return None
-    y, mu = polished
-    if [l for l, v in enumerate(vs) if v.value(y) >= -TOL_ACT] != active:
-        return None
-    record = _candidate(problem, i, x, g_y, y, active, mu)
+    record = _candidate(family, polished[0], active, polished[1])
     return record if record.regularity.sosc else None
 
 
@@ -337,18 +373,13 @@ def solve_lower_level_global(
     cold.
     """
     x = np.array(x, dtype=float)
-    n, m = problem.n, problem.m
-    g = problem.si_constraints[i]
-    vs = problem.index_constraints
     if grid is None:
         grid = index_grid(problem)
+    family = FamilyProblem(problem, i, x, grid.box)
 
-    nodes = grid.nodes
-    g_y = restrict_to_y(g, n, x)
-    values = g_y.value_batch(nodes)
-
+    values = family.values(grid.nodes)
     picked = _best_nodes(values, N_STARTS)
-    starts = nodes[picked]
+    starts = grid.nodes[picked]
     grid_best = float(values.max())
     spread = grid_best - float(values.min())
     if not np.isfinite(spread):     # some node's value is inf or nan
@@ -358,39 +389,41 @@ def solve_lower_level_global(
     tie_tol = TIE_TOL * scale
     scale = scale or 1.0            # a constant family: absolute polish
 
-    box = grid.box
-    width = box[:, 1] - box[:, 0]
-    nlp_lo = box[:, 0] - 0.05 * width
-    nlp_hi = box[:, 1] + 0.05 * width
-    local = NlpProblem(m, negated(g_y), field_rows(vs), nlp_lo, nlp_hi)
-
     candidates = []
     skipped = np.zeros(len(starts), dtype=bool)
-    followed = (_followed(problem, i, x, g_y, previous, scale)
+    followed = (_followed(family, previous, scale)
                 if previous is not None else None)
     if followed is not None:
         candidates.append(followed)
         # a start above the followed maximum cannot climb to it
-        skipped = (_ascending(g_y, vs, starts, followed.y, grid.step, tie_tol)
+        skipped = (_ascending(family.values, family.rule, starts, followed.y,
+                              grid.step, tie_tol)
                    & (values[picked] <= followed.value + 1e-12))
     for k, start in enumerate(starts):
         if skipped[k]:
             continue
-        sol = solve_nlp(local, start, max_iter=LOCAL_MAX_ITER)
+        sol = solve_nlp(family.nlp, start, max_iter=LOCAL_MAX_ITER)
         y_loc, mu = sol.z, sol.multipliers
-        v_loc = np.array([v.value(y_loc) for v in vs])
-        if max(v_loc, default=0.0) > 10 * TOL_FEAS:
+        inside, is_active = family.rule(y_loc)
+        if not inside:
             continue
-        active = [l for l in range(len(vs)) if v_loc[l] >= -TOL_ACT]
-        # a local solution whose polish fails is kept unpolished
-        y_loc, mu = (_polish_kkt(problem, i, x, y_loc, active, mu, scale)
-                     or (y_loc, np.where(v_loc >= -TOL_ACT, mu, 0.0)))
-        candidates.append(_candidate(problem, i, x, g_y, y_loc, active, mu))
+        active = np.flatnonzero(is_active).tolist()
+        polished = _polish_kkt(family, y_loc, active, mu, scale)
+        kkt_point = polished is not None
+        if kkt_point:
+            y_loc, mu, _ = polished
+        else:   # kept unpolished: a KKT point if it passes the polish's test
+            mu = np.where(is_active, mu, 0.0)
+            res = kkt_residual(problem, i, x, y_loc, active, mu[active])
+            res[:problem.m] /= scale
+            kkt_point = norm(res) <= 1e-10
+        candidates.append(_candidate(family, y_loc, active, mu, kkt_point))
         # a later start on an ascent path to this maximizer would climb to it
         later = k + 1 + np.flatnonzero(~skipped[k + 1:])
         if len(later):
-            skipped[later] = _ascending(g_y, vs, starts[later], y_loc,
-                                        grid.step, tie_tol)
+            skipped[later] = _ascending(family.values, family.rule,
+                                        starts[later], y_loc, grid.step,
+                                        tie_tol)
 
     if not candidates:
         raise LowerLevelError(

@@ -132,39 +132,6 @@ class ScalarField:
         return out
 
 
-def restrict_to_y(field: ScalarField, n: int, x) -> ScalarField:
-    """Freeze the decision variables of a field over (x, y), leaving y free."""
-    x = np.asarray(x, dtype=float)
-    m = field.arity - n
-
-    def val(y):
-        return field.value(np.concatenate([x, y]))
-
-    def grad(y):
-        return field.gradient(np.concatenate([x, y]))[n:]
-
-    def hess(y):
-        return field.hessian(np.concatenate([x, y]))[n:, n:]
-
-    def batch(Y):
-        Z = np.empty((len(Y), n + m))
-        Z[:, :n] = x
-        Z[:, n:] = Y
-        return field.value_batch(Z)
-
-    return ScalarField(m, val, grad, hess, batch, name=f"{field.name}|x fixed")
-
-
-def negated(field: ScalarField) -> ScalarField:
-    """The field -f, used to pose maximizations as minimizations."""
-    return ScalarField(field.arity,
-                       lambda z: -field.value(z),
-                       lambda z: -field.gradient(z),
-                       lambda z: -field.hessian(z),
-                       lambda Z: -field.value_batch(Z),
-                       name=f"-({field.name})")
-
-
 @dataclass(frozen=True)
 class SipProblem:
     """A semi-infinite program.

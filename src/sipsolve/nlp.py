@@ -130,6 +130,7 @@ class NlpSolution:
     status: str                 # 'converged' | 'max_iter' | 'qp_failure'
     iterations: int
     objective_value: float
+    constraint_values: Array    # the constraint rows at z
 
     @property
     def converged(self) -> bool:
@@ -474,7 +475,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
                                           np.zeros(d), np.zeros(d), np.inf)
         return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
                            float(kkt), float(max(0.0, cvals.max(initial=0.0))),
-                           status, iterations, float(fval))
+                           status, iterations, float(fval), cvals.copy())
 
     for iterations in range(1, max_iter + 1):
         state, best_before = _state(z, B, sigma, rho, active, ls_failures), best

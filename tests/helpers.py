@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sipsolve.expressions import Call, Expression, Neg, Num, Var
-from sipsolve.lower_level import (TOL_FEAS, LowerLevelError,
+from sipsolve.lower_level import (TOL_FEAS, LowerLevelError, FamilyProblem,
                                  solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem
 from sipsolve.nlp import _QP_DEPENDENT, _QP_FEAS_TOL, QpResult, _stack_rows
@@ -308,7 +308,7 @@ def reference_ascending(g_y, vs, starts, y, step, tol):
     ok = np.diff(g_y.value_batch(pts), prepend=np.inf) >= -tol
     ok[first] = True
     for v in vs:
-        ok &= ~(v.value_batch(pts) > TOL_FEAS)
+        ok &= v.value_batch(pts) <= TOL_FEAS
     return np.logical_and.reduceat(ok, first)
 
 
@@ -464,7 +464,19 @@ def reference_solve_qp(H, g, A, b, lower=None, upper=None, active=()):
     return QpResult(x, lam[:n_rows], lo_mult, up_mult, status, active=tuple(work))
 
 
+def family_of(g, n, x):
+    """``lower_level.FamilyProblem`` of g(x, y), with n variables x, as
+    the only family of a problem without index constraints, over the box
+    [-1, 1]^m."""
+    m = g.arity - n
+    f = ScalarField(n, lambda x: 0.0, lambda x: np.zeros(n))
+    problem = SipProblem(n=n, m=m, objective=f, si_constraints=(g,),
+                         index_constraints=())
+    return FamilyProblem(problem, 0, np.asarray(x, dtype=float),
+                          np.array([[-1.0, 1.0]] * m))
+
+
 def reference_restricted_batch(field, n, x, Y):
-    """``restrict_to_y(field, n, x).value_batch(Y)`` by np.tile and np.hstack."""
+    """``family_of(field, n, x).values(Y)`` by np.tile and np.hstack."""
     X = np.tile(np.asarray(x, dtype=float), (Y.shape[0], 1))
     return field.value_batch(np.hstack([X, Y]))

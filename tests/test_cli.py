@@ -30,6 +30,7 @@ DISK_SPEC = ("n: 1\nm: 2\nobjective: x1\nsi_constraints:\n  - y1 - x1\n"
 # design_centering with every g_i scaled by 1e-3: its lower-level polish
 # meets singular Newton steps
 MILLI_SPEC = Path(__file__).with_name("data") / "design_centering_milli.yaml"
+QUARTER_DISK = Path(__file__).with_name("data") / "quarter_disk.yaml"
 
 EXPECTED_HEADER = ("k,x_1,x_2,objective,feasibility,stationarity_residual,"
                    "dist_to_known,step_norm,beta_norm,alpha_max,"
@@ -96,6 +97,12 @@ class TestSourceSelection:
         assert "y_bounds" in capsys.readouterr().err
         spec.write_text(DISK_SPEC + "y_bounds: [[-1, 1], [-1, 1]]\n")
         assert main([command, "--spec", str(spec)]) == 0
+
+    def test_verify_passes_on_a_box_that_cuts_the_disk(self, capsys):
+        # feasibility at the known solution reads the lower level, which
+        # must stay inside the declared box
+        assert main(["verify", "--spec", str(QUARTER_DISK)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
 
     def test_spec_file_works_as_source(self, tmp_path, capsys):
         spec = tmp_path / "mini.yaml"

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
 from sipsolve.model import ScalarField
-from sipsolve.specfile import compile_spec, parse_spec
+from sipsolve.specfile import compile_spec, load_problem, parse_spec
 
 from helpers import (always_violated_problem, onestep_problem,
                      pinned_index_problem, tie_problem)
+
+
+QUARTER_DISK = Path(__file__).with_name("data") / "quarter_disk.yaml"
 
 
 class TestDiscretizationState:
@@ -371,3 +375,24 @@ class TestWarnings:
         assert _terminal_warnings(r) == [
             f"iteration {len(r.history)}: field evaluation failed: log of a "
             "nonpositive value"]
+
+
+class TestDeclaredBox:
+    """quarter_disk.yaml: each maximizer at the answer lies where the
+    circle meets the declared face y1 = 0.5."""
+
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_quarter_disk_reaches_the_answer(self, runner):
+        problem = load_problem(QUARTER_DISK)
+        practical = runner(problem)
+        assert practical.final_status == "tolerance_met"
+        assert np.linalg.norm(practical.history[-1].x - [0.75, 0.6]) <= 1e-6
+        known = runner(problem, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert known.final_status == "tolerance_met"
+
+    def test_qcad_does_not_linearize_a_face_maximizer(self):
+        rec = run_qcad(load_problem(QUARTER_DISK)).history[0]
+        assert not rec.linearizations
+        assert not any(sol.regularity.kkt_point for sol in rec.lower_level)
+        assert any("regularity failed for constraint 0 (not a KKT point "
+                   "of its active set" in w for w in rec.warnings)

@@ -7,11 +7,13 @@ import pytest
 from sipsolve import (DriverOptions, driver, lower_level, run_blankenship_falk,
                       run_qcad)
 from sipsolve.lower_level import (GRID_PER_DIM, TIE_TOL, LowerLevelError,
-                                  index_set_box, kkt_jacobian, kkt_residual,
+                                  FamilyProblem, index_set_box,
+                                  index_set_rule, kkt_jacobian, kkt_residual,
                                   solve_all_lower_levels,
                                   solve_lower_level_global)
-from sipsolve.model import ScalarField, SipProblem, restrict_to_y
+from sipsolve.model import ScalarField, SipProblem
 from sipsolve.problems import get_problem
+from sipsolve.specfile import compile_spec, parse_spec
 
 from helpers import (grid_nodes, interval_index_fields, narrow_peak_problem,
                      pinned_index_problem, reference_ascending,
@@ -303,10 +305,10 @@ class TestContinuation:
         cold = solve_lower_level_global(p, 0, x)
         previous = replace(cold, y=np.array([0.0]), active_set=(),
                            multipliers=np.zeros(2))
-        assert lower_level._polish_kkt(p, 0, x, previous.y, [],
+        family = FamilyProblem(p, 0, x, index_set_box(p))
+        assert lower_level._polish_kkt(family, previous.y, [],
                                        np.zeros(2), 1.0) is not None
-        g_y = restrict_to_y(p.si_constraints[0], p.n, x)
-        assert lower_level._followed(p, 0, x, g_y, previous, 1.0) is None
+        assert lower_level._followed(family, previous, 1.0) is None
         warm = solve_lower_level_global(p, 0, x, previous=previous)
         _assert_same_record(warm, cold)
 
@@ -341,6 +343,11 @@ class _Recorded:
     def value_batch(self, pts):
         self.pts = pts.copy()
         return self.fn(pts)
+
+
+def _rule(vs):
+    """``index_set_rule`` of the fields ``vs`` over an unbounded box."""
+    return lambda pts: index_set_rule(vs, np.array([[-np.inf, np.inf]]), pts)
 
 
 def _ascent_cases(rng):
@@ -404,8 +411,8 @@ class TestScanMatchesReference:
 
             g_got, v_got = _Recorded(wavy), _Recorded(ring)
             g_want, v_want = _Recorded(wavy), _Recorded(ring)
-            got = lower_level._ascending(g_got, [v_got], starts, y, step,
-                                         TIE_TOL)
+            got = lower_level._ascending(g_got.value_batch, _rule([v_got]),
+                                         starts, y, step, TIE_TOL)
             want = reference_ascending(g_want, [v_want], starts, y, step,
                                        TIE_TOL)
             assert got.tobytes() == want.tobytes()
@@ -427,7 +434,8 @@ class TestScanMatchesReference:
         y, step = np.zeros(len(legs)), np.ones(len(legs))
         g_got = _Recorded(lambda pts: -(pts ** 2).sum(axis=1))
         g_want = _Recorded(lambda pts: -(pts ** 2).sum(axis=1))
-        got = lower_level._ascending(g_got, [], starts, y, step, TIE_TOL)
+        got = lower_level._ascending(g_got.value_batch, _rule([]), starts, y,
+                                     step, TIE_TOL)
         want = reference_ascending(g_want, [], starts, y, step, TIE_TOL)
         assert got.all() and want.all()
         assert g_got.pts.tobytes() == g_want.pts.tobytes()
@@ -435,7 +443,8 @@ class TestScanMatchesReference:
     def test_start_at_the_maximizer_samples_its_two_ends(self):
         y = np.array([0.25, -0.5])
         g = _Recorded(lambda pts: -((pts - y) ** 2).sum(axis=1))
-        ok = lower_level._ascending(g, [], np.array([y, y + 0.1]), y,
+        ok = lower_level._ascending(g.value_batch, _rule([]),
+                                    np.array([y, y + 0.1]), y,
                                     np.array([0.0, 0.05]), TIE_TOL)
         assert ok.tolist() == [True, True]
         # 0.1 over a zero-width axis and 0.1 / 0.05 = 2 steps: 2 + 2 samples
@@ -489,8 +498,9 @@ class TestPolish:
                        x_bounds=np.array([[-2.0, 2.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lower_level._polish_kkt(p, 0, np.array([0.0]), y0, [],
-                                           np.zeros(2), 1.0) is None
+            family = FamilyProblem(p, 0, np.array([0.0]), index_set_box(p))
+            assert lower_level._polish_kkt(family, y0, [], np.zeros(2),
+                                           1.0) is None
         assert hessians == [y0[0]]
 
     def test_singular_newton_step_fails_without_a_warning(self):
@@ -505,9 +515,9 @@ class TestPolish:
                        x_bounds=np.array([[-2.0, 2.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert lower_level._polish_kkt(p, 0, np.array([0.0]),
-                                           np.array([0.5]), [], np.zeros(2),
-                                           1.0) is None
+            family = FamilyProblem(p, 0, np.array([0.0]), index_set_box(p))
+            assert lower_level._polish_kkt(family, np.array([0.5]), [],
+                                           np.zeros(2), 1.0) is None
 
 
 class TestRegularity:
@@ -581,6 +591,77 @@ class TestIndexSetBox:
         box = index_set_box(pinned_index_problem())
         assert box.shape == (1, 2)
         assert abs(box[0, 0]) == 0.0 and abs(box[0, 1]) == 0.0
+
+
+CUT_DISK = """
+n: 1
+m: 2
+objective: "x1"
+si_constraints: ["y1 + 0.1*y2 - x1"]
+index_constraints: ["y1^2 + y2^2 - 1"]
+y_bounds: [[-1, 0.5], [-1, 1]]
+x0: [2]
+"""
+
+# v is nan for |y1| < 0.1, so Y is two intervals; g rises all the way from
+# the left one to its peak y1 = 0.12 on the right and falls steeply beyond
+NAN_STRIP = """
+n: 1
+m: 1
+objective: "x1"
+si_constraints: ["y1 - exp(30*(y1 - 0.12))/30 - x1"]
+index_constraints: ["log(y1^2 - 0.01) - 10"]
+y_bounds: [[-1, 1]]
+x0: [1]
+"""
+
+
+class TestDeclaredBoxHolds:
+    """A declared box that cuts the disk: every lower-level path stays in
+    Y = {y in y_bounds : v(y) <= 0}."""
+
+    def test_maximizer_lies_in_the_box(self):
+        # over the disk y1 + 0.1 y2 peaks at (0.995, 0.0995), beyond the face
+        # y1 = 0.5; over Y it peaks at the corner (0.5, sqrt(0.75))
+        p = compile_spec(parse_spec(CUT_DISK))
+        sol = solve_lower_level_global(p, 0, np.zeros(1))
+        box = index_set_box(p)
+        assert np.all((box[:, 0] <= sol.y) & (sol.y <= box[:, 1]))
+        assert abs(sol.value - (0.5 + 0.1 * np.sqrt(0.75))) <= 1e-12
+
+    def test_polish_rejects_a_newton_point_outside_the_box(self):
+        # from the corner, Newton on the disk's KKT system walks along the
+        # circle to (0.995, 0.0995): accepted over the unit box, outside Y
+        # over the declared one
+        p = compile_spec(parse_spec(CUT_DISK))
+        x, corner, mu = np.zeros(1), np.array([0.5, np.sqrt(0.75)]), np.ones(1)
+        unit = FamilyProblem(p, 0, x, np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+        y, _, active = lower_level._polish_kkt(unit, corner, [0], mu, 1.0)
+        assert np.allclose(y, np.array([1.0, 0.1]) / np.sqrt(1.01),
+                           rtol=0.0, atol=1e-12)
+        assert active == [0]
+        declared = FamilyProblem(p, 0, x, index_set_box(p))
+        assert lower_level._polish_kkt(declared, corner, [0], mu, 1.0) is None
+
+    def test_face_maximizer_is_no_kkt_point(self):
+        # the face y1 = 0.5 is no index constraint: no multiplier of the
+        # disk alone solves the KKT system at the corner, so the record is
+        # kept unpolished and flagged
+        p = compile_spec(parse_spec(CUT_DISK))
+        sol = solve_lower_level_global(p, 0, np.zeros(1))
+        assert sol.active_set == (0,)
+        assert _kkt_residual(p, sol) > 0.1
+        assert not sol.regularity.kkt_point
+        assert not sol.regularity.all_ok
+
+    def test_segment_through_nan_leaves_y(self, local_runs):
+        # the left starts' segments to the peak cross the nan strip: they
+        # leave Y and do not show that those starts climb to the peak, so
+        # the starts run (with nan counted inside Y, only the first did)
+        p = compile_spec(parse_spec(NAN_STRIP))
+        sol = solve_lower_level_global(p, 0, np.zeros(1))
+        assert sol.y == pytest.approx([0.12], abs=1e-9)
+        assert len(local_runs) > 1
 
 
 class TestGridDominance:

@@ -4,13 +4,12 @@ import pytest
 from sipsolve.driver import _family_rows
 from sipsolve.expressions import parse_expression
 from sipsolve.model import (FieldEvaluationError, ScalarField, SipProblem,
-                            negated, restrict_to_y, validate_problem,
-                            verify_derivatives)
+                            validate_problem, verify_derivatives)
 from sipsolve.problems import get_problem
 from sipsolve.specfile import _compile_field
 
 import helpers
-from helpers import (fd_block_hessian, interval_index_fields,
+from helpers import (family_of, fd_block_hessian, interval_index_fields,
                      reference_restricted_batch)
 
 
@@ -155,6 +154,8 @@ class TestGradientBatch:
 
 
 class TestRestrictions:
+    # the lower level's family problem freezes x in g(x, y): its objective
+    # is -g(x, .), and ``value``/``values`` give g(x, .) itself
     def test_restrict_to_y_slices_derivatives(self):
         g = ScalarField(3, lambda z: z[0] * z[2] ** 2,
                         lambda z: np.array([z[2] ** 2, 0.0, 2.0 * z[0] * z[2]]),
@@ -162,11 +163,12 @@ class TestRestrictions:
                             [0.0, 0.0, 2.0 * z[2]],
                             [0.0, 0.0, 0.0],
                             [2.0 * z[2], 0.0, 2.0 * z[0]]]))
-        gy = restrict_to_y(g, 2, np.array([2.0, 5.0]))
+        family = family_of(g, 2, np.array([2.0, 5.0]))
+        gy = family.nlp.objective
         y = np.array([3.0])
-        assert gy.value(y) == 18.0
-        assert np.allclose(gy.gradient(y), [12.0])
-        assert np.allclose(gy.hessian(y), [[4.0]])
+        assert family.value(y) == 18.0
+        assert np.allclose(-gy.gradient(y), [12.0])
+        assert np.allclose(-gy.hessian(y), [[4.0]])
 
     @pytest.mark.parametrize("name", ["example1", "example2",
                                       "design_centering"])
@@ -181,7 +183,7 @@ class TestRestrictions:
             for count in (1, 2, 65):
                 x = rng.normal(size=problem.n)
                 Y = rng.uniform(-1.0, 1.0, size=(count, problem.m))
-                got = restrict_to_y(g, problem.n, x).value_batch(Y)
+                got = family_of(g, problem.n, x).values(Y)
                 want = reference_restricted_batch(g, problem.n, x, Y)
                 assert got.tobytes() == want.tobytes()
 
@@ -216,24 +218,27 @@ class TestRestrictions:
         assert np.array_equal(block[2](x, np.zeros(5)), np.zeros((2, 2)))
 
     def test_negated(self):
-        f = quad_field()
-        nf = negated(f)
+        # quad_field over y, with x1 frozen and left out
+        f = ScalarField(3, lambda z: z[1] ** 2 + z[2] ** 2,
+                        lambda z: np.array([0.0, 2.0 * z[1], 2.0 * z[2]]),
+                        hessian=lambda z: np.diag([0.0, 2.0, 2.0]))
+        nf = family_of(f, 1, np.array([4.0])).nlp.objective
         z = np.array([1.0, 1.0])
         assert nf.value(z) == -2.0
         assert np.array_equal(nf.gradient(z), [-2.0, -2.0])
         assert np.array_equal(nf.hessian(z), -2.0 * np.eye(2))
 
     def test_wrappers_of_a_field_without_hessian_or_batch(self):
-        # the wrappers forward both unconditionally: asking for the missing
-        # Hessian still raises, and the batch still evaluates row by row
+        # the family problem forwards both unconditionally: asking for the
+        # missing Hessian still raises, and the batch still evaluates row by
+        # row
         f = ScalarField(2, lambda z: z[0] * z[1], lambda z: np.array([z[1], z[0]]))
-        fy, nf = restrict_to_y(f, 1, np.array([2.0])), negated(f)
-        for field, point in ((fy, np.array([3.0])), (nf, np.array([2.0, 3.0]))):
-            with pytest.raises(FieldEvaluationError):
-                field.hessian(point)
-        assert np.array_equal(fy.value_batch(np.array([[3.0], [-1.0]])), [6.0, -2.0])
-        assert np.array_equal(nf.value_batch(np.array([[2.0, 3.0], [1.0, -1.0]])),
-                              [-6.0, 1.0])
+        family = family_of(f, 1, np.array([2.0]))
+        with pytest.raises(FieldEvaluationError):
+            family.nlp.objective.hessian(np.array([3.0]))
+        assert np.array_equal(family.values(np.array([[3.0], [-1.0]])), [6.0, -2.0])
+        assert np.array_equal(family.nlp.objective.value_batch(
+            np.array([[3.0], [-0.5]])), [-6.0, 1.0])
 
 
 class TestVerifyDerivatives:

@@ -727,19 +727,14 @@ class TestSolveNlp:
         # (violation 4e-10) with objective -3.1e-4, far below the start's
         # +0.0619 (violation exactly 0); cut off after five iterations, the
         # run must return the better of the two
-        from sipsolve.lower_level import index_grid
-        from sipsolve.model import negated, restrict_to_y
+        from sipsolve.lower_level import FamilyProblem, index_set_box
         from sipsolve.problems import get_problem
 
         dc = get_problem("design_centering")
         x = np.array([1.6647114202107154, -0.3334434839090681, 2.3100340905999035,
                       0.6665565160909319, -1.328949451599116])
         y0 = np.array([-0.8348214285714286, 0.5074404761904763])
-        box = index_grid(dc).box
-        width = box[:, 1] - box[:, 0]
-        p = NlpProblem(dc.m, negated(restrict_to_y(dc.si_constraints[0], dc.n, x)),
-                       field_rows(dc.index_constraints),
-                       box[:, 0] - 0.05 * width, box[:, 1] + 0.05 * width)
+        p = FamilyProblem(dc, 0, x, index_set_box(dc)).nlp
         start = p.objective.value(y0)
         sol = solve_nlp(p, y0, max_iter=5)
         assert sol.status == "max_iter"
