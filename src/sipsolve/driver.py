@@ -3,7 +3,9 @@
 Two drivers share one iteration skeleton:
 
 * ``run_blankenship_falk``: solve the discretized master, then add the
-  global lower-level maximizers to the discretization and repeat.
+  global lower-level maximizers to the discretization and repeat.  A
+  maximizer that is not a KKT point of its active set is added as found,
+  with a warning.
 * ``run_qcad``: additionally linearize the lower-level primal-dual solution
   map at the current iterate (for every constraint family whose maximizer
   is regular) and put the resulting linearized Lagrangian constraint into
@@ -202,10 +204,12 @@ def _snap_to_bounds(nlp: NlpProblem, sol, snap_tol: float = 1e-4):
     if not (near_lo.any() or near_hi.any()):
         return sol
     z[near_lo], z[near_hi] = nlp.lower[near_lo], nlp.upper[near_hi]
-    f_new, c_new = nlp.objective.value(z), nlp.constraints(z)[0]
+    f_new = nlp.objective.value(z)
+    c_new, jac_new = nlp.constraints(z)
     merit_old = _l1_merit(sol, sol.objective_value, sol.constraint_values)
     if _l1_merit(sol, f_new, c_new) <= merit_old + 1e-12 * (1.0 + abs(merit_old)):
         return replace(sol, z=z, objective_value=f_new, constraint_values=c_new,
+                       constraint_jacobian=jac_new,
                        max_violation=max(c_new.tolist(), default=0.0))
     return sol
 
@@ -340,11 +344,18 @@ def _run(problem: SipProblem, x0, opts: DriverOptions,
                 rec.wall_time_ms = 1e3 * (time.perf_counter() - t0)
                 break
 
-            # refinement step: add this iteration's maximizers
+            # refinement step: add this iteration's maximizers; qcad names
+            # a non-KKT maximizer in its regularity warning below
             added_any = False
             for sol in ll:
                 if disc.add(sol.index, sol.y):
                     added_any = True
+                    if not (use_linearization or sol.regularity.kkt_point):
+                        rec.warnings.append(
+                            f"iteration {k}: the lower-level maximizer of "
+                            f"constraint {sol.index} is not a KKT point of "
+                            "its active set; added to the discretization "
+                            "as found")
 
             improved = feasibility < best_feasibility - 1e-12
             best_feasibility = min(best_feasibility, feasibility)

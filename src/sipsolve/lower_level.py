@@ -1,8 +1,9 @@
 """Global solution of the lower-level problems max_y g_i(x, y) over Y.
 
 Y = {y in box : v(y) <= 0}.  ``FamilyProblem`` poses family i's problem at
-x, the local runs' NLP over exactly the grid's box included; every path
-reads Y's one membership and active-set rule, ``index_set_rule``.
+x, the local runs' NLP over exactly the grid's box included, and evaluates
+g_i(x, .) with one call of g_i; every path reads Y's one membership and
+active-set rule, ``index_set_rule``.
 
 Strategy: evaluate g_i on a uniform grid over the box, refine the best
 nodes in Y with the local SQP solver, then polish each local solution with
@@ -52,7 +53,10 @@ still dominates the grid.
 The box is ``model.index_set_box``: ``y_bounds`` when declared, else read
 off interval-bound index constraints; without either, the first solve
 raises ``LowerLevelError``.  The box and the grid nodes in Y depend on the
-problem only (``index_grid``); the drivers build them once per run.
+problem only (``index_grid``); the drivers build them once per run.  At each
+x, ``solve_all_lower_levels`` fills one array of the points (x, y), y the
+grid nodes, and every family reads its grid values off it with one
+``value_batch`` of g_i.
 
 Deterministic by construction: fixed grid order, ties broken toward the
 lexicographically smallest maximizer.
@@ -160,28 +164,38 @@ def index_grid(problem: SipProblem) -> IndexGrid:
 
 class FamilyProblem:
     """Family i's lower-level problem at x: maximize g_i(x, .) over
-    Y = {y in box : v(y) <= 0}.  ``nlp`` poses it for the local runs:
-    minimize -g_i(x, .) over the box s.t. v(y) <= 0, one call of g_i per
-    evaluation.  ``value``/``values`` give g_i(x, .) at a point or at the
-    rows of an array, ``rule`` is ``index_set_rule`` over the box."""
+    Y = {y in box : v(y) <= 0}.  ``value``/``values`` give g_i(x, .) at a
+    point or at the rows of an array, one call of g_i each.  ``nlp`` poses
+    the problem for the local runs: minimize -g_i(x, .) over the box s.t.
+    v(y) <= 0, one call of g_i per evaluation.  ``rule`` is
+    ``index_set_rule`` over the box."""
 
     def __init__(self, problem: SipProblem, i: int, x: Array, box: Array):
         n, m, g = problem.n, problem.m, problem.si_constraints[i]
         self.problem, self.i, self.x = problem, i, x
 
-        def batch(ys):
-            z = np.empty((len(ys), n + m))
-            z[:, :n], z[:, n:] = x, ys
-            return -g.value_batch(z)
+        def value(y):
+            return g.value(np.concatenate([x, y]))
+
+        def values(ys):
+            return g.value_batch(_at_x(x, ys))
         objective = ScalarField(
-            m, lambda y: -g.value(np.concatenate([x, y])),
+            m, lambda y: -value(y),
             lambda y: -g.gradient(np.concatenate([x, y]))[n:],
-            lambda y: -g.hessian(np.concatenate([x, y]))[n:, n:], batch)
+            lambda y: -g.hessian(np.concatenate([x, y]))[n:, n:],
+            lambda ys: -values(ys))
         self.nlp = NlpProblem(m, objective, field_rows(problem.index_constraints),
                               box[:, 0], box[:, 1])
-        self.value = lambda y: -objective.value(y)
-        self.values = lambda ys: -objective.value_batch(ys)
+        self.value, self.values = value, values
         self.rule = partial(index_set_rule, problem.index_constraints, box)
+
+
+def _at_x(x: Array, ys: Array) -> Array:
+    """The (N, n + m) array of the points (x, y) for the N rows y of
+    ``ys``: the argument of g_i's ``value_batch``."""
+    z = np.empty((len(ys), len(x) + ys.shape[1]))
+    z[:, :len(x)], z[:, len(x):] = x, ys
+    return z
 
 
 def kkt_residual(problem: SipProblem, i: int, x: Array, y: Array, active,
@@ -338,7 +352,9 @@ def _ascending(values, rule, starts: Array, y: Array, step: Array,
     t[ends - 1] = 1.0
     pts = np.repeat(starts, counts, axis=0) \
         + t[:, None] * np.repeat(delta, counts, axis=0)
-    ok = np.diff(values(pts), prepend=np.inf) >= -tol
+    v = values(pts)
+    ok = np.empty(len(v), dtype=bool)
+    ok[1:] = v[1:] - v[:-1] >= -tol
     ok[first] = True    # no step leads into a segment's first point
     ok &= rule(pts)[0]
     return np.logical_and.reduceat(ok, first)
@@ -376,8 +392,14 @@ def solve_lower_level_global(
     if grid is None:
         grid = index_grid(problem)
     family = FamilyProblem(problem, i, x, grid.box)
+    return _solve_family(family, grid, family.values(grid.nodes), previous)
 
-    values = family.values(grid.nodes)
+
+def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
+                  previous: Optional[LowerLevelSolution]) -> LowerLevelSolution:
+    """``solve_lower_level_global`` for ``family`` on ``grid``, given its
+    ``values`` at the grid nodes."""
+    problem, i, x = family.problem, family.i, family.x
     picked = _best_nodes(values, N_STARTS)
     starts = grid.nodes[picked]
     grid_best = float(values.max())
@@ -451,9 +473,14 @@ def solve_all_lower_levels(problem: SipProblem, x,
                            grid: Optional[IndexGrid] = None,
                            previous: Optional[list] = None) -> list:
     """One global lower-level solve per semi-infinite constraint;
-    ``previous`` is the list this returned at an earlier x, if any."""
+    ``previous`` is the list this returned at an earlier x, if any.  The
+    families read their grid values off one array of the points (x, y),
+    y the grid nodes."""
+    x = np.array(x, dtype=float)
     if grid is None:
         grid = index_grid(problem)
-    return [solve_lower_level_global(problem, i, x, grid,
-                                     previous[i] if previous else None)
-            for i in range(problem.n_si)]
+    points = _at_x(x, grid.nodes)
+    return [_solve_family(FamilyProblem(problem, i, x, grid.box), grid,
+                          g.value_batch(points),
+                          previous[i] if previous else None)
+            for i, g in enumerate(problem.si_constraints)]

@@ -14,9 +14,10 @@ holds, which makes it the optimum; otherwise the dual method runs from the
 start, and the same check of one KKT solve on its final working set
 refines its result.  The outer loop is damped-BFGS SQP with an l1 merit
 line search; infeasible QPs fall back to an elastic reformulation with a
-penalized slack.  ``negative_curvature`` tests the second-order necessary
-condition at a KKT point, with the exact Lagrangian Hessian on the critical
-cone.
+penalized slack.  A solution carries the rows' values and Jacobian at its
+point, the ones the SQP already evaluated there.  ``negative_curvature``
+tests the second-order necessary condition at a KKT point, with the exact
+Lagrangian Hessian on the critical cone and the solution's rows.
 
 Every dense solve of the QP, and the Newton steps of the lower level's KKT
 polish, go through ``solve_linear``: the LAPACK ``gesv`` gufunc that
@@ -26,7 +27,10 @@ wrapper costs about three times the solve (numpy 2.4: 11 us a call against
 3 us for the gufunc).  Each QP and each polish sets the error state once.
 The dual method writes the KKT matrices of its steps into one buffer per
 call, a row at a time as its working set changes, and solves their leading
-blocks.  ``norm`` is ``np.linalg.norm``'s own formula sqrt(v.v) for a
+blocks; its final KKT solve on the working set reads the same buffer, and
+only the hot start builds a matrix of its own (``_kkt_matrix``).  It reads
+the row tolerances, right-hand sides and zero-row test as Python values
+once per QP.  ``norm`` is ``np.linalg.norm``'s own formula sqrt(v.v) for a
 vector, so with its bits, at 0.5 us a call against 1.3 (size 5, numpy 2.4).
 
 Everything is deterministic: no randomness, fixed tie-breaking by lowest
@@ -130,7 +134,8 @@ class NlpSolution:
     status: str                 # 'converged' | 'max_iter' | 'qp_failure'
     iterations: int
     objective_value: float
-    constraint_values: Array    # the constraint rows at z
+    constraint_values: Array    # the constraint rows at z ...
+    constraint_jacobian: Array  # ... and their Jacobian there
 
     @property
     def converged(self) -> bool:
@@ -169,20 +174,25 @@ def norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _equality_optimum(H: Array, g: Array, C: Array, e: Array, tol: Array,
-                      work: list):
-    """Solve the equality QP on the rows ``work``, its KKT system
-    [[H, N'], [N, 0]] [x; lam] = [-g; e_work] with N = C[work], and return
-    it as the QP's optimum (x, lam, work, 'optimal'); None when a
-    multiplier is negative, a row is violated by more than its ``tol``, or
-    the KKT matrix is singular.  H is positive definite, so a point that
-    passes is the unique optimum."""
-    d, k = len(g), len(work)
-    N = C[work]
+def _kkt_matrix(H: Array, N: Array) -> Array:
+    """The KKT matrix [[H, N'], [N, 0]] of the equality QP on the rows N."""
+    d, k = H.shape[0], len(N)
     kkt = np.zeros((d + k, d + k))
     kkt[:d, :d] = H
     kkt[:d, d:] = N.T
     kkt[d:, :d] = N
+    return kkt
+
+
+def _equality_optimum(kkt: Array, g: Array, C: Array, e: Array, tol: Array,
+                      work: list):
+    """Solve the equality QP on the rows ``work``, its KKT system ``kkt``
+    [x; lam] = [-g; e_work] with ``kkt`` = [[H, N'], [N, 0]], N = C[work]
+    (``_kkt_matrix``), and return it as the QP's optimum (x, lam, work,
+    'optimal'); None when a multiplier is negative, a row is violated by
+    more than its ``tol``, or the KKT matrix is singular.  H is positive
+    definite, so a point that passes is the unique optimum."""
+    d = len(g)
     sol = solve_linear(kkt, np.concatenate([-g, e[work]]))
     if sol is None:
         return None
@@ -237,30 +247,33 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array, tol: Array):
     lam = np.zeros(n_rows)
     work: list = []     # active row indices, in order of addition
     lam_w: list = []
-    # the KKT system of a step: [[H, N], [N', 0]] with the working set's
+    # the KKT system of a step: [[H, N'], [N, 0]] with the working set's
     # rows N, in order, in the leading d + len(work) block, and [-normal; 0]
     kkt = np.zeros((2 * d, 2 * d))
     kkt[:d, :d] = H
     rhs = np.zeros(2 * d)
+    tol_list, e_list, nonzero = tol.tolist(), e.tolist(), C.any(axis=1).tolist()
 
     for _ in range(4 * (n_rows + d) + 16):
         s = C @ x - e
         for j in work:
             s[j] = 0.0
         p = int(s.argmax()) if n_rows else 0
-        if n_rows == 0 or s[p] <= tol[p]:
+        if n_rows == 0 or s[p] <= tol_list[p]:
             # a dual step on a nearly dependent row keeps stationarity only
             # up to the row's distance from the span; one KKT solve on the
-            # final working set restores it
-            polished = _equality_optimum(H, g, C, e, tol, work) if work else None
+            # final working set (the buffer's leading block) restores it
+            k = len(work)
+            polished = (_equality_optimum(kkt[:d + k, :d + k], g, C, e, tol,
+                                          work) if k else None)
             if polished is not None:
                 return polished
             lam[work] = np.maximum(lam_w, 0.0)
             return x, lam, work, "optimal"
 
-        normal = C[p]
-        if not normal.any():
+        if not nonzero[p]:
             return x, lam, work, "infeasible"   # 0'x <= e_p with e_p < 0
+        normal = C[p]
         h_normal = solve_linear(H, normal)
         if h_normal is None:    # H solved above: the solution overflowed
             return x, lam, work, "singular"
@@ -278,8 +291,8 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array, tol: Array):
                 z = -h_normal
                 r = []
 
-            s_p = float(normal @ x - e[p])
-            if k == d or (k and -float(normal @ z) <= _QP_DEPENDENT * n_h_n):
+            dsp = float(normal @ z)
+            if k == d or (k and -dsp <= _QP_DEPENDENT * n_h_n):
                 # the normal lies in the span of the working set (a full
                 # set spans everything, an empty one nothing): take a pure
                 # dual step that drops a row
@@ -293,10 +306,10 @@ def _dual_active_set(H: Array, g: Array, C: Array, e: Array, tol: Array):
                 _drop_row(kkt, d, drop, k)
                 continue
 
-            dsp = float(normal @ z)     # < 0 by the test above ...
-            if dsp == 0.0:              # ... unless n_h_n underflows to 0
+            # dsp < 0 by the test above, unless n_h_n underflows to 0
+            if dsp == 0.0:
                 return x, lam, work, "infeasible"
-            t_full = -s_p / dsp
+            t_full = -(float(normal @ x) - e_list[p]) / dsp
             drop, t_part = _blocking(lam_w, r)
             if drop < 0 and t_full != t_full:
                 # x has overflowed: no step length and no row to drop
@@ -372,7 +385,7 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     tol = _QP_FEAS_TOL * (1.0 + np.abs(e))
     hint = list(dict.fromkeys(active))
     with np.errstate(all="ignore"):     # for solve_linear
-        hot = (_equality_optimum(H, g, C, e, tol, hint)
+        hot = (_equality_optimum(_kkt_matrix(H, C[hint]), g, C, e, tol, hint)
                if 0 < len(hint) <= d else None)
         x, lam, work, status = hot or _dual_active_set(H, g, C, e, tol)
 
@@ -475,7 +488,8 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
                                           np.zeros(d), np.zeros(d), np.inf)
         return NlpSolution(z.copy(), lam.copy(), lo_mult.copy(), up_mult.copy(),
                            float(kkt), float(max(0.0, cvals.max(initial=0.0))),
-                           status, iterations, float(fval), cvals.copy())
+                           status, iterations, float(fval), cvals.copy(),
+                           jac.copy())
 
     for iterations in range(1, max_iter + 1):
         state, best_before = _state(z, B, sigma, rho, active, ls_failures), best
@@ -599,7 +613,7 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     leave free dimensions, which bounds the enumeration.
     """
     z, d = sol.z, problem.dim
-    cvals, jac = problem.constraints(z)
+    cvals, jac = sol.constraint_values, sol.constraint_jacobian
     H = problem.objective.hessian(z) + problem.constraints.hessian(z, sol.multipliers)
     eye = np.eye(d)
     values = np.concatenate([cvals, problem.lower - z, z - problem.upper])

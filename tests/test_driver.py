@@ -1,3 +1,5 @@
+import hashlib
+import platform
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
 from sipsolve.model import ScalarField
+from sipsolve.problems import get_problem
 from sipsolve.specfile import compile_spec, load_problem, parse_spec
 
 from helpers import (always_violated_problem, onestep_problem,
@@ -390,9 +393,59 @@ class TestDeclaredBox:
         known = runner(problem, opts=DriverOptions(mode="known", tol_dist=1e-4))
         assert known.final_status == "tolerance_met"
 
+    @pytest.mark.parametrize("mode", ["practical", "known"])
+    def test_bf_names_a_face_maximizer_it_adds(self, mode):
+        # qcad names it in its regularity warning, so only bf warns here
+        opts = DriverOptions(mode=mode, tol_dist=1e-4)
+        bf = run_blankenship_falk(load_problem(QUARTER_DISK), opts=opts)
+        assert not bf.history[0].lower_level[0].regularity.kkt_point
+        assert [w for w in bf.warnings if "KKT" in w] == [
+            "iteration 0: the lower-level maximizer of constraint 0 is not a "
+            "KKT point of its active set; added to the discretization as found"]
+        qcad = run_qcad(load_problem(QUARTER_DISK), opts=opts)
+        assert not any("added to the discretization" in w
+                       for w in qcad.warnings)
+
     def test_qcad_does_not_linearize_a_face_maximizer(self):
         rec = run_qcad(load_problem(QUARTER_DISK)).history[0]
         assert not rec.linearizations
         assert not any(sol.regularity.kkt_point for sol in rec.lower_level)
         assert any("regularity failed for constraint 0 (not a KKT point "
                    "of its active set" in w for w in rec.warnings)
+
+
+# SHA-256 of repr(float) of every x^k, one line per iterate, of the 12
+# built-in runs from their canonical starts.  A change that moves iterates
+# on purpose records the new digests and says so.
+_ITERATE_DIGESTS = {
+    ("example1", "bf", "known"): "872b7fcd0b09ef7bc1a28efef63a930097c0ceba4fd4afb82d06977fdf10f906",
+    ("example1", "bf", "practical"): "a1fc068f31952f4893fad1432da4094702518c9784ea6be762886f54e63627a6",
+    ("example1", "qcad", "known"): "13beb8cfdf955136ace46dfc73454b6ce500d9d7e7ce6db614706716e7930ed1",
+    ("example1", "qcad", "practical"): "13beb8cfdf955136ace46dfc73454b6ce500d9d7e7ce6db614706716e7930ed1",
+    ("example2", "bf", "known"): "a324b31763d4a5322e9666245eb0527ea79f8bf129d7dd73c56ddd9b334fff75",
+    ("example2", "bf", "practical"): "6401ea920ba9ca168b967e42611ead78b01b497dc97af97c7cd60cf67a3f8b9b",
+    ("example2", "qcad", "known"): "45afba0f7e0a4c9a9701d6287e598f355813ab131d5853e8750befd27766e5c0",
+    ("example2", "qcad", "practical"): "45afba0f7e0a4c9a9701d6287e598f355813ab131d5853e8750befd27766e5c0",
+    ("design_centering", "bf", "known"): "95270eadd038061775cbb4c86782df0d0b7b47f4a419115e686342c1adf62d65",
+    ("design_centering", "bf", "practical"): "1c9c0d674003e77478eacd578bbb21b6fe39642c46fa8bc95c26c19f9c3986c3",
+    ("design_centering", "qcad", "known"): "63e0e04e6fc8587d13e6ae0b00a40f0501b72d4658dd9f633bae700c83d33b3a",
+    ("design_centering", "qcad", "practical"): "63e0e04e6fc8587d13e6ae0b00a40f0501b72d4658dd9f633bae700c83d33b3a",
+}
+
+
+# the digests pin the rounding of numpy 2.4's x86-64 wheels (their
+# OpenBLAS and SIMD loops); another build may round otherwise
+@pytest.mark.skipif(not (np.__version__.startswith("2.4.")
+                         and platform.machine() == "x86_64"),
+                    reason="iterate digests recorded with numpy 2.4 on x86-64")
+@pytest.mark.parametrize("name, alg, mode", list(_ITERATE_DIGESTS))
+def test_built_in_iterates_are_pinned(name, alg, mode):
+    runner = run_blankenship_falk if alg == "bf" else run_qcad
+    result = runner(get_problem(name), opts=DriverOptions(mode=mode))
+    digest = hashlib.sha256()
+    for rec in result.history:
+        digest.update((" ".join(map(repr, rec.x.tolist())) + "\n").encode())
+    assert digest.hexdigest() == _ITERATE_DIGESTS[name, alg, mode]
+    # every lower-level maximizer of the built-ins is a KKT point
+    assert all(sol.regularity.kkt_point
+               for rec in result.history for sol in rec.lower_level)

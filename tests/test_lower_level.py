@@ -87,14 +87,31 @@ class TestGlobalMaximizer:
         assert a.value == b.value
         assert np.array_equal(a.multipliers, b.multipliers)
 
-    def test_solve_all_matches_per_family(self, dc):
-        x = np.asarray(dc.start)
-        sols = solve_all_lower_levels(dc, x)
-        assert [s.index for s in sols] == [0, 1, 2]
-        for i, s in enumerate(sols):
-            single = solve_lower_level_global(dc, i, x)
-            assert np.allclose(s.y, single.y, atol=1e-12)
-            assert s.value == pytest.approx(single.value, abs=1e-12)
+    def test_solve_all_matches_per_family(self, monkeypatch):
+        # the families read their grid values off one shared array of the
+        # points (x, y), with the bits of each family's own ``values``
+        shared = []
+        solve_family = lower_level._solve_family
+
+        def recorded(family, grid, values, previous):
+            shared.append(values)
+            return solve_family(family, grid, values, previous)
+
+        monkeypatch.setattr(lower_level, "_solve_family", recorded)
+        for name in ("example1", "example2", "design_centering"):
+            problem = get_problem(name)
+            x = np.asarray(problem.start, dtype=float)
+            grid = lower_level.index_grid(problem)
+            shared.clear()
+            sols = solve_all_lower_levels(problem, x, grid)
+            assert [s.index for s in sols] == list(range(problem.n_si))
+            assert len(shared) == problem.n_si
+            for i, (s, values) in enumerate(zip(sols, list(shared))):
+                own = FamilyProblem(problem, i, x, grid.box).values(grid.nodes)
+                assert values.tobytes() == own.tobytes()
+                single = solve_lower_level_global(problem, i, x, grid)
+                assert s.y.tobytes() == single.y.tobytes()
+                assert s.value == single.value
 
     def test_tie_reports_multiple_global(self):
         # g = y^2 - 2 peaks at both endpoints of [-1, 1]

@@ -446,6 +446,34 @@ def _qp_oracle(H, g, A, b, lower, upper):
     return best[0], True
 
 
+class TestDualPolishFromItsBuffer:
+    """The dual method's final KKT solve reads the leading block of its own
+    step buffer, which holds [[H, N'], [N, 0]] for the working set in
+    order: its result has the bits of ``_equality_optimum`` on a freshly
+    built matrix for the final working set."""
+
+    def test_random_strictly_convex_qps(self):
+        polished = 0
+        for H, g, A, b, lower, upper in _same_bits_cases(np.random.default_rng(25)):
+            d = len(g)
+            lower = np.full(d, -np.inf) if lower is None else lower
+            upper = np.full(d, np.inf) if upper is None else upper
+            C, e, _, _ = nlp._stack_rows(A, b, lower, upper)
+            tol = nlp._QP_FEAS_TOL * (1.0 + np.abs(e))
+            with np.errstate(all="ignore"):
+                x, lam, work, status = nlp._dual_active_set(H, g, C, e, tol)
+                fresh = (nlp._equality_optimum(nlp._kkt_matrix(H, C[work]), g,
+                                               C, e, tol, list(work))
+                         if status == "optimal" and work else None)
+            if fresh is None:
+                continue
+            polished += 1
+            assert x.tobytes() == fresh[0].tobytes()
+            assert lam.tobytes() == fresh[1].tobytes()
+            assert work == fresh[2]
+        assert polished >= 300
+
+
 class TestQpAgainstEnumeration:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_random_strictly_convex_qps(self, dim):
@@ -847,3 +875,72 @@ class TestNegativeCurvature:
         assert np.allclose(sol.z, [0.0, 0.0], atol=1e-9)
         assert sol.upper_multipliers[0] > 0.5
         assert nlp.negative_curvature(p, sol) is None
+
+
+class TestCarriedJacobian:
+    """``NlpSolution`` carries the rows' values and Jacobian at its z, bit
+    for bit, and ``negative_curvature`` reads them instead of evaluating
+    the rows again."""
+
+    @staticmethod
+    def _assert_rows_at_z(p, sol):
+        values, jac = p.constraints(sol.z)
+        assert sol.constraint_values.tobytes() == values.tobytes()
+        assert sol.constraint_jacobian.tobytes() == jac.tobytes()
+
+    def test_converged_master(self):
+        from sipsolve import driver
+        from sipsolve.lower_level import solve_all_lower_levels
+        from sipsolve.problems import get_problem
+
+        dc = get_problem("design_centering")
+        x = np.asarray(dc.start, dtype=float)
+        disc = driver.DiscretizationState.empty(dc.n_si)
+        for sol in solve_all_lower_levels(dc, x):
+            disc.add(sol.index, sol.y)
+        p, _ = driver._master_problem(dc, disc, {}, x, 2.0)
+        sol = solve_nlp(p, x)
+        assert sol.converged
+        assert sol.constraint_jacobian.shape == (len(p.constraints), dc.n)
+        self._assert_rows_at_z(p, sol)
+
+    def test_best_iterate_at_max_iter(self):
+        # the run of test_best_iterate_ranks_feasible_points_by_objective:
+        # it returns an earlier iterate than its last
+        from sipsolve.lower_level import FamilyProblem, index_set_box
+        from sipsolve.problems import get_problem
+
+        dc = get_problem("design_centering")
+        x = np.array([1.6647114202107154, -0.3334434839090681, 2.3100340905999035,
+                      0.6665565160909319, -1.328949451599116])
+        y0 = np.array([-0.8348214285714286, 0.5074404761904763])
+        family = FamilyProblem(dc, 0, x, index_set_box(dc)).nlp
+        points = []
+
+        def recorded(evaluate):
+            return lambda z: points.append(z.copy()) or evaluate(z)
+
+        p = NlpProblem(family.dim, family.objective,
+                       nlp.Rows(*((size, recorded(evaluate), hessian) for size,
+                                  evaluate, hessian in family.constraints.blocks)),
+                       family.lower, family.upper)
+        sol = solve_nlp(p, y0, max_iter=5)
+        assert sol.status == "max_iter"
+        assert sol.z.tobytes() != points[-1].tobytes()
+        self._assert_rows_at_z(family, sol)
+
+    def test_negative_curvature_reads_the_carried_rows(self):
+        p = _saddle_problem()
+        sol = solve_nlp(p, np.array([0.0, 0.5]))
+        assert sol.converged
+
+        def evaluated_again(z):
+            raise AssertionError("rows evaluated again")
+
+        guarded = NlpProblem(p.dim, p.objective,
+                             nlp.Rows(*((size, evaluated_again, hessian)
+                                        for size, _, hessian in p.constraints.blocks)),
+                             p.lower, p.upper)
+        direction, curvature = nlp.negative_curvature(guarded, sol)
+        assert np.allclose(direction, [1.0, 0.0], atol=1e-12)
+        assert curvature == pytest.approx(-2.0, abs=1e-12)
