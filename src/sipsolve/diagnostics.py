@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SipProblem
-from .nlp import solve_qp
+from .nlp import norm, solve_qp
 
 Array = np.ndarray
 
@@ -29,7 +29,7 @@ class PerturbationParams:
 
     @property
     def beta_norm(self) -> float:
-        return float(np.linalg.norm(self.beta))
+        return norm(self.beta)
 
     @property
     def alpha_max(self) -> float:
@@ -96,7 +96,7 @@ def stationarity_residual(problem: SipProblem, x, ll_solutions) -> float:
     columns = _active_columns(problem, x, ll_solutions)
     if not all(np.isfinite(v).all() for v in [fgrad, *columns]):
         return np.inf
-    if not columns:
+    if not columns:     # the field's own array, of any layout
         return float(np.linalg.norm(fgrad))
 
     c_mat = np.stack(columns, axis=1)
@@ -107,7 +107,7 @@ def stationarity_residual(problem: SipProblem, x, ll_solutions) -> float:
     qp = solve_qp(h, g_lin, np.zeros((0, k)), np.zeros(0),
                   np.zeros(k), np.full(k, np.inf))
     lam = np.maximum(qp.step, 0.0)
-    return float(np.linalg.norm(fgrad + c_mat @ lam))
+    return norm(fgrad + c_mat @ lam)
 
 
 def perturbation_params(problem: SipProblem, x, ll_solutions,

@@ -310,7 +310,7 @@ def _run(problem: SipProblem, x0, opts: DriverOptions,
             stationarity = stationarity_residual(problem, x, ll)
             dist = None
             if problem.known_solution is not None:
-                dist = float(np.linalg.norm(x - problem.known_solution))
+                dist = norm(x - problem.known_solution)
 
             beta_norm = None
             alpha_max = None
@@ -326,7 +326,7 @@ def _run(problem: SipProblem, x0, opts: DriverOptions,
                 feasibility=feasibility,
                 stationarity_residual=stationarity,
                 dist_to_known=dist,
-                step_norm=(float(np.linalg.norm(x - prev_x))
+                step_norm=(norm(x - prev_x)
                            if prev_x is not None else None),
                 beta_norm=beta_norm, alpha_max=alpha_max,
                 n_constraints_in_master=prev_n_master,

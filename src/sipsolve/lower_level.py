@@ -16,12 +16,18 @@ A local solution whose polish fails is kept unpolished, with the
 multipliers of its inactive constraints zeroed, and is a KKT point only if
 it passes the polish's residual test (a maximizer on a face of the box
 does not: the box has no multipliers).  Each candidate maximizer is one
-record (``_candidate``): value, point, multipliers, active set, the
-``kkt_jacobian`` matrix at the point and the regularity flags that
-``_regularity`` reads off that matrix.  The KKT system is built only by
-``kkt_residual`` and ``kkt_jacobian``: once per Newton step of the polish,
-and once per record.  The solution is the winning record;
-``compute_sensitivity`` reads its matrix.
+record (``_candidate``): value, point, multipliers, active set, the KKT
+matrix at the point and the regularity flags that ``_regularity`` reads
+off that matrix.  The KKT system is evaluated only by ``KktSystem``, once
+per point: at the polish's start and after each Newton step (residual,
+then the matrix for the next step), and at a point kept unpolished.  It
+reads one array (x, y) and one gradient per active v_l for the residual
+and the matrix, and a record takes its value and matrix from the system
+of its point, the matrix built at most once (anew only where the polish
+clamped a negative multiplier to zero).  The solution is the winning
+record; ``compute_sensitivity`` reads its matrix.  A 1 x 1 projected
+Hessian's SOSC eigenvalue is its entry, which is what LAPACK's ``syevd``
+returns for it.
 
 Continuation: at a regular maximizer the solution map y*(x) is smooth, so
 the maximizer of the previous iterate is a few Newton steps from the new
@@ -134,14 +140,19 @@ class IndexGrid:
 
 
 def index_set_rule(vs, box: Array, y: Array):
-    """Y's rule at a point y, or at each row of an (N, m) array y: ``(in Y,
-    active)``.  In Y: every v_l and every bound of ``box`` holds to
-    ``TOL_FEAS`` (nan does not); v_l active where v_l >= -``TOL_ACT``.  A
-    point goes through ``value``, an array through one ``value_batch``."""
-    values = [v.value(y) if y.ndim == 1 else v.value_batch(y) for v in vs]
-    bounds = np.array(values + [b for (lo, hi), y_j in zip(box.tolist(), y.T)
-                                for b in (lo - y_j, y_j - hi)])
-    return (bounds <= TOL_FEAS).all(axis=0), bounds[:len(vs)] >= -TOL_ACT
+    """Y's rule.  At a point y: ``(in Y, active)``, in Y when every v_l and
+    every bound of ``box`` holds to ``TOL_FEAS`` (nan does not), v_l active
+    where v_l >= -``TOL_ACT``; the v_l go through ``value``.  At each row
+    of an (N, m) array y: in Y only, the v_l through one ``value_batch``
+    each."""
+    if y.ndim == 1:
+        values = np.array([v.value(y) for v in vs])
+        bounds = np.concatenate([values, box[:, 0] - y, y - box[:, 1]])
+        return (bounds <= TOL_FEAS).all(), values >= -TOL_ACT
+    inside = ((box[:, 0] - y <= TOL_FEAS) & (y - box[:, 1] <= TOL_FEAS)).all(axis=1)
+    for v in vs:
+        inside &= v.value_batch(y) <= TOL_FEAS
+    return inside
 
 
 def index_grid(problem: SipProblem) -> IndexGrid:
@@ -154,7 +165,7 @@ def index_grid(problem: SipProblem) -> IndexGrid:
     axes = np.meshgrid(*(np.linspace(lo, hi, GRID_PER_DIM) for lo, hi in box),
                        indexing="ij")
     nodes = np.stack([a.ravel() for a in axes], axis=1)
-    feasible, _ = index_set_rule(problem.index_constraints, box, nodes)
+    feasible = index_set_rule(problem.index_constraints, box, nodes)
     if not feasible.any():
         raise LowerLevelError(
             "no feasible grid node (empty or degenerate index set)")
@@ -198,75 +209,86 @@ def _at_x(x: Array, ys: Array) -> Array:
     return z
 
 
-def kkt_residual(problem: SipProblem, i: int, x: Array, y: Array, active,
-                 mu_a: Array) -> Array:
-    """Residual [grad_y g_i - sum_{l in A} mu_l grad v_l ; v_A(y)] of the
-    active-set KKT system; ``mu_a`` holds the multipliers of ``active`` only.
-    """
-    n = problem.n
-    vs = problem.index_constraints
-    grad_y = problem.si_constraints[i].gradient(np.concatenate([x, y]))[n:]
-    for l, mul in zip(active, mu_a):
-        grad_y = grad_y - mul * vs[l].gradient(y)
-    return np.concatenate([grad_y, [vs[l].value(y) for l in active]])
+class KktSystem:
+    """The active-set KKT system of family i at (x, y), for the index
+    constraints ``active`` and their multipliers ``mu_a``.  ``residual`` is
+    [grad_y g_i - sum_{l in A} mu_l grad v_l ; v_A(y)]; ``jacobian()`` is
+    ``(jac, D2_yx g_i)``, jac = [[D2_yy L, -Dv_A^T], [Dv_A, 0]] the
+    Jacobian of the residual in (y, mu_A), L = g_i - sum_A mu_l v_l, built
+    on the first call.  Both read one array z = (x, y) and one gradient of
+    each active v_l, taken with the residual."""
 
+    def __init__(self, problem: SipProblem, i: int, x: Array, y: Array,
+                 active: list, mu_a: Array):
+        n, m = problem.n, problem.m
+        vs = problem.index_constraints
+        self.problem, self.i, self.y, self.active, self.mu_a = (
+            problem, i, y, active, mu_a)
+        self.z = np.concatenate([x, y])
+        grad_y = problem.si_constraints[i].gradient(self.z)[n:]
+        self.va = np.empty((len(active), m))     # Dv_A, a row per v_l
+        for j, (l, mul) in enumerate(zip(active, mu_a)):
+            self.va[j] = vs[l].gradient(y)
+            grad_y = grad_y - mul * self.va[j]
+        self.residual = np.concatenate([grad_y, [vs[l].value(y) for l in active]])
+        self._jacobian = None
 
-def kkt_jacobian(problem: SipProblem, i: int, x: Array, y: Array, active,
-                 mu_a: Array):
-    """``(jac, D2_yx g_i)``: jac = [[D2_yy L, -Dv_A^T], [Dv_A, 0]] is the
-    Jacobian of ``kkt_residual`` in (y, mu_A), L = g_i - sum_A mu_l v_l."""
-    n, m = problem.n, problem.m
-    vs = problem.index_constraints
-    h = problem.si_constraints[i].hessian(np.concatenate([x, y]))
-    a = len(active)
-    jac = np.zeros((m + a, m + a))
-    jac[:m, :m] = h[n:, n:]
-    for l, mul in zip(active, mu_a):
-        if mul != 0.0:
-            jac[:m, :m] -= mul * vs[l].hessian(y)
-    if a:
-        va = np.stack([vs[l].gradient(y) for l in active])
-        jac[:m, m:] = -va.T
-        jac[m:, :m] = va
-    return jac, h[n:, :n]
+    def jacobian(self) -> tuple:
+        if self._jacobian is None:
+            self._jacobian = self.jacobian_at(self.mu_a)
+        return self._jacobian
+
+    def jacobian_at(self, mu_a: Array) -> tuple:
+        """``jacobian`` at other multipliers ``mu_a`` of the same set."""
+        problem, m = self.problem, self.problem.m
+        n, vs, a = problem.n, problem.index_constraints, len(self.active)
+        h = problem.si_constraints[self.i].hessian(self.z)
+        jac = np.zeros((m + a, m + a))
+        jac[:m, :m] = h[n:, n:]
+        for l, mul in zip(self.active, mu_a):
+            if mul != 0.0:
+                jac[:m, :m] -= mul * vs[l].hessian(self.y)
+        if a:
+            jac[:m, m:] = -self.va.T
+            jac[m:, :m] = self.va
+        return jac, h[n:, :n]
 
 
 def _polish_kkt(family: FamilyProblem, y: Array, active: list, mu: Array,
                 scale: float):
     """Newton iterations on the active-set KKT system from (y, mu), ``mu``
-    the full multiplier vector: ``(y, mu, active set at y)`` polished,
-    inactive multipliers zero, or None, also as soon as a Newton step is
-    singular or not finite, and when the point is not in Y.  Stationarity
-    rows and multiplier signs are measured relative to ``scale``."""
+    the full multiplier vector: ``(system, mu, active set at y)`` at the
+    polished point, ``system`` its ``KktSystem``, inactive multipliers
+    zero, or None, also as soon as a Newton step is singular or not
+    finite, and when the point is not in Y.  Stationarity rows and
+    multiplier signs are measured relative to ``scale``."""
     problem, i, x, m = family.problem, family.i, family.x, family.problem.m
-    mu_a = mu[active]
-    weight = np.concatenate([np.full(m, scale), np.ones(len(active))])
-    res = kkt_residual(problem, i, x, y, active, mu_a)
-    res_norm = norm(res / weight)
-    best = (res_norm, y, mu_a)
+    weight = np.ones(m + len(active))
+    weight[:m] = scale
+    system = KktSystem(problem, i, x, y, active, mu[active])
+    res_norm = norm(system.residual / weight)
+    best = (res_norm, system)
     with np.errstate(all="ignore"):     # for solve_linear
         for _ in range(8):
             if res_norm <= 1e-13 * (1.0 + res_norm):
                 break
-            jac, _ = kkt_jacobian(problem, i, x, y, active, mu_a)
-            delta = solve_linear(jac, -res)
+            delta = solve_linear(system.jacobian()[0], -system.residual)
             if delta is None:
                 return None
-            y = y + delta[:m]
-            mu_a = mu_a + delta[m:]
-            res = kkt_residual(problem, i, x, y, active, mu_a)
-            res_norm = norm(res / weight)
+            system = KktSystem(problem, i, x, system.y + delta[:m], active,
+                               system.mu_a + delta[m:])
+            res_norm = norm(system.residual / weight)
             if res_norm < best[0]:
-                best = (res_norm, y, mu_a)
-    res_norm, y, mu_a = best
-    if res_norm > 1e-10 or any(mu_a < -1e-10 * scale):
+                best = (res_norm, system)
+    res_norm, system = best
+    if res_norm > 1e-10 or (system.mu_a < -1e-10 * scale).any():
         return None
-    inside, now_active = family.rule(y)
+    inside, now_active = family.rule(system.y)
     if not inside:
         return None
     mu = np.zeros(len(now_active))
-    mu[active] = np.maximum(mu_a, 0.0)
-    return y, mu, np.flatnonzero(now_active).tolist()
+    mu[active] = np.maximum(system.mu_a, 0.0)
+    return system, mu, now_active.nonzero()[0].tolist()
 
 
 def _regularity(kkt_matrix: Array, mu_a: Array,
@@ -288,26 +310,31 @@ def _regularity(kkt_matrix: Array, mu_a: Array,
         svals = np.linalg.svd(va, compute_uv=False)
         licq = bool(len(mu_a) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
 
-    strict = bool(np.all(mu_a >= _STRICT_COMP_TOL))
-    null_basis = null_space(va[np.flatnonzero(mu_a > _STRICT_COMP_TOL)], m)
+    strict = bool((mu_a >= _STRICT_COMP_TOL).all())
+    null_basis = null_space(va[mu_a > _STRICT_COMP_TOL], m)
     projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
-    sosc = bool(not len(projected)
-                or np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
+    if len(projected) > 1:
+        sosc = bool(np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
+    else:   # LAPACK's syevd returns a 1 x 1 matrix's entry as its eigenvalue
+        sosc = bool(not len(projected)
+                    or projected[0, 0] >= _SOSC_EIG_CUTOFF)
     return RegularityFlags(kkt_point, licq, strict, sosc)
 
 
-def _candidate(family: FamilyProblem, y: Array, active: list, mu: Array,
+def _candidate(family: FamilyProblem, system: KktSystem, mu: Array,
                kkt_point: bool = True) -> LowerLevelSolution:
-    """The record of the family's point y with active set ``active`` and
-    full multiplier vector ``mu``: its value, the ``kkt_jacobian`` matrix
-    and D2_yx block built there, and the regularity flags read off it."""
-    mu_a = mu[active]
-    kkt_matrix, d2_yx = kkt_jacobian(family.problem, family.i, family.x, y,
-                                     active, mu_a)
+    """The record of the family's KKT system ``system`` with the full
+    multiplier vector ``mu``: its value, point, active set, matrix and
+    D2_yx block, and the regularity flags read off the matrix.  The matrix
+    is the system's own, unless the polish clamped a negative multiplier
+    to zero: then it is built at ``mu``."""
+    mu_a = mu[system.active]
+    kkt_matrix, d2_yx = (system.jacobian() if (system.mu_a == mu_a).all()
+                         else system.jacobian_at(mu_a))
     return LowerLevelSolution(
-        index=family.i, x=family.x, y=y, multipliers=mu,
-        value=family.value(y), active_set=tuple(active),
-        kkt_matrix=kkt_matrix, d2_yx=d2_yx,
+        index=family.i, x=family.x, y=system.y, multipliers=mu,
+        value=family.problem.si_constraints[family.i].value(system.z),
+        active_set=tuple(system.active), kkt_matrix=kkt_matrix, d2_yx=d2_yx,
         regularity=_regularity(kkt_matrix, mu_a, kkt_point))
 
 
@@ -356,7 +383,7 @@ def _ascending(values, rule, starts: Array, y: Array, step: Array,
     ok = np.empty(len(v), dtype=bool)
     ok[1:] = v[1:] - v[:-1] >= -tol
     ok[first] = True    # no step leads into a segment's first point
-    ok &= rule(pts)[0]
+    ok &= rule(pts)
     return np.logical_and.reduceat(ok, first)
 
 
@@ -370,7 +397,7 @@ def _followed(family, previous: LowerLevelSolution, scale: float):
                            scale)
     if polished is None or polished[2] != active:
         return None
-    record = _candidate(family, polished[0], active, polished[1])
+    record = _candidate(family, polished[0], polished[1])
     return record if record.regularity.sosc else None
 
 
@@ -429,22 +456,24 @@ def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
         inside, is_active = family.rule(y_loc)
         if not inside:
             continue
-        active = np.flatnonzero(is_active).tolist()
+        active = is_active.nonzero()[0].tolist()
         polished = _polish_kkt(family, y_loc, active, mu, scale)
         kkt_point = polished is not None
         if kkt_point:
-            y_loc, mu, _ = polished
+            system, mu, _ = polished
         else:   # kept unpolished: a KKT point if it passes the polish's test
             mu = np.where(is_active, mu, 0.0)
-            res = kkt_residual(problem, i, x, y_loc, active, mu[active])
+            system = KktSystem(problem, i, x, y_loc, active, mu[active])
+            res = system.residual.copy()
             res[:problem.m] /= scale
             kkt_point = norm(res) <= 1e-10
-        candidates.append(_candidate(family, y_loc, active, mu, kkt_point))
+        record = _candidate(family, system, mu, kkt_point)
+        candidates.append(record)
         # a later start on an ascent path to this maximizer would climb to it
         later = k + 1 + np.flatnonzero(~skipped[k + 1:])
         if len(later):
             skipped[later] = _ascending(family.values, family.rule,
-                                        starts[later], y_loc, grid.step,
+                                        starts[later], record.y, grid.step,
                                         tie_tol)
 
     if not candidates:

@@ -31,7 +31,23 @@ blocks; its final KKT solve on the working set reads the same buffer, and
 only the hot start builds a matrix of its own (``_kkt_matrix``).  It reads
 the row tolerances, right-hand sides and zero-row test as Python values
 once per QP.  ``norm`` is ``np.linalg.norm``'s own formula sqrt(v.v) for a
-vector, so with its bits, at 0.5 us a call against 1.3 (size 5, numpy 2.4).
+contiguous vector, so with its bits, at 0.5 us a call against 1.3 (size 5,
+numpy 2.4); the SQP, the lower level, the drivers and the diagnostics take
+the norms of the vectors they compute through it.
+
+The SQP step's reset test and ``negative_curvature`` take eigenvalues the
+same way: ``eigvalsh`` and ``eigh`` are the LAPACK ``syevd`` gufuncs
+(``eigvalsh_lo``, ``eigh_lo``) that ``np.linalg.eigvalsh`` and ``eigh``
+run, same bits, 0.9 and 1.2 us a call against 4.3 and 5.3 for the
+wrappers (size 1, numpy 2.4, 2-vCPU x86-64 Xeon), plus 1.2 us for the
+error state their callers set.  Where LAPACK does not converge (an all-nan
+matrix of size 3 or more) a wrapper raises ``LinAlgError`` and the gufunc
+returns nan: the SQP then resets its matrix to the identity, and
+``negative_curvature`` finds no direction.  ``np.linalg.svd`` keeps its
+wrapper (``null_space`` and the lower level's LICQ test): its gufuncs are
+named differently in numpy 1.x and 2.x.  A QP's rows are stacked with one
+``np.concatenate`` and its step clipped to the bounds with the array's own
+``clip``, the call ``np.clip`` forwards to.
 
 Everything is deterministic: no randomness, fixed tie-breaking by lowest
 constraint index.
@@ -166,6 +182,20 @@ def solve_linear(a: Array, b: Array) -> Optional[Array]:
     x = _umath_linalg.solve1(a, b, signature="dd->d")
     # x.x is finite when x is, unless the square overflows
     return x if math.isfinite(x.dot(x)) or np.isfinite(x).all() else None
+
+
+def eigvalsh(a: Array) -> Array:
+    """``np.linalg.eigvalsh(a)`` of a symmetric float matrix: the LAPACK
+    ``syevd`` gufunc it runs, so the same bits, but nan where that wrapper
+    raises ``LinAlgError`` (no convergence).  Call it under
+    ``np.errstate(all="ignore")``: that failure sets numpy's invalid flag."""
+    return _umath_linalg.eigvalsh_lo(a, signature="d->d")
+
+
+def eigh(a: Array) -> tuple:
+    """``np.linalg.eigh(a)`` as ``(eigenvalues, eigenvectors)``, on the
+    terms of ``eigvalsh``."""
+    return _umath_linalg.eigh_lo(a, signature="d->dd")
 
 
 def norm(v: Array) -> float:
@@ -350,7 +380,7 @@ def _stack_rows(A: Array, b: Array, lower: Array, upper: Array):
     """Rows of A first, then finite lower bounds (-e_i), then upper (+e_i)."""
     rows, lo_idx, up_idx = _bound_rows(np.isfinite(lower).tobytes(),
                                        np.isfinite(upper).tobytes())
-    C = np.vstack([A, rows])
+    C = np.concatenate([A, rows])
     e = np.concatenate([b, -lower[lo_idx], upper[up_idx]])
     return C, e, lo_idx, up_idx
 
@@ -376,8 +406,8 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     d = len(g)
-    A = np.asarray(A, dtype=float).reshape(-1, d) if np.size(A) else np.zeros((0, d))
-    b = np.asarray(b, dtype=float).reshape(-1) if np.size(b) else np.zeros(0)
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float).reshape(-1)
+    A = A.reshape(-1, d) if A.size else np.zeros((0, d))
     lower = np.full(d, -np.inf) if lower is None else np.asarray(lower, dtype=float)
     upper = np.full(d, np.inf) if upper is None else np.asarray(upper, dtype=float)
 
@@ -395,7 +425,7 @@ def solve_qp(H: Array, g: Array, A: Array, b: Array,
     lo_mult[lo_idx] = lam[n_rows:n_rows + n_lo]
     up_mult[up_idx] = lam[n_rows + n_lo:]
     if status == "optimal" and len(e) > n_rows:
-        x = np.clip(x, lower, upper)   # remove <=1e-11 roundoff drift
+        x = x.clip(lower, upper)        # remove <=1e-11 roundoff drift
     return QpResult(x, lam[:n_rows], lo_mult, up_mult, status, active=tuple(work))
 
 
@@ -436,7 +466,7 @@ def _damped_bfgs(B: Array, s: Array, y: Array) -> Array:
         sy = float(s @ y)
     if sy <= 1e-14:
         return B
-    B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+    B = B - Bs[:, None] * Bs / sBs + y[:, None] * y / sy
     return 0.5 * (B + B.T)
 
 
@@ -492,7 +522,9 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
                            jac.copy())
 
     for iterations in range(1, max_iter + 1):
-        state, best_before = _state(z, B, sigma, rho, active, ls_failures), best
+        # z and B are rebound, never written: the state's bytes can wait
+        # for the test at the end of the step
+        state, best_before = (z, B, sigma, rho, active, ls_failures), best
         qp = solve_qp(B, fgrad, jac, -cvals, lo - z, hi - z, active)
         if qp.status == "infeasible":
             qp = _solve_qp_elastic(B, fgrad, jac, -cvals, lo - z, hi - z, rho)
@@ -526,7 +558,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 
             alpha = 1.0
             for _ in range(LS_MAX):
-                z_new = np.clip(z + alpha * step, lo, hi)
+                z_new = (z + alpha * step).clip(lo, hi)
                 f_new = problem.objective.value(z_new)
                 # a trial point with non-finite values, or where a row's
                 # derivative is undefined, is a rejected step
@@ -536,7 +568,7 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
                     alpha *= 0.5
                     continue
                 merit_new = f_new + sigma * np.maximum(c_new, 0.0).sum()
-                if np.isfinite(merit_new) \
+                if math.isfinite(merit_new) \
                         and merit_new <= merit0 + 1e-4 * alpha * descent:
                     accepted = True
                     break
@@ -562,13 +594,15 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
         # rounding can leave it singular to working precision or worse
         # (steep curvature along one direction, or unbounded curvature near
         # a log or 1/x singularity).  Restart from the identity, as after a
-        # failed line search.
-        eigs = np.linalg.eigvalsh(B)
+        # failed line search; also when LAPACK does not converge (nan).
+        with np.errstate(all="ignore"):     # for eigvalsh
+            eigs = eigvalsh(B)
         if not eigs[0] > 1e-12 * eigs[-1]:
             B = np.eye(d)
         # z plus the accepted step rounded to z and nothing else moved (the
         # values are functions of z): each later step would repeat this one
-        if best is best_before and state == _state(z, B, sigma, rho, active, ls_failures):
+        if best is best_before and _state(*state) == _state(
+                z, B, sigma, rho, active, ls_failures):
             iterations = max_iter
             break
 
@@ -627,24 +661,25 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
 
     Z = null_space(strong, d)
-    # a face is a subspace of the strongly active null space: without
-    # negative curvature there, no face has any
-    if not Z.shape[1] or np.linalg.eigvalsh(Z.T @ H @ Z)[0] >= threshold:
-        return None
-    best = None
-    for size in range(min(len(weak), Z.shape[1]) + 1):
-        for face in itertools.combinations(range(len(weak)), size):
-            Zf = null_space(np.vstack([strong, weak[list(face)]]), d)
-            if not Zf.shape[1]:
-                continue
-            eigvals, eigvecs = np.linalg.eigh(Zf.T @ H @ Zf)
-            for curvature, v in zip(eigvals, eigvecs.T):
-                if curvature >= threshold:
-                    break
-                u = Zf @ v
-                for direction in (u, -u):
-                    if (weak @ direction <= inside).all():
-                        if best is None or curvature < best[1]:
-                            best = (direction, float(curvature))
+    with np.errstate(all="ignore"):     # for eigvalsh and eigh
+        # a face is a subspace of the strongly active null space: without
+        # negative curvature there, no face has any
+        if not Z.shape[1] or not eigvalsh(Z.T @ H @ Z)[0] < threshold:
+            return None
+        best = None
+        for size in range(min(len(weak), Z.shape[1]) + 1):
+            for face in itertools.combinations(range(len(weak)), size):
+                Zf = null_space(np.vstack([strong, weak[list(face)]]), d)
+                if not Zf.shape[1]:
+                    continue
+                eigvals, eigvecs = eigh(Zf.T @ H @ Zf)
+                for curvature, v in zip(eigvals, eigvecs.T):
+                    if not curvature < threshold:
                         break
+                    u = Zf @ v
+                    for direction in (u, -u):
+                        if (weak @ direction <= inside).all():
+                            if best is None or curvature < best[1]:
+                                best = (direction, float(curvature))
+                            break
     return best

@@ -65,8 +65,8 @@ def compute_sensitivity(problem: SipProblem,
     at the point ``sol.x`` it was solved at.
 
     With A the active set, differentiating {grad_y L = 0, v_A(y) = 0} in x
-    gives, with the matrix of ``lower_level.kkt_jacobian`` that ``sol``
-    carries as ``kkt_matrix`` and ``d2_yx``,
+    gives, with the matrix of ``lower_level.KktSystem.jacobian`` that
+    ``sol`` carries as ``kkt_matrix`` and ``d2_yx``,
 
         [ D2_yy L   -Dv_A^T ] [ Dy   ]   [ -D2_yx g_i ]
         [ Dv_A         0    ] [ Dmu_A] = [      0     ]

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sipsolve.expressions import Call, Expression, Neg, Num, Var
-from sipsolve.lower_level import (TOL_FEAS, LowerLevelError, FamilyProblem,
+from sipsolve.lower_level import (TOL_ACT, TOL_FEAS, LowerLevelError, FamilyProblem,
                                  solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem
 from sipsolve.nlp import _QP_DEPENDENT, _QP_FEAS_TOL, QpResult, _stack_rows
@@ -322,6 +322,48 @@ def reference_stack_rows(A, b, lower, upper):
     return C, e, lo_idx, up_idx
 
 
+# Reference copies of the lower level's KKT system and Y's rule as they were
+# before ``lower_level.KktSystem``: the residual and the Jacobian each
+# concatenate (x, y) and take the active v_l's gradients, and the rule
+# stacks every bound of a batch into one array; the versions in src must
+# match them bit for bit
+
+def reference_kkt_residual(problem, i, x, y, active, mu_a):
+    """[grad_y g_i - sum_{l in A} mu_l grad v_l ; v_A(y)]."""
+    n = problem.n
+    vs = problem.index_constraints
+    grad_y = problem.si_constraints[i].gradient(np.concatenate([x, y]))[n:]
+    for l, mul in zip(active, mu_a):
+        grad_y = grad_y - mul * vs[l].gradient(y)
+    return np.concatenate([grad_y, [vs[l].value(y) for l in active]])
+
+
+def reference_kkt_jacobian(problem, i, x, y, active, mu_a):
+    """``(jac, D2_yx g_i)``, jac = [[D2_yy L, -Dv_A^T], [Dv_A, 0]]."""
+    n, m = problem.n, problem.m
+    vs = problem.index_constraints
+    h = problem.si_constraints[i].hessian(np.concatenate([x, y]))
+    a = len(active)
+    jac = np.zeros((m + a, m + a))
+    jac[:m, :m] = h[n:, n:]
+    for l, mul in zip(active, mu_a):
+        if mul != 0.0:
+            jac[:m, :m] -= mul * vs[l].hessian(y)
+    if a:
+        va = np.stack([vs[l].gradient(y) for l in active])
+        jac[:m, m:] = -va.T
+        jac[m:, :m] = va
+    return jac, h[n:, :n]
+
+
+def reference_index_set_rule(vs, box, y):
+    """``(in Y, active)`` at a point or at each row of an array."""
+    values = [v.value(y) if y.ndim == 1 else v.value_batch(y) for v in vs]
+    bounds = np.array(values + [b for (lo, hi), y_j in zip(box.tolist(), y.T)
+                                for b in (lo - y_j, y_j - hi)])
+    return (bounds <= TOL_FEAS).all(axis=0), bounds[:len(vs)] >= -TOL_ACT
+
+
 # Reference copies of the QP's dense solves as they were before
 # ``nlp.solve_linear``: np.linalg.solve per solve, numpy arrays for the
 # blocking test, the row tolerance per check; ``nlp.solve_qp`` must match
@@ -462,6 +504,23 @@ def reference_solve_qp(H, g, A, b, lower=None, upper=None, active=()):
     if status == "optimal" and len(e) > n_rows:
         x = np.clip(x, lower, upper)
     return QpResult(x, lam[:n_rows], lo_mult, up_mult, status, active=tuple(work))
+
+
+def reference_damped_bfgs(B, s, y):
+    """``nlp._damped_bfgs`` with ``np.outer`` for the rank-one terms."""
+    Bs = B @ s
+    sBs = float(s @ Bs)
+    if sBs <= 1e-16:
+        return B
+    sy = float(s @ y)
+    if sy < 0.2 * sBs:
+        theta = 0.8 * sBs / (sBs - sy)
+        y = theta * y + (1.0 - theta) * Bs
+        sy = float(s @ y)
+    if sy <= 1e-14:
+        return B
+    B = B - np.outer(Bs, Bs) / sBs + np.outer(y, y) / sy
+    return 0.5 * (B + B.T)
 
 
 def family_of(g, n, x):

@@ -1,5 +1,7 @@
 import hashlib
+import importlib.util
 import platform
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -449,3 +451,75 @@ def test_built_in_iterates_are_pinned(name, alg, mode):
     # every lower-level maximizer of the built-ins is a KKT point
     assert all(sol.regularity.kkt_point
                for rec in result.history for sol in rec.lower_level)
+
+
+def _load_start_pool():
+    """``perfbench/workloads.start_pool``, loaded from its file: the
+    benchmark's start pools, the same for every seed."""
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_pinned_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.start_pool
+
+
+def _record_digest(result) -> str:
+    """SHA-256 of what the CSV and qcad read off each iterate record: its
+    feasibility, stationarity residual, beta norm and alpha max as
+    repr(float), then each lower-level record's value, active set, y,
+    multipliers, KKT matrix and D2_yx block, the arrays as their bytes."""
+    digest = hashlib.sha256()
+    for rec in result.history:
+        digest.update(repr((rec.feasibility, rec.stationarity_residual,
+                            rec.beta_norm, rec.alpha_max)).encode())
+        for sol in rec.lower_level:
+            digest.update(repr((sol.value, sol.active_set)).encode())
+            for array in (sol.y, sol.multipliers, sol.kkt_matrix, sol.d2_yx):
+                digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+# _record_digest of the 12 built-in runs from their canonical starts, and
+# of both drivers in known mode from the first two starts of each problem's
+# benchmark pool.  Like _ITERATE_DIGESTS, a change that moves any of these
+# values on purpose records the new digests and says so.
+_RECORD_DIGESTS = {
+    ("example1", "bf", "known", "canonical"): "a925dadf474ba824d33576128fbeb4f01441d701834e576a3a11cea8c8ff1f2a",
+    ("example1", "bf", "practical", "canonical"): "db817df59e3700bae5d3743b6f6c9b3c40e0db73dbdb74f01c18758038864830",
+    ("example1", "bf", "known", "pool0"): "409a5b26a58aba7a17d201f1b0a4e6fc48064087d4383474c6f5da7ce0e2c0b5",
+    ("example1", "bf", "known", "pool1"): "9bcd44f0c37f2fc4e723609d747cd73fce4cbb6f456b6a9c2d0421d0cf0afc8c",
+    ("example1", "qcad", "known", "canonical"): "52599754b1c853466aed95f3b477b27f0c9d53b90cfe1f702e321377609eb431",
+    ("example1", "qcad", "practical", "canonical"): "52599754b1c853466aed95f3b477b27f0c9d53b90cfe1f702e321377609eb431",
+    ("example1", "qcad", "known", "pool0"): "adc552dd2cb4699ef53d6e8872a80bfabb7e952ea02ee0be5adacdfe95e5af09",
+    ("example1", "qcad", "known", "pool1"): "c91fa2c2837f58890ad8ae167b2341a0b67b2f4bee6f83bf2ce596d5603e1f12",
+    ("example2", "bf", "known", "canonical"): "a8a8908f032abcf78cf31177f675f98bef13b3b2a1f4332e22e491579ee0037b",
+    ("example2", "bf", "practical", "canonical"): "d788c74a4972149045c5d73b40da1ca2d489ae22606da743901583290ee4b380",
+    ("example2", "bf", "known", "pool0"): "d252881f7be1eff981266e89e68d2602015925dcf5a23d201d41270b4cb12c22",
+    ("example2", "bf", "known", "pool1"): "25b0fefb7bb5f9b4b461aad6c39e404488c9915c853706a614b63ec583cdeccd",
+    ("example2", "qcad", "known", "canonical"): "3608b6aed2f985ca6aa4b1c5199d6a81e193ca60050423a5990bb8d65e267a30",
+    ("example2", "qcad", "practical", "canonical"): "3608b6aed2f985ca6aa4b1c5199d6a81e193ca60050423a5990bb8d65e267a30",
+    ("example2", "qcad", "known", "pool0"): "dd794cd4a053cd5c82e8b436406a81762bd03cee49ef7696e992544badf5c162",
+    ("example2", "qcad", "known", "pool1"): "de2984ce8bee0b0b076d1075a4ea5282180e88cfdf7bf54918227f6cf3351760",
+    ("design_centering", "bf", "known", "canonical"): "a7cd49c5fd4ee2959dd6068b418e8a36fa406a56f058ba7015b4222cef5e92e2",
+    ("design_centering", "bf", "practical", "canonical"): "29300952408e985ade4d435ce28e8aeb3b3450a612b51d8d6d2d7791f70e8d81",
+    ("design_centering", "bf", "known", "pool0"): "27b7f640bea72a6f78578ae364851f3e0d526ae7980ad16bca182d15e98dd205",
+    ("design_centering", "bf", "known", "pool1"): "e21b78a47823c217c3cf15096282943619f5722bad2b3d9a2a4518e6b6ecf14b",
+    ("design_centering", "qcad", "known", "canonical"): "c1189d28808408dd1834668983208db01d0a3f78682a9f46161aedbf9ad8ae45",
+    ("design_centering", "qcad", "practical", "canonical"): "c1189d28808408dd1834668983208db01d0a3f78682a9f46161aedbf9ad8ae45",
+    ("design_centering", "qcad", "known", "pool0"): "008725be29e3c31b6687d87afb443dc2b84f697f1b202dd8cbb74c502b1ca891",
+    ("design_centering", "qcad", "known", "pool1"): "81008cda65ab372aa8fce1316a1b705e301fdefc250721d652602a58d4dc644c",
+}
+
+
+@pytest.mark.skipif(not (np.__version__.startswith("2.4.")
+                         and platform.machine() == "x86_64"),
+                    reason="record digests recorded with numpy 2.4 on x86-64")
+@pytest.mark.parametrize("name, alg, mode, start", list(_RECORD_DIGESTS))
+def test_built_in_records_are_pinned(name, alg, mode, start):
+    problem = get_problem(name)
+    x0 = None if start == "canonical" else \
+        _load_start_pool()(problem)[int(start[len("pool"):])]
+    runner = run_blankenship_falk if alg == "bf" else run_qcad
+    result = runner(problem, x0, opts=DriverOptions(mode=mode))
+    assert _record_digest(result) == _RECORD_DIGESTS[name, alg, mode, start]

@@ -8,24 +8,26 @@ from sipsolve import (DriverOptions, driver, lower_level, run_blankenship_falk,
                       run_qcad)
 from sipsolve.lower_level import (GRID_PER_DIM, TIE_TOL, LowerLevelError,
                                   FamilyProblem, index_set_box,
-                                  index_set_rule, kkt_jacobian, kkt_residual,
+                                  KktSystem, index_set_rule,
                                   solve_all_lower_levels,
                                   solve_lower_level_global)
 from sipsolve.model import ScalarField, SipProblem
+from sipsolve.nlp import null_space
 from sipsolve.problems import get_problem
 from sipsolve.specfile import compile_spec, parse_spec
 
 from helpers import (grid_nodes, interval_index_fields, narrow_peak_problem,
                      pinned_index_problem, reference_ascending,
-                     reference_best_nodes, three_peak_problem, tie_problem,
-                     two_peak_problem)
+                     reference_best_nodes, reference_index_set_rule,
+                     reference_kkt_jacobian, reference_kkt_residual,
+                     three_peak_problem, tie_problem, two_peak_problem)
 
 
 def _kkt_residual(problem, sol):
     """Norm of the active-set KKT residual at a returned maximizer."""
     active = list(sol.active_set)
-    return np.linalg.norm(kkt_residual(problem, sol.index, sol.x, sol.y,
-                                       active, sol.multipliers[active]))
+    return np.linalg.norm(reference_kkt_residual(
+        problem, sol.index, sol.x, sol.y, active, sol.multipliers[active]))
 
 
 class TestGlobalMaximizer:
@@ -475,8 +477,8 @@ class TestKktMatrix:
         x = np.asarray(dc.known_solution)
         sol = solve_lower_level_global(dc, i, x)
         active = list(sol.active_set)
-        jac, d2_yx = kkt_jacobian(dc, i, x, sol.y, active,
-                                  sol.multipliers[active])
+        jac, d2_yx = reference_kkt_jacobian(dc, i, x, sol.y, active,
+                                            sol.multipliers[active])
         assert np.array_equal(sol.kkt_matrix, jac)
         assert np.array_equal(sol.d2_yx, d2_yx)
 
@@ -491,6 +493,181 @@ class TestKktMatrix:
             inactive = [l for l in range(len(dc.index_constraints))
                         if l not in sol.active_set]
             assert not sol.multipliers[inactive].any()
+
+
+def _kkt_system_cases(problem, rng):
+    """(i, x, y, active, mu_a) over the problem's families: x about its
+    start, y in its index box, every subset of the index constraints
+    active, and multipliers positive, negative and zero."""
+    box = index_set_box(problem)
+    n_index = len(problem.index_constraints)
+    for trial in range(60):
+        x = problem.start + 0.3 * rng.normal(size=problem.n)
+        y = box[:, 0] + rng.random(problem.m) * (box[:, 1] - box[:, 0])
+        size = int(rng.integers(0, min(n_index, problem.m) + 1))
+        active = sorted(rng.choice(n_index, size=size, replace=False).tolist())
+        mu_a = rng.normal(size=size)
+        mu_a[rng.random(size) < 0.3] = 0.0
+        yield trial % len(problem.si_constraints), x, y, active, mu_a
+
+
+class TestKktSystem:
+    """``KktSystem`` gives the bits of the residual and Jacobian built
+    apart, each with its own (x, y) array and v_l gradients
+    (``helpers.reference_kkt_residual`` and ``reference_kkt_jacobian``)."""
+
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "design_centering"])
+    def test_same_bits_as_the_separate_builds(self, name):
+        p = get_problem(name)
+        for i, x, y, active, mu_a in _kkt_system_cases(
+                p, np.random.default_rng(31)):
+            system = KktSystem(p, i, x, y, active, mu_a)
+            want = reference_kkt_residual(p, i, x, y, active, mu_a)
+            assert system.residual.tobytes() == want.tobytes()
+            jac, d2_yx = system.jacobian()
+            want_jac, want_d2_yx = reference_kkt_jacobian(p, i, x, y, active,
+                                                          mu_a)
+            assert jac.tobytes() == want_jac.tobytes()
+            assert d2_yx.tobytes() == want_d2_yx.tobytes()
+            assert system.jacobian()[0] is jac      # built once
+            clamped = np.maximum(mu_a, 0.0)
+            jac, d2_yx = system.jacobian_at(clamped)
+            want_jac, want_d2_yx = reference_kkt_jacobian(p, i, x, y, active,
+                                                          clamped)
+            assert jac.tobytes() == want_jac.tobytes()
+            assert d2_yx.tobytes() == want_d2_yx.tobytes()
+
+    def test_record_of_a_clamped_multiplier_builds_its_own_matrix(self, dc):
+        # a polish that ends at a multiplier of -1e-12 keeps it as 0: the
+        # record's matrix leaves out the disk's Hessian, 2 I, which the
+        # system's own matrix holds times -1e-12
+        x = np.asarray(dc.known_solution)
+        sol = solve_lower_level_global(dc, 2, x)
+        active = list(sol.active_set)
+        family = FamilyProblem(dc, 2, x, index_set_box(dc))
+        system = KktSystem(dc, 2, x, sol.y, active, np.full(len(active), -1e-12))
+        mu = np.zeros(len(dc.index_constraints))
+        record = lower_level._candidate(family, system, mu)
+        want, _ = reference_kkt_jacobian(dc, 2, x, sol.y, active, mu[active])
+        assert record.kkt_matrix.tobytes() == want.tobytes()
+        assert record.kkt_matrix.tobytes() != system.jacobian()[0].tobytes()
+        # unclamped, the record reads the system's own matrix
+        system = KktSystem(dc, 2, x, sol.y, active, sol.multipliers[active])
+        record = lower_level._candidate(family, system, sol.multipliers)
+        assert record.kkt_matrix is system.jacobian()[0]
+        assert record.value == sol.value
+
+
+class TestIndexSetRule:
+    """Y's rule: the batch form gives the point form's membership row by
+    row, and both give the bits of the rule that stacks every bound in one
+    array (``helpers.reference_index_set_rule``)."""
+
+    @staticmethod
+    def _assert_forms_agree(vs, box, ys):
+        inside = index_set_rule(vs, box, ys)
+        want, _ = reference_index_set_rule(vs, box, ys)
+        assert inside.dtype == bool and inside.shape == (len(ys),)
+        assert inside.tobytes() == want.tobytes()
+        for y, row_inside in zip(ys, inside):
+            got_inside, got_active = index_set_rule(vs, box, y)
+            want_inside, want_active = reference_index_set_rule(vs, box, y)
+            assert bool(got_inside) == bool(want_inside) == row_inside
+            assert got_active.tobytes() == want_active.tobytes()
+        return inside
+
+    @pytest.mark.parametrize("name", ["example1", "example2",
+                                      "design_centering", "cut_disk"])
+    def test_grid_nodes_out_of_box_and_nan_rows(self, name):
+        # the cut disk's declared box y1 <= 0.5 cuts Y, so its box rows
+        # decide membership where the disk does not
+        p = (compile_spec(parse_spec(CUT_DISK)) if name == "cut_disk"
+             else get_problem(name))
+        box = index_set_box(p)
+        nodes = grid_nodes(box, 12)
+        centre = box.mean(axis=1)
+        outside = centre + 1.2 * (nodes - centre)
+        # each face of the box, a whisker inside and outside the TOL_FEAS
+        # slack
+        faces = []
+        for j, (lo, hi) in enumerate(box):
+            for bound, slack in ((hi, 0.5), (hi, 2.0), (lo, -0.5), (lo, -2.0)):
+                rows = nodes.copy()
+                rows[:, j] = bound + slack * lower_level.TOL_FEAS
+                faces.append(rows)
+        faces = np.concatenate(faces)
+        odd = np.array([np.nan, np.inf, -np.inf])[np.arange(len(nodes)) % 3]
+        nan_rows = nodes.copy()
+        nan_rows[:, -1] = odd
+        ys = np.concatenate([nodes, outside, faces, nan_rows])
+        inside = self._assert_forms_agree(p.index_constraints, box, ys)
+        assert inside[:len(nodes)].any()
+        assert not inside[-len(nodes):].any()
+
+    def test_unbounded_box(self):
+        # an interval over an infinite box: inf - inf is nan, not in Y
+        vs = interval_index_fields()
+        box = np.array([[-np.inf, np.inf]])
+        ys = np.array([[0.0], [1.0], [1.0 + 2e-9], [-1.0 - 5e-10], [np.inf],
+                       [-np.inf], [np.nan], [-0.0]])
+        with np.errstate(invalid="ignore"):     # inf - inf, in both rules
+            inside = self._assert_forms_agree(vs, box, ys)
+        assert inside.tolist() == [True, True, False, True, False, False,
+                                   False, True]
+
+
+class TestSoscOneByOne:
+    """A 1 x 1 projected Hessian's entry is what LAPACK's syevd returns as
+    its eigenvalue, and ``_regularity`` reads its SOSC flag off it."""
+
+    def test_entry_is_numpys_eigenvalue(self):
+        rng = np.random.default_rng(37)
+        entries = [0.0, -0.0, 1e-8, np.nextafter(1e-8, 0.0), -3.5, 1e300,
+                   -1e-310, 5e-324, np.inf, -np.inf, np.nan]
+        entries += (rng.normal(size=200) * 10.0 ** rng.uniform(-12, 6, 200)).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for entry in entries:
+                a = np.array([[entry]])
+                assert np.linalg.eigvalsh(a).tobytes() == a[0].tobytes()
+
+    def test_flags_match_the_eigenvalue_test(self):
+        # kkt matrices of m = 1..3 with 0..m active rows, the projected
+        # Hessian's least eigenvalue about the cutoff
+        rng = np.random.default_rng(41)
+        cutoff = lower_level._SOSC_EIG_CUTOFF
+        seen = set()
+        for trial in range(600):
+            m = 1 + trial % 3
+            a = int(rng.integers(0, m + 1))
+            hess = rng.normal(size=(m, m))
+            hess = -(hess + hess.T) / 2
+            va = rng.normal(size=(a, m))
+            kkt = np.zeros((m + a, m + a))
+            kkt[:m, :m] = hess
+            kkt[:m, m:], kkt[m:, :m] = -va.T, va
+            mu_a = rng.choice([0.0, 1e-7, 0.5, 2.0], size=a)
+            basis = null_space(va[np.flatnonzero(mu_a > 1e-6)], m)
+            projected = -(basis.T @ hess @ basis)
+            if len(projected) == 1 and trial % 2:
+                # put the entry at the cutoff, or an ulp either side
+                shift = cutoff - projected[0, 0]
+                hess -= shift * np.outer(basis[:, 0], basis[:, 0])
+                kkt[:m, :m] = hess
+                projected = -(basis.T @ hess @ basis)
+            want = bool(not len(projected)
+                        or np.linalg.eigvalsh(projected)[0] >= cutoff)
+            flags = lower_level._regularity(kkt, mu_a, True)
+            assert flags.sosc == want
+            seen.add((len(projected), want))
+        assert {(1, True), (1, False), (2, True), (2, False)} <= seen
+        # m = 1, nothing active: the projection is -D2_yy g itself
+        for entry in (cutoff, np.nextafter(cutoff, 0.0),
+                      np.nextafter(cutoff, 1.0), 0.0, np.nan, np.inf):
+            flags = lower_level._regularity(np.array([[-entry]]), np.zeros(0),
+                                            True)
+            assert flags.sosc == bool(entry >= cutoff)
 
 
 class TestPolish:
@@ -653,8 +830,8 @@ class TestDeclaredBoxHolds:
         p = compile_spec(parse_spec(CUT_DISK))
         x, corner, mu = np.zeros(1), np.array([0.5, np.sqrt(0.75)]), np.ones(1)
         unit = FamilyProblem(p, 0, x, np.array([[-1.0, 1.0], [-1.0, 1.0]]))
-        y, _, active = lower_level._polish_kkt(unit, corner, [0], mu, 1.0)
-        assert np.allclose(y, np.array([1.0, 0.1]) / np.sqrt(1.01),
+        system, _, active = lower_level._polish_kkt(unit, corner, [0], mu, 1.0)
+        assert np.allclose(system.y, np.array([1.0, 0.1]) / np.sqrt(1.01),
                            rtol=0.0, atol=1e-12)
         assert active == [0]
         declared = FamilyProblem(p, 0, x, index_set_box(p))

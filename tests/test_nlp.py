@@ -8,7 +8,8 @@ from sipsolve import nlp
 from sipsolve.model import ScalarField
 from sipsolve.nlp import NlpProblem, NlpSolution, field_rows, solve_nlp, solve_qp
 
-from helpers import reference_blocking, reference_solve_qp, reference_stack_rows
+from helpers import (reference_blocking, reference_damped_bfgs,
+                     reference_solve_qp, reference_stack_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +332,116 @@ class TestNorm:
             # the square overflows: numpy's warning, as an error here
             v = np.array(v)
             assert _outcome(nlp.norm, v) == _outcome(np.linalg.norm, v)
+
+
+class TestEigenGufuncs:
+    """``nlp.eigvalsh`` and ``nlp.eigh`` are numpy's LAPACK gufuncs without
+    the wrappers of ``np.linalg.eigvalsh`` and ``eigh``; this also pins the
+    private gufuncs they call."""
+
+    @staticmethod
+    def _bfgs_matrices():
+        """Damped BFGS updates of the Hessians of ``_same_bits_cases``,
+        each checked against the ``np.outer`` update."""
+        rng = np.random.default_rng(43)
+        for H, g, *_ in _same_bits_cases(np.random.default_rng(22)):
+            B = H
+            yield B
+            for _ in range(3):
+                s, y = rng.normal(size=len(g)), rng.normal(size=len(g))
+                B_next = nlp._damped_bfgs(B, s, y)
+                assert B_next.tobytes() == reference_damped_bfgs(B, s, y).tobytes()
+                B = B_next
+                yield B
+
+    def test_same_bits_as_numpy(self):
+        count = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for B in self._bfgs_matrices():
+                with np.errstate(all="ignore"):
+                    got = nlp.eigvalsh(B)
+                    values, vectors = nlp.eigh(B)
+                assert got.tobytes() == np.linalg.eigvalsh(B).tobytes()
+                want = np.linalg.eigh(B)
+                assert values.tobytes() == want.eigenvalues.tobytes()
+                assert vectors.tobytes() == want.eigenvectors.tobytes()
+                count += 1
+        assert count == 4 * 900
+
+    @pytest.mark.parametrize("a", [
+        [[np.nan]], [[np.inf]], [[-np.inf]],
+        [[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+        [[1.0, np.nan], [np.nan, 1.0]], [[np.inf, 1.0], [1.0, np.inf]],
+        [[1e308, 1e308], [1e308, 1e308]],
+    ])
+    def test_nonfinite_input_is_numpys_without_a_warning(self, a):
+        # numpy's wrappers return these too (LAPACK converges, on nan);
+        # under the error state the gufuncs raise and warn nothing
+        a = np.array(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = nlp.eigvalsh(a)
+                values, vectors = nlp.eigh(a)
+            assert got.tobytes() == np.linalg.eigvalsh(a).tobytes()
+            want = np.linalg.eigh(a)
+        assert values.tobytes() == want.eigenvalues.tobytes()
+        assert vectors.tobytes() == want.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_no_convergence_is_nan_where_numpy_raises(self, entry):
+        # from size 3, LAPACK does not converge on these: numpy raises, and
+        # the gufuncs return nan and warn nothing
+        a = np.full((3, 3), entry)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvalsh(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigh(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                got = nlp.eigvalsh(a)
+                values, vectors = nlp.eigh(a)
+        assert np.isnan(got).all() and np.isnan(values).all()
+        assert vectors.shape == (3, 3)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_nan_bfgs_matrix_is_reset_without_a_warning(self, monkeypatch, d):
+        # an update that is nan has nan eigenvalues (from d = 3 numpy's
+        # eigvalsh raises on it): the next QP gets the identity, as after
+        # an ill-conditioned update
+        hessians = []
+        solve = nlp.solve_qp
+
+        def recorded(H, *args):
+            hessians.append(H)
+            return solve(H, *args)
+
+        monkeypatch.setattr(nlp, "solve_qp", recorded)
+        monkeypatch.setattr(nlp, "_damped_bfgs",
+                            lambda B, s, y: np.full((d, d), np.nan))
+        objective = ScalarField(d, lambda x: x @ x, lambda x: 2.0 * x,
+                                hessian=lambda x: 2.0 * np.eye(d))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_nlp(NlpProblem(d, objective), np.arange(3.0, 3.0 + d),
+                      max_iter=2)
+        assert len(hessians) >= 2
+        assert all(np.array_equal(H, np.eye(d)) for H in hessians)
+
+    def test_nan_hessian_has_no_negative_curvature(self):
+        # the reduced Hessian's eigenvalues are nan: no direction is
+        # offered, and nothing warns
+        base = _saddle_problem()
+        obj = ScalarField(2, base.objective.value, base.objective.gradient,
+                          hessian=lambda x: np.full((2, 2), np.nan))
+        p = NlpProblem(2, obj, base.constraints, base.lower, base.upper)
+        sol = solve_nlp(base, np.array([0.0, 0.5]))
+        assert sol.converged
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nlp.negative_curvature(p, sol) is None
 
 
 class TestSameBitsAsNumpySolve:

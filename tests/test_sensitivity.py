@@ -9,7 +9,7 @@ from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearized_value_and_gradient)
 
 from helpers import (fd_block_hessian, fd_maximizer_jacobian,
-                     pinned_index_problem)
+                     pinned_index_problem, reference_kkt_jacobian)
 
 
 def _linearize(problem, i, x):
@@ -57,33 +57,38 @@ class TestMaximizerSensitivity:
 
 class TestKktMatrixBuiltOnce:
     def test_qcad_run_builds_each_matrix_once(self, dc, monkeypatch):
-        # every kkt_jacobian build is a Newton step of the polish or the one
-        # build of a lower-level record, whose regularity is read off that
-        # matrix once; here each solve keeps one record, its solution.
-        # compute_sensitivity reads the matrix that certified regularity, so
-        # it builds none
-        build, residual = lower_level.kkt_jacobian, lower_level.kkt_residual
+        # every KKT system is a point of the polish (its start or a Newton
+        # step) or an unpolished record, and builds its matrix at most once
+        # at its multipliers: a Newton step builds the matrix of its point,
+        # a record reads the matrix of the point it keeps, built then or
+        # already.  Here each solve keeps one record, its solution, whose
+        # regularity is read off that matrix once.  compute_sensitivity
+        # reads the matrix that certified regularity, so it builds none
+        system = lower_level.KktSystem
+        init, build = system.__init__, system.jacobian_at
         regularity = lower_level._regularity
         where = ["solution"]
-        builds = {"solution": 0, "polish": 0, "sensitivity": 0}
-        polish = {"calls": 0, "residuals": 0}
+        evaluated = {"solution": 0, "polish": 0, "sensitivity": 0}
+        builds = []     # (system, multipliers, where, matrix)
+        polish_calls = []
         regularity_checks = []
 
-        def counting_build(*args):
-            builds[where[-1]] += 1
-            return build(*args)
+        def counting_init(self, *args):
+            evaluated[where[-1]] += 1
+            init(self, *args)
+
+        def counting_build(self, mu_a):
+            out = build(self, mu_a)
+            builds.append((self, mu_a.tobytes(), where[-1], out[0]))
+            return out
 
         def counting_regularity(*args):
             regularity_checks.append(where[-1])
             return regularity(*args)
 
-        def counting_residual(*args):
-            polish["residuals"] += where[-1] == "polish"
-            return residual(*args)
-
         def inside(name, fn):
             def wrapper(*args, **kwargs):
-                polish["calls"] += name == "polish"
+                polish_calls.append(name == "polish")
                 where.append(name)
                 try:
                     return fn(*args, **kwargs)
@@ -91,10 +96,8 @@ class TestKktMatrixBuiltOnce:
                     where.pop()
             return wrapper
 
-        monkeypatch.setattr(lower_level, "kkt_jacobian", counting_build)
-        monkeypatch.setattr(sensitivity, "kkt_jacobian", counting_build,
-                            raising=False)
-        monkeypatch.setattr(lower_level, "kkt_residual", counting_residual)
+        monkeypatch.setattr(system, "__init__", counting_init)
+        monkeypatch.setattr(system, "jacobian_at", counting_build)
         monkeypatch.setattr(lower_level, "_regularity", counting_regularity)
         monkeypatch.setattr(lower_level, "_polish_kkt",
                             inside("polish", lower_level._polish_kkt))
@@ -104,10 +107,16 @@ class TestKktMatrixBuiltOnce:
 
         assert result.final_status == "tolerance_met"
         solutions = [sol for rec in result.history for sol in rec.lower_level]
-        # the polish evaluates the residual once, then once per Newton step
-        newton_steps = polish["residuals"] - polish["calls"]
-        assert builds == {"solution": len(solutions), "polish": newton_steps,
-                          "sensitivity": 0}
+        # the polish evaluates its start, then one point per Newton step,
+        # and each step builds the matrix at its point
+        newton_steps = evaluated["polish"] - sum(polish_calls)
+        places = [place for _, _, place, _ in builds]
+        assert places.count("polish") == newton_steps > 0
+        assert places.count("sensitivity") == evaluated["sensitivity"] == 0
+        assert places.count("solution") <= len(solutions)
+        assert len({(id(s), mu) for s, mu, _, _ in builds}) == len(builds)
+        matrices = {id(matrix) for *_, matrix in builds}
+        assert all(id(sol.kkt_matrix) in matrices for sol in solutions)
         assert regularity_checks == ["solution"] * len(solutions)
         assert all(sol.regularity.all_ok for sol in solutions)
         linearized = 0
@@ -115,8 +124,8 @@ class TestKktMatrixBuiltOnce:
             for i, lc in rec.linearizations.items():
                 sol = rec.lower_level[i]
                 active = list(sol.active_set)
-                jac, d2_yx = build(dc, i, rec.x, sol.y, active,
-                                   sol.multipliers[active])
+                jac, d2_yx = reference_kkt_jacobian(dc, i, rec.x, sol.y, active,
+                                                    sol.multipliers[active])
                 rhs = np.zeros((len(jac), dc.n))
                 rhs[:dc.m] = -d2_yx
                 assert np.array_equal(lc.dy_dx,
