@@ -26,6 +26,14 @@ for k = 0).  Each warning of iteration k is written once, to that record;
 ``RunResult.warnings`` is the records' warnings in order, then the message
 of the failure that stopped the run, if one did.  ``check_start`` holds
 the checks of the start point, which ``sipsolve run`` makes too.
+
+A record's stationarity residual, beta norm and alpha max are computed on
+their first read and then kept (``IterateRecord``).  A known-mode run
+computes none of them unless a record is read, and practical mode's
+termination test computes the residual only at an iterate whose
+feasibility meets ``tol_feas``; a field that raises there still ends the
+run.  A record's ``wall_time_ms`` thus holds no diagnostic that nobody
+read, and a read after the run gives inf where a field raises.
 """
 from __future__ import annotations
 
@@ -84,23 +92,76 @@ class DiscretizationState:
         return sum(len(fam) for fam in self.points)
 
 
+class _Unread:
+    """The value of a diagnostic that the driver leaves to its first read.
+    There is one, ``_UNREAD``, and a copy of a record keeps it: ``__reduce__``
+    names it, so ``copy.deepcopy`` and pickle return that same object."""
+
+    def __reduce__(self):
+        return "_UNREAD"
+
+
+_UNREAD = _Unread()
+
+
+class _OnFirstRead:
+    """An ``IterateRecord`` diagnostic that may be given as ``_UNREAD``:
+    its first read then computes it (``IterateRecord._diagnose``) and the
+    record keeps the value.  A value given to the constructor is kept as
+    given."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, rec, owner=None):
+        if rec is None:     # no default: the constructor takes a value
+            raise AttributeError(self.name)
+        if rec.__dict__[self.name] is _UNREAD:
+            rec._diagnose(self.name)
+        return rec.__dict__[self.name]
+
+    def __set__(self, rec, value):
+        rec.__dict__[self.name] = value
+
+
 @dataclass
 class IterateRecord:
+    """One iterate.  The driver leaves the stationarity residual, beta norm
+    and alpha max to their first read, which computes them from the
+    record's ``x``, ``lower_level`` and ``lambda_bar`` through
+    ``stationarity_residual`` and ``perturbation_params`` (beta and alpha
+    from one call); a field that raises there makes the values inf."""
+
     k: int
     x: Array
     objective: float
     feasibility: float
-    stationarity_residual: float
+    stationarity_residual: float = _OnFirstRead()
     dist_to_known: Optional[float]
     step_norm: Optional[float]
-    beta_norm: Optional[float]
-    alpha_max: Optional[float]
+    beta_norm: Optional[float] = _OnFirstRead()
+    alpha_max: Optional[float] = _OnFirstRead()
     n_constraints_in_master: Optional[int]
     wall_time_ms: Optional[float]
     lower_level: list = field(default_factory=list)
     linearizations: dict = field(default_factory=dict)
     lambda_bar: Optional[Array] = None
     warnings: list = field(default_factory=list)
+    problem: Optional[SipProblem] = field(default=None, repr=False,
+                                          compare=False)
+
+    def _diagnose(self, name: str) -> None:
+        try:
+            if name == "stationarity_residual":
+                self.stationarity_residual = stationarity_residual(
+                    self.problem, self.x, self.lower_level)
+            else:
+                params = perturbation_params(self.problem, self.x,
+                                             self.lower_level, self.lambda_bar)
+                self.beta_norm = params.beta_norm
+                self.alpha_max = params.alpha_max
+        except (ArithmeticError, FieldEvaluationError):
+            setattr(self, name, np.inf)
 
 
 @dataclass
@@ -307,36 +368,34 @@ def _run(problem: SipProblem, x0, opts: DriverOptions,
                 break
 
             feasibility = feasibility_measure(ll)
-            stationarity = stationarity_residual(problem, x, ll)
             dist = None
             if problem.known_solution is not None:
                 dist = norm(x - problem.known_solution)
-
-            beta_norm = None
-            alpha_max = None
-            lambda_bar = prev_lambda_bar
-            if lambda_bar is not None:
-                params = perturbation_params(problem, x, ll, lambda_bar)
-                beta_norm = params.beta_norm
-                alpha_max = params.alpha_max
+            # beta and alpha exist once a master has given multipliers
+            perturbation = _UNREAD if prev_lambda_bar is not None else None
 
             rec = IterateRecord(
                 k=k, x=x.copy(),
                 objective=problem.objective.value(x),
                 feasibility=feasibility,
-                stationarity_residual=stationarity,
+                stationarity_residual=_UNREAD,
                 dist_to_known=dist,
                 step_norm=(norm(x - prev_x)
                            if prev_x is not None else None),
-                beta_norm=beta_norm, alpha_max=alpha_max,
+                beta_norm=perturbation, alpha_max=perturbation,
                 n_constraints_in_master=prev_n_master,
                 wall_time_ms=None,
                 lower_level=ll,
-                lambda_bar=lambda_bar,
+                lambda_bar=prev_lambda_bar,
                 warnings=[f"iteration {k}: constraint {sol.index} has multiple "
                           "global lower-level maximizers"
-                          for sol in ll if sol.multiple_global])
+                          for sol in ll if sol.multiple_global],
+                problem=problem)
             history.append(rec)
+            if opts.mode != "known" and feasibility <= opts.tol_feas:
+                # the termination test reads the residual: a field that
+                # raises there ends the run
+                rec.stationarity_residual = stationarity_residual(problem, x, ll)
 
             decided = check_termination(history, opts)
             if decided is not None:

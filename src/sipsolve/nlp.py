@@ -17,7 +17,9 @@ line search; infeasible QPs fall back to an elastic reformulation with a
 penalized slack.  A solution carries the rows' values and Jacobian at its
 point, the ones the SQP already evaluated there.  ``negative_curvature``
 tests the second-order necessary condition at a KKT point, with the exact
-Lagrangian Hessian on the critical cone and the solution's rows.
+Lagrangian Hessian on the critical cone and the solution's rows; it
+factors the strongly active rows first and, when they leave no free
+direction, ends without the rows' Hessians.
 
 Every dense solve of the QP, and the Newton steps of the lower level's KKT
 polish, go through ``solve_linear``: the LAPACK ``gesv`` gufunc that
@@ -44,10 +46,11 @@ error state their callers set.  Where LAPACK does not converge (an all-nan
 matrix of size 3 or more) a wrapper raises ``LinAlgError`` and the gufunc
 returns nan: the SQP then resets its matrix to the identity, and
 ``negative_curvature`` finds no direction.  ``np.linalg.svd`` keeps its
-wrapper (``null_space`` and the lower level's LICQ test): its gufuncs are
-named differently in numpy 1.x and 2.x.  A QP's rows are stacked with one
-``np.concatenate`` and its step clipped to the bounds with the array's own
-``clip``, the call ``np.clip`` forwards to.
+wrapper (``svd_null_space``, which gives the lower level's LICQ test its
+singular values too): its gufuncs are named differently in numpy 1.x and
+2.x.  A QP's rows are stacked with one ``np.concatenate`` and its step
+clipped to the bounds with the array's own ``clip``, the call ``np.clip``
+forwards to.
 
 Everything is deterministic: no randomness, fixed tie-breaking by lowest
 constraint index.
@@ -620,13 +623,19 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 # Second-order check at a KKT point
 # ---------------------------------------------------------------------------
 
-def null_space(A: Array, d: int) -> Array:
-    """Orthonormal columns spanning {u : A u = 0}; singular values at most
-    _SOC_TOL of the largest count as zero."""
+def svd_null_space(A: Array, d: int) -> tuple:
+    """A's singular values, largest first, and orthonormal columns spanning
+    {u : A u = 0}, from one full SVD; singular values at most _SOC_TOL of
+    the largest count as zero."""
     if not len(A):
-        return np.eye(d)
+        return np.zeros(0), np.eye(d)
     _, s, vt = np.linalg.svd(A)
-    return vt[int((s > _SOC_TOL * s[0]).sum()):].T
+    return s, vt[int((s > _SOC_TOL * s[0]).sum()):].T
+
+
+def null_space(A: Array, d: int) -> Array:
+    """Orthonormal columns spanning {u : A u = 0} (``svd_null_space``)."""
+    return svd_null_space(A, d)[1]
 
 
 def negative_curvature(problem: NlpProblem, sol: NlpSolution):
@@ -645,10 +654,16 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     is an eigenvector there, so the test is exact.  Faces are spanned by
     at most as many weakly active constraints as the strongly active ones
     leave free dimensions, which bounds the enumeration.
+
+    The strongly active rows are factored before anything else is built:
+    when they leave no free direction the cone is {0} and the check ends
+    there, without the rows' Hessians (``constraints.hessian`` evaluates
+    one per weighted point).  The objective's Hessian is evaluated first
+    all the same, so a field without one fails at every converged master.
     """
     z, d = sol.z, problem.dim
     cvals, jac = sol.constraint_values, sol.constraint_jacobian
-    H = problem.objective.hessian(z) + problem.constraints.hessian(z, sol.multipliers)
+    H = problem.objective.hessian(z)
     eye = np.eye(d)
     values = np.concatenate([cvals, problem.lower - z, z - problem.upper])
     normals = np.vstack([jac, -eye, eye])
@@ -656,15 +671,19 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
                             sol.upper_multipliers])
     active = values >= -_SOC_TOL
     weakly = mults <= _SOC_TOL * (1.0 + mults.max(initial=0.0))
-    strong, weak = normals[active & ~weakly], normals[active & weakly]
+    strong = normals[active & ~weakly]
+    Z = null_space(strong, d)
+    if not Z.shape[1]:
+        return None
+    H = H + problem.constraints.hessian(z, sol.multipliers)
+    weak = normals[active & weakly]
     inside = _SOC_TOL * np.linalg.norm(weak, axis=1)
     threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
 
-    Z = null_space(strong, d)
     with np.errstate(all="ignore"):     # for eigvalsh and eigh
         # a face is a subspace of the strongly active null space: without
         # negative curvature there, no face has any
-        if not Z.shape[1] or not eigvalsh(Z.T @ H @ Z)[0] < threshold:
+        if not eigvalsh(Z.T @ H @ Z)[0] < threshold:
             return None
         best = None
         for size in range(min(len(weak), Z.shape[1]) + 1):

@@ -539,3 +539,73 @@ def reference_restricted_batch(field, n, x, Y):
     """``family_of(field, n, x).values(Y)`` by np.tile and np.hstack."""
     X = np.tile(np.asarray(x, dtype=float), (Y.shape[0], 1))
     return field.value_batch(np.hstack([X, Y]))
+
+
+# Reference copies of the two checks as they were before they shared work:
+# the lower level's regularity flags with LICQ's singular values from their
+# own SVD (no vectors), and the second-order check building the full
+# Lagrangian Hessian before it factors the strongly active rows; the
+# versions in src must match them bit for bit
+
+def reference_regularity(kkt_matrix, mu_a, kkt_point):
+    """``lower_level._regularity`` with ``svd(va, compute_uv=False)`` for
+    LICQ and ``null_space`` for SOSC."""
+    from sipsolve.lower_level import (_LICQ_SVD_CUTOFF, _SOSC_EIG_CUTOFF,
+                                      _STRICT_COMP_TOL, RegularityFlags)
+    from sipsolve.nlp import null_space
+    m = len(kkt_matrix) - len(mu_a)
+    va = kkt_matrix[m:, :m]
+    licq = True
+    if len(mu_a):
+        svals = np.linalg.svd(va, compute_uv=False)
+        licq = bool(len(mu_a) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
+    strict = bool((mu_a >= _STRICT_COMP_TOL).all())
+    null_basis = null_space(va[mu_a > _STRICT_COMP_TOL], m)
+    projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
+    if len(projected) > 1:
+        sosc = bool(np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
+    else:
+        sosc = bool(not len(projected) or projected[0, 0] >= _SOSC_EIG_CUTOFF)
+    return RegularityFlags(kkt_point, licq, strict, sosc)
+
+
+def reference_negative_curvature(problem, sol):
+    """``nlp.negative_curvature`` with the Hessian, the weak rows' norms and
+    the threshold built before the strongly active null space."""
+    import itertools
+
+    from sipsolve.nlp import _SOC_TOL, eigh, eigvalsh, null_space
+    z, d = sol.z, problem.dim
+    cvals, jac = sol.constraint_values, sol.constraint_jacobian
+    H = problem.objective.hessian(z) + problem.constraints.hessian(z, sol.multipliers)
+    eye = np.eye(d)
+    values = np.concatenate([cvals, problem.lower - z, z - problem.upper])
+    normals = np.vstack([jac, -eye, eye])
+    mults = np.concatenate([sol.multipliers, sol.lower_multipliers,
+                            sol.upper_multipliers])
+    active = values >= -_SOC_TOL
+    weakly = mults <= _SOC_TOL * (1.0 + mults.max(initial=0.0))
+    strong, weak = normals[active & ~weakly], normals[active & weakly]
+    inside = _SOC_TOL * np.linalg.norm(weak, axis=1)
+    threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
+    Z = null_space(strong, d)
+    with np.errstate(all="ignore"):
+        if not Z.shape[1] or not eigvalsh(Z.T @ H @ Z)[0] < threshold:
+            return None
+        best = None
+        for size in range(min(len(weak), Z.shape[1]) + 1):
+            for face in itertools.combinations(range(len(weak)), size):
+                Zf = null_space(np.vstack([strong, weak[list(face)]]), d)
+                if not Zf.shape[1]:
+                    continue
+                eigvals, eigvecs = eigh(Zf.T @ H @ Zf)
+                for curvature, v in zip(eigvals, eigvecs.T):
+                    if not curvature < threshold:
+                        break
+                    u = Zf @ v
+                    for direction in (u, -u):
+                        if (weak @ direction <= inside).all():
+                            if best is None or curvature < best[1]:
+                                best = (direction, float(curvature))
+                            break
+    return best

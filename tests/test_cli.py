@@ -31,6 +31,7 @@ DISK_SPEC = ("n: 1\nm: 2\nobjective: x1\nsi_constraints:\n  - y1 - x1\n"
 # meets singular Newton steps
 MILLI_SPEC = Path(__file__).with_name("data") / "design_centering_milli.yaml"
 QUARTER_DISK = Path(__file__).with_name("data") / "quarter_disk.yaml"
+GRADIENT_FAILS = Path(__file__).with_name("data") / "gradient_fails_at_answer.yaml"
 
 EXPECTED_HEADER = ("k,x_1,x_2,objective,feasibility,stationarity_residual,"
                    "dist_to_known,step_norm,beta_norm,alpha_max,"
@@ -208,6 +209,29 @@ class TestRun:
         captured = capsys.readouterr()
         assert "subsolver_failure" in captured.out
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("mode, code", [("practical", 1), ("known", 0)])
+    def test_diagnostics_that_raise_are_written_as_inf(self, tmp_path, capsys,
+                                                      mode, code):
+        # the objective's gradient raises at iterate 1: practical mode fails
+        # there, known mode stops there, and the CSV and summary read that
+        # record's diagnostics after the run
+        csv, summary = tmp_path / "h.csv", tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--spec", str(GRADIENT_FAILS), "--alg", "both",
+                         "--mode", mode, "--csv", str(csv),
+                         "--summary", str(summary)]) == code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        runs = json.loads(summary.read_text())["runs"]
+        for alg in ("bf", "qcad"):
+            header, *rows = (tmp_path / f"h_{alg}.csv").read_text().splitlines()
+            last = dict(zip(header.split(","), rows[-1].split(",")))
+            assert last["k"] == "1"
+            assert [last[c] for c in ("stationarity_residual", "beta_norm",
+                                      "alpha_max")] == ["inf"] * 3
+            assert runs[alg]["final"]["stationarity_residual"] == np.inf
 
     def test_half_power_of_negative_constant_ends_in_subsolver_failure(
             self, tmp_path, capsys):

@@ -1,14 +1,19 @@
+import copy
+import functools
 import hashlib
 import importlib.util
+import math
 import platform
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sipsolve import driver, nlp
+from sipsolve import driver, lower_level, nlp
+from sipsolve.diagnostics import perturbation_params, stationarity_residual
 from sipsolve.driver import (DiscretizationState, DriverOptions,
                              IterateRecord, check_termination,
                              run_blankenship_falk, run_qcad)
@@ -17,10 +22,12 @@ from sipsolve.problems import get_problem
 from sipsolve.specfile import compile_spec, load_problem, parse_spec
 
 from helpers import (always_violated_problem, onestep_problem,
-                     pinned_index_problem, tie_problem)
+                     pinned_index_problem, reference_negative_curvature,
+                     reference_regularity, tie_problem)
 
 
 QUARTER_DISK = Path(__file__).with_name("data") / "quarter_disk.yaml"
+GRADIENT_FAILS = Path(__file__).with_name("data") / "gradient_fails_at_answer.yaml"
 
 
 class TestDiscretizationState:
@@ -375,11 +382,13 @@ class TestWarnings:
 
     @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
     def test_field_failure_is_the_terminal_warning(self, runner):
+        # iterate 1 is recorded (its diagnostics wait for a read), and its
+        # master asks for the derivative
         r = runner(compile_spec(parse_spec(LOG_SPEC)))
         assert r.final_status == "subsolver_failure"
+        assert [rec.k for rec in r.history] == [0, 1]
         assert _terminal_warnings(r) == [
-            f"iteration {len(r.history)}: field evaluation failed: log of a "
-            "nonpositive value"]
+            "iteration 1: field evaluation failed: log of a nonpositive value"]
 
 
 class TestDeclaredBox:
@@ -453,15 +462,16 @@ def test_built_in_iterates_are_pinned(name, alg, mode):
                for rec in result.history for sol in rec.lower_level)
 
 
-def _load_start_pool():
-    """``perfbench/workloads.start_pool``, loaded from its file: the
-    benchmark's start pools, the same for every seed."""
+@functools.cache
+def _load_workloads():
+    """``perfbench/workloads``, loaded from its file: the benchmark's
+    workloads and start pools, the same for every seed."""
     path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("_pinned_workloads", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module     # dataclasses look their module up
     spec.loader.exec_module(module)
-    return module.start_pool
+    return module
 
 
 def _record_digest(result) -> str:
@@ -517,9 +527,176 @@ _RECORD_DIGESTS = {
                     reason="record digests recorded with numpy 2.4 on x86-64")
 @pytest.mark.parametrize("name, alg, mode, start", list(_RECORD_DIGESTS))
 def test_built_in_records_are_pinned(name, alg, mode, start):
+    result = _pinned_run(name, alg, mode, start)
+    assert _record_digest(result) == _RECORD_DIGESTS[name, alg, mode, start]
+
+
+def _pinned_run(name, alg, mode, start="canonical"):
+    """A run of ``_RECORD_DIGESTS``: a built-in problem from its canonical
+    start or from one of its pool starts."""
     problem = get_problem(name)
     x0 = None if start == "canonical" else \
-        _load_start_pool()(problem)[int(start[len("pool"):])]
+        _load_workloads().start_pool(problem)[int(start[len("pool"):])]
     runner = run_blankenship_falk if alg == "bf" else run_qcad
-    result = runner(problem, x0, opts=DriverOptions(mode=mode))
-    assert _record_digest(result) == _RECORD_DIGESTS[name, alg, mode, start]
+    return runner(problem, x0, opts=DriverOptions(mode=mode))
+
+
+def _count_diagnostics(monkeypatch) -> list:
+    """(name, x) of each call the driver makes to ``stationarity_residual``
+    or ``perturbation_params``, in order."""
+    calls = []
+    for name in ("stationarity_residual", "perturbation_params"):
+        def counted(problem, x, *args, original=getattr(driver, name),
+                    name=name):
+            calls.append((name, np.array(x)))
+            return original(problem, x, *args)
+        monkeypatch.setattr(driver, name, counted)
+    return calls
+
+
+def _read_diagnostics(rec) -> tuple:
+    return rec.stationarity_residual, rec.beta_norm, rec.alpha_max
+
+
+class TestDiagnosticsOnRead:
+    """A record's stationarity residual, beta norm and alpha max are
+    computed on their first read, from the record's x, lower level and
+    lambda_bar, and then kept."""
+
+    @pytest.mark.parametrize("name, alg, mode", list(_ITERATE_DIGESTS))
+    def test_values_are_the_eager_calls(self, name, alg, mode):
+        problem = get_problem(name)
+        result = _pinned_run(name, alg, mode)
+        for rec in result.history:
+            stat = stationarity_residual(problem, rec.x, rec.lower_level)
+            if rec.lambda_bar is None:
+                eager = (stat, None, None)
+            else:
+                params = perturbation_params(problem, rec.x, rec.lower_level,
+                                             rec.lambda_bar)
+                eager = (stat, params.beta_norm, params.alpha_max)
+            assert repr(_read_diagnostics(rec)) == repr(eager)
+
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_known_mode_computes_nothing_unread(self, runner, monkeypatch):
+        calls = _count_diagnostics(monkeypatch)
+        result = runner(get_problem("design_centering"),
+                        opts=DriverOptions(mode="known"))
+        assert result.final_status == "tolerance_met"
+        assert calls == []
+        for _ in range(2):      # the second read finds every value kept
+            for rec in result.history:
+                _read_diagnostics(rec)
+        # record 0 predates any master: no beta or alpha to compute
+        first, *later = result.history
+        assert [name for name, _ in calls] == ["stationarity_residual"] + [
+            "stationarity_residual", "perturbation_params"] * len(later)
+        points = [first.x] + [rec.x for rec in later for _ in range(2)]
+        assert all(np.array_equal(x, y) for (_, x), y in zip(calls, points))
+
+    def test_a_copy_before_any_read_computes_the_same_values(self):
+        result = run_qcad(get_problem("example1"),
+                          opts=DriverOptions(mode="known"))
+        copied = copy.deepcopy(result)
+        assert [repr(_read_diagnostics(rec)) for rec in copied.history] == \
+            [repr(_read_diagnostics(rec)) for rec in result.history]
+
+    @pytest.mark.parametrize("name", ["example1", "example2", "design_centering"])
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_practical_mode_computes_the_residual_where_feasible(
+            self, name, runner, monkeypatch):
+        calls = _count_diagnostics(monkeypatch)
+        opts = DriverOptions()
+        result = runner(get_problem(name), opts=opts)
+        feasible = [rec.x for rec in result.history
+                    if rec.feasibility <= opts.tol_feas]
+        assert 0 < len(feasible) < len(result.history)
+        assert [name for name, _ in calls] == \
+            ["stationarity_residual"] * len(feasible)
+        assert all(np.array_equal(x, y) for (_, x), y in zip(calls, feasible))
+
+
+class TestDiagnosticErrors:
+    """gradient_fails_at_answer.yaml: the objective's gradient raises at
+    iterate 1, the answer, and nowhere before it."""
+
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_termination_test_ends_the_run(self, runner, monkeypatch):
+        masters = []
+        solve_nlp = driver.solve_nlp
+        monkeypatch.setattr(driver, "solve_nlp",
+                            lambda *args: masters.append(1) or solve_nlp(*args))
+        r = runner(load_problem(GRADIENT_FAILS))
+        assert r.final_status == "subsolver_failure"
+        assert [rec.k for rec in r.history] == [0, 1]
+        assert _terminal_warnings(r) == [
+            "iteration 1: field evaluation failed: sqrt of a nonpositive value"]
+        # the raise came from the test, before iteration 1's master
+        assert len(masters) == 1
+
+    @pytest.mark.parametrize("mode, status", [("practical", "subsolver_failure"),
+                                              ("known", "tolerance_met")])
+    @pytest.mark.parametrize("runner", [run_blankenship_falk, run_qcad])
+    def test_a_read_after_the_run_gives_inf(self, runner, mode, status):
+        r = runner(load_problem(GRADIENT_FAILS), opts=DriverOptions(mode=mode))
+        assert r.final_status == status
+        assert [rec.k for rec in r.history] == [0, 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _read_diagnostics(r.history[1]) == (np.inf,) * 3
+            assert math.isfinite(r.history[0].stationarity_residual)
+
+
+def _same_direction(found, want) -> bool:
+    if found is None or want is None:
+        return found is want
+    return (found[0].tobytes() == want[0].tobytes()
+            and repr(found[1]) == repr(want[1]))
+
+
+class TestTrimmedChecks:
+    """``lower_level._regularity`` (one SVD) and ``nlp.negative_curvature``
+    (no row Hessians for a pinned cone) give what their references in
+    ``helpers`` give, on every call of the pinned runs."""
+
+    def test_regularity_flags_on_the_pinned_runs(self, monkeypatch):
+        regularity = lower_level._regularity
+        calls = []
+
+        def compared(kkt_matrix, mu_a, kkt_point):
+            flags = regularity(kkt_matrix, mu_a, kkt_point)
+            calls.append((flags == reference_regularity(kkt_matrix, mu_a,
+                                                        kkt_point),
+                          bool((mu_a > lower_level._STRICT_COMP_TOL).all())))
+            return flags
+        monkeypatch.setattr(lower_level, "_regularity", compared)
+        for key in _RECORD_DIGESTS:
+            _pinned_run(*key)
+        assert all(same for same, _ in calls)
+        # both ways: one SVD (every multiplier strong) and two
+        assert {one_svd for _, one_svd in calls} == {True, False}
+
+    def test_negative_curvature_on_the_masters(self, monkeypatch):
+        check = driver.negative_curvature
+        calls = []
+
+        def compared(nlp, sol):
+            found = check(nlp, sol)
+            calls.append((_same_direction(
+                found, reference_negative_curvature(nlp, sol)), found))
+            return found
+        monkeypatch.setattr(driver, "negative_curvature", compared)
+        for key in _ITERATE_DIGESTS:
+            _pinned_run(*key)
+        # the benchmark's spec-ad prefix at seed 1: all three problems
+        # from their spec files, both drivers, canonical and pool starts
+        workloads = _load_workloads()
+        spec_ad = workloads.WORKLOADS["spec-ad"]
+        problems, _ = workloads.construct(spec_ad, Path(__file__).parents[1])
+        opts = DriverOptions(mode="known", tol_dist=workloads.TOL_DIST)
+        for s in workloads.build_sequence(spec_ad, problems, 1)[:spec_ad.prefix]:
+            runner = run_blankenship_falk if s.driver == "bf" else run_qcad
+            runner(s.problem, s.x0, opts=opts)
+        assert all(same for same, _ in calls)
+        assert any(found is not None for _, found in calls)
+        assert any(found is None for _, found in calls)

@@ -20,7 +20,8 @@ from helpers import (grid_nodes, interval_index_fields, narrow_peak_problem,
                      pinned_index_problem, reference_ascending,
                      reference_best_nodes, reference_index_set_rule,
                      reference_kkt_jacobian, reference_kkt_residual,
-                     three_peak_problem, tie_problem, two_peak_problem)
+                     reference_regularity, three_peak_problem, tie_problem,
+                     two_peak_problem)
 
 
 def _kkt_residual(problem, sol):
@@ -668,6 +669,66 @@ class TestSoscOneByOne:
             flags = lower_level._regularity(np.array([[-entry]]), np.zeros(0),
                                             True)
             assert flags.sosc == bool(entry >= cutoff)
+
+
+def _kkt_with_rows(rng, m, va):
+    """A KKT matrix [[H, -va^T], [va, 0]] with a random symmetric H."""
+    hess = rng.normal(size=(m, m))
+    a = len(va)
+    kkt = np.zeros((m + a, m + a))
+    kkt[:m, :m] = -(hess + hess.T) / 2
+    kkt[:m, m:], kkt[m:, :m] = -va.T, va
+    return kkt
+
+
+class TestRegularityOneSvd:
+    """With every active multiplier strong, ``_regularity`` reads LICQ's
+    singular values and the null space off one SVD; its flags are those of
+    ``helpers.reference_regularity``, which factors the rows twice."""
+
+    def test_licq_at_the_cutoff(self):
+        # 1- and 2-row active sets scaled so that the least singular value
+        # is the cutoff, then nudged by up to 4 ulps either way
+        rng = np.random.default_rng(43)
+        cutoff = lower_level._LICQ_SVD_CUTOFF
+        licq, straddled = set(), 0
+        for trial in range(400):
+            a = 1 + trial % 2
+            m = a + (trial // 2) % 2
+            va = rng.normal(size=(a, m))
+            if a == 2 and trial % 8 < 4:    # nearly parallel rows
+                va[1] = va[0] + rng.normal(size=m) * 10.0 ** rng.uniform(-9, -2)
+            va *= cutoff / np.linalg.svd(va, compute_uv=False).min()
+            for ulps in range(-4, 5):
+                rows = va * (1.0 + ulps * 2.0 ** -52)
+                kkt = _kkt_with_rows(rng, m, rows)
+                mu_a = rng.uniform(0.5, 2.0, size=a)
+                flags = lower_level._regularity(kkt, mu_a, True)
+                assert flags == reference_regularity(kkt, mu_a, True)
+                licq.add(flags.licq)
+                # LAPACK's jobs 'N' and 'A' round the least singular value
+                # to opposite sides of the cutoff
+                straddled += ((np.linalg.svd(rows, compute_uv=False).min() >= cutoff)
+                              != (np.linalg.svd(rows)[1].min() >= cutoff))
+        assert licq == {True, False}
+        assert straddled > 0
+
+    def test_weak_multipliers_and_no_active_rows(self):
+        rng = np.random.default_rng(47)
+        shared = set()
+        for trial in range(600):
+            m = 1 + trial % 3
+            a = int(rng.integers(0, m + 2))
+            va = rng.normal(size=(a, m))
+            if a >= 2 and trial % 3 == 0:   # a dependent row
+                va[-1] = va[0] * rng.uniform(-2.0, 2.0)
+            mu_a = rng.choice([0.0, 1e-7, 1e-6, 0.5, 2.0], size=a)
+            kkt = _kkt_with_rows(rng, m, va)
+            kkt_point = bool(trial % 5)
+            assert lower_level._regularity(kkt, mu_a, kkt_point) == \
+                reference_regularity(kkt, mu_a, kkt_point)
+            shared.add(bool((mu_a > lower_level._STRICT_COMP_TOL).all()))
+        assert shared == {True, False}
 
 
 class TestPolish:

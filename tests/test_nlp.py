@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sipsolve import nlp
-from sipsolve.model import ScalarField
+from sipsolve.model import FieldEvaluationError, ScalarField
 from sipsolve.nlp import NlpProblem, NlpSolution, field_rows, solve_nlp, solve_qp
 
 from helpers import (reference_blocking, reference_damped_bfgs,
@@ -986,6 +986,29 @@ class TestNegativeCurvature:
         assert np.allclose(sol.z, [0.0, 0.0], atol=1e-9)
         assert sol.upper_multipliers[0] > 0.5
         assert nlp.negative_curvature(p, sol) is None
+
+    def test_pinned_cone_needs_no_row_hessians(self):
+        # the cone of the test above is {0}: the check ends before it asks
+        # the rows for their Hessians, but after the objective's
+        obj = ScalarField(2, lambda x: -x[0] ** 2 - x[0] + 1.5 * x[1],
+                          lambda x: np.array([-2.0 * x[0] - 1.0, 1.5]),
+                          hessian=lambda x: np.diag([-2.0, 0.0]))
+        base = _saddle_problem()
+        lower, upper = np.array([-1.0, -1.0]), np.array([0.0, 1.0])
+        sol = solve_nlp(NlpProblem(2, obj, base.constraints, lower, upper),
+                        np.array([-0.1, 0.5]))
+        assert sol.converged
+
+        def no_hessian(z, w):
+            raise AssertionError("row Hessians evaluated")
+
+        rows = nlp.Rows(*((size, evaluate, no_hessian)
+                          for size, evaluate, _ in base.constraints.blocks))
+        assert nlp.negative_curvature(
+            NlpProblem(2, obj, rows, lower, upper), sol) is None
+        bare = ScalarField(2, obj.value, obj.gradient, name="f_bare")
+        with pytest.raises(FieldEvaluationError, match="f_bare does not"):
+            nlp.negative_curvature(NlpProblem(2, bare, rows, lower, upper), sol)
 
 
 class TestCarriedJacobian:
