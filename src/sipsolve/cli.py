@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -98,9 +99,21 @@ def _iterations(result: RunResult) -> int:
     return result.final.k if result.history else 0
 
 
+def _finite_or_null(doc):
+    """``doc`` with each non-finite float, at any depth of its dicts and
+    lists, replaced by None (JSON null): strict JSON has no inf or nan."""
+    if isinstance(doc, dict):
+        return {key: _finite_or_null(v) for key, v in doc.items()}
+    if isinstance(doc, list):
+        return [_finite_or_null(v) for v in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return None
+    return doc
+
+
 def _summarize(result: RunResult) -> dict:
     final = result.final if result.history else None
-    return {
+    return _finite_or_null({
         "algorithm": result.algorithm,
         "final_status": result.final_status,
         "iterations": _iterations(result),
@@ -114,7 +127,7 @@ def _summarize(result: RunResult) -> dict:
         "n_discretization_points": result.final_discretization.total_points(),
         "estimated_order": _order_estimate(result),
         "warnings": list(result.warnings),
-    }
+    })
 
 
 def _print_history(result: RunResult) -> None:
@@ -182,7 +195,8 @@ def cmd_run(args) -> int:
             }
         path = Path(args.summary)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
         print(f"wrote {path}")
 
     if any(results[a].final_status == "subsolver_failure" for a in algorithms):

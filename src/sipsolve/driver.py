@@ -12,7 +12,10 @@ Two drivers share one iteration skeleton:
   the master.  The linearizations are rebuilt from scratch each iteration;
   stale ones are dropped.
 
-Each master is solved once, from the current iterate.  A converged master
+Each master row block of a semi-infinite family evaluates its values and
+x-gradients with one ``value_and_gradient_batch`` call of g_i over the
+family's points (``_family_rows``).  Each master is solved once, from the
+current iterate.  A converged master
 is checked for negative curvature of its Lagrangian on the critical cone
 (the second-order necessary condition); when the check finds some, the
 master steps along it and is solved again from there (``_solve_master``).
@@ -198,14 +201,16 @@ def check_termination(history, opts: DriverOptions) -> Optional[str]:
 
 
 def _family_rows(g: ScalarField, n: int, points) -> tuple:
-    """Row block x -> g(x, y_j) over one family's points: one ``value_batch``
-    for the values, one ``gradient_batch`` sliced to x for the Jacobian, and
-    per-point Hessians sliced to x for the points with a nonzero weight."""
+    """Row block x -> g(x, y_j) over one family's points: one
+    ``value_and_gradient_batch`` for the values and the Jacobian (its
+    gradients sliced to x), and per-point Hessians sliced to x for the
+    points with a nonzero weight."""
     z = np.hstack([np.zeros((len(points), n)), np.array(points)])  # x refilled per call
 
     def evaluate(x):
         z[:, :n] = x
-        return g.value_batch(z), g.gradient_batch(z)[:, :n]
+        values, grads = g.value_and_gradient_batch(z)
+        return values, grads[:, :n]
 
     def hessian(x, w):
         z[:, :n] = x

@@ -12,8 +12,10 @@ to rounding.  :func:`compile_functions` turns an expression and its
 derivative tables into Python functions once; the generated source is built
 from the AST alone (numbers by ``repr``, the names ``x1..xn`` / ``y1..ym``,
 the four operators, constant powers and the whitelisted numpy functions).
-Their ``gradient_batch`` evaluates the gradient at every row of an array in
-one call, with the bits of the pointwise gradient row by row.
+Their ``value_and_gradient_batch`` evaluates the value and the gradient at
+every row of an array in one call: the values with the bits of
+``value_batch``, the gradients with those of the pointwise gradient row by
+row.
 :func:`eval_value` and :func:`eval_taylor2` walk the AST instead; they are
 the reference that the compiled functions must match bit for bit.
 """
@@ -432,22 +434,41 @@ _GLOBALS = {"np": np, "DomainError": DomainError, "inf": math.inf,
             "nan": math.nan}
 
 
+def _has_power(node: Expression, memo: dict) -> bool:
+    """Whether ``node`` holds a power other than ``^0.5`` (``memo`` by id)."""
+    key = id(node)
+    if key not in memo:
+        if isinstance(node, (Num, Var)):
+            memo[key] = False
+        elif isinstance(node, (Neg, Call)):
+            memo[key] = _has_power(node.arg, memo)
+        else:
+            memo[key] = ((node.op == "^" and node.right.value != 0.5)
+                         or _has_power(node.left, memo)
+                         or _has_power(node.right, memo))
+    return memo[key]
+
+
 def _function(name: str, keys: list, expr: Expression, table, guard: bool,
               batch: bool) -> str:
     """Source of one function of a point ``z``, or with ``batch`` of the
-    rows of an ``(N, d)`` array ``Z``: the value of ``expr``, or ``table``
-    filled after its domain checks as :func:`eval_taylor2` does.  Each AST
-    node gets its own assignment, so no nesting limit of the Python parser
-    applies, and a node object the tables share is computed once.  A binary
-    operation without variables is folded to its :func:`eval_value`.
+    rows of an ``(N, d)`` array ``Z``: the value of ``expr`` when ``expr``
+    is given, ``table`` filled after its domain checks as
+    :func:`eval_taylor2` does when ``table`` is given, and ``(value,
+    table)`` when both are.  Each AST node gets its own assignment, so no
+    nesting limit of the Python parser applies, and a node object that the
+    value and the tables share is computed once.  A binary operation
+    without variables is folded to its :func:`eval_value`.
 
-    A batch table gives each row the bits of the pointwise function: its
-    powers are ``np.float_power``, the libm ``pow`` that a float64 scalar's
-    ``**`` calls (an array's ``**`` may round otherwise), and when a domain
-    check fails on any row the rows go one by one through the pointwise
-    function, which raises that function's error."""
-    lines, names, used = [], {}, {}
-    exact_powers = batch and table is not None
+    A batch value has the bits of an array's ``**``.  A batch table gives
+    each row the bits of the pointwise function: its powers are
+    ``np.float_power``, the libm ``pow`` that a float64 scalar's ``**``
+    calls (an array's ``**`` may round otherwise), so a node that holds a
+    power is computed once for the value and once for the table; and when
+    a domain check fails on any row the rows go one by one through the
+    pointwise ``gradient``, which raises that function's error."""
+    lines, names, used, powers = [], {}, {}, {}
+    exact_powers = False    # set for the table of a batch function
 
     def operand(node) -> str:
         if isinstance(node, Num) and isinstance(node.value, float):
@@ -456,8 +477,9 @@ def _function(name: str, keys: list, expr: Expression, table, guard: bool,
         if isinstance(node, Var) and node.kind in ("x", "y") and type(node.index) is int:
             used[f"{node.kind}{node.index}"] = keys.index((node.kind, node.index))
             return f"{node.kind}{node.index}"
-        if id(node) in names:
-            return names[id(node)][0]
+        key = (id(node), exact_powers and _has_power(node, powers))
+        if key in names:
+            return names[key][0]
         if isinstance(node, Bin) and not variables(node):
             # Python's float arithmetic raises on two literals (2.0 / 0.0,
             # 1e300 ** 2.0); numpy's, which eval_value uses, gives inf or nan
@@ -476,15 +498,18 @@ def _function(name: str, keys: list, expr: Expression, table, guard: bool,
             text = f"{operand(node.left)} {op} {operand(node.right)}"
         else:
             raise ValueError(f"not an expression node: {node!r}")
-        names[id(node)] = (f"t{len(names)}", node)     # the node stays alive
-        lines.append(f"{names[id(node)][0]} = {text}")
-        return names[id(node)][0]
+        names[key] = (f"t{len(names)}", node)     # the node stays alive
+        lines.append(f"{names[key][0]} = {text}")
+        return names[key][0]
 
-    if table is None:
-        result = operand(expr)
-        if batch and not used:
-            result = f"np.full(len(Z), {result})"
-    else:
+    results = []
+    if expr is not None:
+        value = operand(expr)
+        if batch and not variables(expr):
+            value = f"np.full(len(Z), {value})"
+        results.append(value)
+    if table is not None:
+        exact_powers = batch
         shape, entries, checks = table
         for check, op in checks:
             v = operand(check)
@@ -494,19 +519,19 @@ def _function(name: str, keys: list, expr: Expression, table, guard: bool,
                           else f"    raise DomainError('{op} of a nonpositive value')"]
             else:   # a check without variables is one float for all rows
                 fails = f"{v} == 0.0" if op == "/" else f"{v} <= 0.0"
-                pointwise = f"{name.removesuffix('_batch')}(z) for z in Z"
+                pointwise = f"np.array([gradient(z) for z in Z]).reshape(len(Z), *{shape!r})"
                 lines += [f"if ({fails}).any():" if variables(check) else f"if {fails}:",
-                          f"    return np.array([{pointwise}]).reshape(len(Z), *{shape!r})"]
+                          f"    return {', '.join(results + [pointwise])}"]
         lines.append(f"out = np.zeros((len(Z), *{shape!r}))" if batch
                      else f"out = np.zeros({shape!r})")
         for positions, e in entries:
             targets = [f"out[{':, ' * batch}{pos!r}]" for pos in positions]
             lines.append(" = ".join(targets + [operand(e)]))
-        result = "out"
+        results.append("out")
     column = "[:, {}]" if batch else "[{}]"
     arg = "Z" if batch else "z"
     body = [f"{v} = {arg}{column.format(i)}" for v, i in used.items()]
-    body += lines + [f"return {result}"]
+    body += lines + [f"return {', '.join(results)}"]
     if guard:
         body = (["with np.errstate(divide='ignore', invalid='ignore'):"]
                 + ["    " + b for b in body])
@@ -514,23 +539,27 @@ def _function(name: str, keys: list, expr: Expression, table, guard: bool,
 
 
 def compile_functions(expr: Expression, keys: list, label: str = "field"):
-    """``(value, gradient, hessian, value_batch, gradient_batch)`` of
-    ``expr`` over the variables ``keys`` (``z[i]`` holds ``keys[i]``):
+    """``(value, gradient, hessian, value_batch, value_and_gradient_batch)``
+    of ``expr`` over the variables ``keys`` (``z[i]`` holds ``keys[i]``):
     Python functions that give the same floats as :func:`eval_value` and
     :func:`eval_taylor2` on the tables of :func:`derivative_tables`, and
     raise :class:`DomainError` where that does.  The batch functions take
-    an ``(N, len(keys))`` array; ``gradient_batch`` gives row k the bits
-    of ``gradient`` at row k, and raises where that does on some row.
+    an ``(N, len(keys))`` array.  ``value_and_gradient_batch`` returns
+    ``value_batch``'s values (the bits of an array's ``**``, which may
+    differ from ``value``'s in the last bit where ``expr`` has an integer
+    power) and the ``(N, len(keys))`` gradients, row k with the bits of
+    ``gradient`` at row k; it raises where ``gradient`` does on some row.
     Only an expression with a log, sqrt, ``^0.5`` or division is evaluated
     under ``np.errstate`` (1.3 us a call with numpy 2.4 on a 2-vCPU x86-64
     host)."""
     grad, hess = derivative_tables(expr, keys)
     guard = bool(grad[2])
-    functions = (("value", None, False), ("gradient", grad, False),
-                 ("hessian", hess, False), ("value_batch", None, True),
-                 ("gradient_batch", grad, True))
-    source = "\n".join(_function(name, keys, expr, table, guard, batch)
-                       for name, table, batch in functions)
+    functions = (("value", expr, None, False), ("gradient", None, grad, False),
+                 ("hessian", None, hess, False),
+                 ("value_batch", expr, None, True),
+                 ("value_and_gradient_batch", expr, grad, True))
+    source = "\n".join(_function(name, keys, value, table, guard, batch)
+                       for name, value, table, batch in functions)
     namespace = dict(_GLOBALS)
     exec(compile(source, f"<{label}>", "exec"), namespace)
-    return tuple(namespace[name] for name, _, _ in functions)
+    return tuple(namespace[name] for name, _, _, _ in functions)

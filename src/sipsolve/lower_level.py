@@ -1,9 +1,9 @@
 """Global solution of the lower-level problems max_y g_i(x, y) over Y.
 
 Y = {y in box : v(y) <= 0}.  ``FamilyProblem`` poses family i's problem at
-x, the local runs' NLP over exactly the grid's box included, and evaluates
-g_i(x, .) with one call of g_i; every path reads Y's one membership and
-active-set rule, ``index_set_rule``.
+x, the local runs' NLP over exactly the grid's box included (posed on
+first use), and evaluates g_i(x, .) with one call of g_i; every path reads
+Y's one membership and active-set rule, ``index_set_rule``.
 
 Strategy: evaluate g_i on a uniform grid over the box, refine the best
 nodes in Y with the local SQP solver, then polish each local solution with
@@ -59,25 +59,28 @@ still dominates the grid.
 The box is ``model.index_set_box``: ``y_bounds`` when declared, else read
 off interval-bound index constraints; without either, the first solve
 raises ``LowerLevelError``.  The box and the grid nodes in Y depend on the
-problem only (``index_grid``); the drivers build them once per run.  At each
-x, ``solve_all_lower_levels`` fills one array of the points (x, y), y the
-grid nodes, and every family reads its grid values off it with one
-``value_batch`` of g_i.
+problem only (``index_grid``); the drivers build them once per run, and the
+grid keeps one array of the points (x, y), y the nodes, built with its y
+columns on first use (``IndexGrid.points_at``).  At each x,
+``solve_all_lower_levels`` writes x into that array, and every family reads
+its grid values off it with one ``value_batch`` of g_i.  A family poses the
+local runs' NLP only when a start runs, and the winning record, made in
+this solve, is given the distinct maxima and the tie flag in place.
 
 Deterministic by construction: fixed grid order, ties broken toward the
 lexicographically smallest maximizer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
 from .model import ScalarField, SipProblem, index_set_box
-from .nlp import (NlpProblem, field_rows, norm, null_space, solve_linear,
-                  solve_nlp, svd_null_space)
+from .nlp import (NlpProblem, eigvalsh, field_rows, norm, null_space,
+                  solve_linear, solve_nlp, svd, svd_null_space)
 
 Array = np.ndarray
 
@@ -138,6 +141,20 @@ class IndexGrid:
     box: Array
     nodes: Array
     step: Array
+    _points: Optional[Array] = field(default=None, init=False, repr=False,
+                                     compare=False)
+
+    def points_at(self, x: Array) -> Array:
+        """The (N, n + m) array of the points (x, y), y the nodes: one
+        array per grid, built with its y columns on the first call, whose
+        x columns each call rewrites; it holds the last call's x."""
+        points = self._points
+        if points is None or points.shape[1] != len(x) + self.nodes.shape[1]:
+            points = _at_x(x, self.nodes)
+            object.__setattr__(self, "_points", points)
+        else:
+            points[:, :len(x)] = x
+        return points
 
 
 def index_set_rule(vs, box: Array, y: Array):
@@ -178,28 +195,33 @@ class FamilyProblem:
     """Family i's lower-level problem at x: maximize g_i(x, .) over
     Y = {y in box : v(y) <= 0}.  ``value``/``values`` give g_i(x, .) at a
     point or at the rows of an array, one call of g_i each.  ``nlp`` poses
-    the problem for the local runs: minimize -g_i(x, .) over the box s.t.
-    v(y) <= 0, one call of g_i per evaluation.  ``rule`` is
+    the problem for the local runs, on first use: minimize -g_i(x, .) over
+    the box s.t. v(y) <= 0, one call of g_i per evaluation.  ``rule`` is
     ``index_set_rule`` over the box."""
 
     def __init__(self, problem: SipProblem, i: int, x: Array, box: Array):
-        n, m, g = problem.n, problem.m, problem.si_constraints[i]
-        self.problem, self.i, self.x = problem, i, x
+        g = problem.si_constraints[i]
+        self.problem, self.i, self.x, self.box = problem, i, x, box
 
         def value(y):
             return g.value(np.concatenate([x, y]))
 
         def values(ys):
             return g.value_batch(_at_x(x, ys))
+        self.value, self.values = value, values
+        self.rule = partial(index_set_rule, problem.index_constraints, box)
+
+    @cached_property
+    def nlp(self) -> NlpProblem:
+        n, m, x = self.problem.n, self.problem.m, self.x
+        g, value, values = self.problem.si_constraints[self.i], self.value, self.values
         objective = ScalarField(
             m, lambda y: -value(y),
             lambda y: -g.gradient(np.concatenate([x, y]))[n:],
             lambda y: -g.hessian(np.concatenate([x, y]))[n:, n:],
             lambda ys: -values(ys))
-        self.nlp = NlpProblem(m, objective, field_rows(problem.index_constraints),
-                              box[:, 0], box[:, 1])
-        self.value, self.values = value, values
-        self.rule = partial(index_set_rule, problem.index_constraints, box)
+        return NlpProblem(m, objective, field_rows(self.problem.index_constraints),
+                          self.box[:, 0], self.box[:, 1])
 
 
 def _at_x(x: Array, ys: Array) -> Array:
@@ -309,26 +331,28 @@ def _regularity(kkt_matrix: Array, mu_a: Array,
     (at most 6 in relative terms on 36,000 random matrices of 1-3 rows and
     condition up to 1e15, numpy 2.4), so LICQ reads job 'N' values only
     within ``_LICQ_RECHECK`` of the cutoff, where that difference decides.
+    The factorizations are ``nlp.svd`` and ``nlp.eigvalsh``, which give nan
+    where LAPACK does not converge: a nan matrix fails LICQ and SOSC.
     """
     m = len(kkt_matrix) - len(mu_a)
     va = kkt_matrix[m:, :m]
     strong = mu_a > _STRICT_COMP_TOL
-    if strong.all():
-        svals, null_basis = svd_null_space(va, m)
-        if abs(svals.min(initial=np.inf) - _LICQ_SVD_CUTOFF) \
-                <= _LICQ_RECHECK * _LICQ_SVD_CUTOFF:
-            svals = np.linalg.svd(va, compute_uv=False)
-    else:
-        svals = np.linalg.svd(va, compute_uv=False)
-        null_basis = null_space(va[strong], m)
+    with np.errstate(all="ignore"):     # for svd and eigvalsh
+        if strong.all():
+            svals, null_basis = svd_null_space(va, m)
+            if abs(svals.min(initial=np.inf) - _LICQ_SVD_CUTOFF) \
+                    <= _LICQ_RECHECK * _LICQ_SVD_CUTOFF:
+                svals = svd(va, compute_uv=False)
+        else:
+            svals = svd(va, compute_uv=False)
+            null_basis = null_space(va[strong], m)
+        projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
+        # LAPACK's syevd returns a 1 x 1 matrix's entry as its eigenvalue
+        lowest = (eigvalsh(projected)[0] if len(projected) > 1
+                  else projected[0, 0] if len(projected) else np.inf)
     licq = bool(len(mu_a) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
     strict = bool((mu_a >= _STRICT_COMP_TOL).all())
-    projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
-    if len(projected) > 1:
-        sosc = bool(np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
-    else:   # LAPACK's syevd returns a 1 x 1 matrix's entry as its eigenvalue
-        sosc = bool(not len(projected)
-                    or projected[0, 0] >= _SOSC_EIG_CUTOFF)
+    sosc = bool(lowest >= _SOSC_EIG_CUTOFF)
     return RegularityFlags(kkt_point, licq, strict, sosc)
 
 
@@ -429,8 +453,9 @@ def solve_lower_level_global(
     x = np.array(x, dtype=float)
     if grid is None:
         grid = index_grid(problem)
-    family = FamilyProblem(problem, i, x, grid.box)
-    return _solve_family(family, grid, family.values(grid.nodes), previous)
+    return _solve_family(FamilyProblem(problem, i, x, grid.box), grid,
+                         problem.si_constraints[i].value_batch(grid.points_at(x)),
+                         previous)
 
 
 def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
@@ -504,9 +529,10 @@ def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
             f"lower level {i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
     tied = [c for c in clusters if c.value >= best_value - tie_tol]
-    return replace(min(tied, key=lambda c: tuple(c.y)),
-                   local_maxima=[(c.y, c.value) for c in clusters],
-                   multiple_global=len(tied) > 1)
+    best = min(tied, key=lambda c: tuple(c.y))     # a record of this call
+    best.local_maxima = [(c.y, c.value) for c in clusters]
+    best.multiple_global = len(tied) > 1
+    return best
 
 
 def solve_all_lower_levels(problem: SipProblem, x,
@@ -514,12 +540,12 @@ def solve_all_lower_levels(problem: SipProblem, x,
                            previous: Optional[list] = None) -> list:
     """One global lower-level solve per semi-infinite constraint;
     ``previous`` is the list this returned at an earlier x, if any.  The
-    families read their grid values off one array of the points (x, y),
-    y the grid nodes."""
+    families read their grid values off the grid's one array of the
+    points (x, y), y the grid nodes (``IndexGrid.points_at``)."""
     x = np.array(x, dtype=float)
     if grid is None:
         grid = index_grid(problem)
-    points = _at_x(x, grid.nodes)
+    points = grid.points_at(x)
     return [_solve_family(FamilyProblem(problem, i, x, grid.box), grid,
                           g.value_batch(points),
                           previous[i] if previous else None)

@@ -9,7 +9,10 @@ All functions are carried as :class:`ScalarField` objects: plain callables
 bundled with their exact gradient and Hessian.  Every field of a problem
 must supply a Hessian: the lower level and its sensitivities need those of
 ``g_i`` and ``v_l``, and the master's second-order check those of the
-objective and the finite constraints ``c_j`` as well.
+objective and the finite constraints ``c_j`` as well.  A field may also
+carry batch evaluations over the rows of an array: ``value_batch``, and
+``value_and_gradient_batch``, the values and gradients of one call, which
+the master's row blocks evaluate.
 """
 from __future__ import annotations
 
@@ -50,25 +53,27 @@ class ScalarField:
         field of a :class:`SipProblem` needs one (see
         :func:`validate_problem`); a field without one raises
         :class:`FieldEvaluationError` when its Hessian is asked for.
-    value_batch, gradient_batch:
+    value_batch, value_and_gradient_batch:
         Optional vectorized evaluations of an ``(N, arity)`` array of
-        points: the ``N`` values, and the ``(N, arity)`` gradients with row
-        k that of ``gradient`` at row k.  A row-by-row fallback is used when
-        one is absent.
+        points: the ``N`` values, and ``(values, gradients)`` in one call,
+        the ``(N, arity)`` gradients with row k that of ``gradient`` at row
+        k.  Without ``value_batch`` the values are taken row by row;
+        without ``value_and_gradient_batch``, from ``value_batch`` and
+        ``gradient`` row by row.
     """
 
     __slots__ = ("arity", "name", "_value", "_gradient", "_hessian", "_batch",
-                 "_gradient_batch")
+                 "_value_and_gradient_batch")
 
     def __init__(self, arity, value, gradient, hessian=None, value_batch=None,
-                 name="", gradient_batch=None):
+                 name="", value_and_gradient_batch=None):
         self.arity = int(arity)
         self.name = name
         self._value = value
         self._gradient = gradient
         self._hessian = hessian
         self._batch = value_batch
-        self._gradient_batch = gradient_batch
+        self._value_and_gradient_batch = value_and_gradient_batch
 
     def __repr__(self):  # pragma: no cover - debugging aid
         label = self.name or "<anonymous>"
@@ -117,19 +122,23 @@ class ScalarField:
             return out.reshape(points.shape[0])
         return np.array([self._value(row) for row in points], dtype=float)
 
-    def gradient_batch(self, points) -> Array:
-        """Gradients at every row of an ``(N, arity)`` array, one per row;
-        without a batch function, ``gradient`` row by row."""
+    def value_and_gradient_batch(self, points) -> tuple:
+        """``(values, gradients)`` at every row of an ``(N, arity)`` array:
+        the ``N`` values of ``value_batch`` and one gradient per row, from
+        one call of the field's own batch; without one, ``value_batch``
+        and then ``gradient`` row by row."""
         points = self._as_points(points)
-        if self._gradient_batch is None:
-            return np.array([self.gradient(row) for row in points],
-                            dtype=float).reshape(points.shape)
-        out = np.asarray(self._gradient_batch(points), dtype=float)
-        if out.shape != points.shape:
+        if self._value_and_gradient_batch is None:
+            return self.value_batch(points), np.array(
+                [self.gradient(row) for row in points],
+                dtype=float).reshape(points.shape)
+        values, grads = self._value_and_gradient_batch(points)
+        grads = np.asarray(grads, dtype=float)
+        if grads.shape != points.shape:
             raise FieldEvaluationError(
-                f"gradient_batch of {self.name or 'field'} has shape "
-                f"{out.shape}, expected {points.shape}")
-        return out
+                f"value_and_gradient_batch of {self.name or 'field'} gives "
+                f"gradients of shape {grads.shape}, expected {points.shape}")
+        return np.asarray(values, dtype=float).reshape(points.shape[0]), grads
 
 
 @dataclass(frozen=True)

@@ -45,10 +45,12 @@ wrappers (size 1, numpy 2.4, 2-vCPU x86-64 Xeon), plus 1.2 us for the
 error state their callers set.  Where LAPACK does not converge (an all-nan
 matrix of size 3 or more) a wrapper raises ``LinAlgError`` and the gufunc
 returns nan: the SQP then resets its matrix to the identity, and
-``negative_curvature`` finds no direction.  ``np.linalg.svd`` keeps its
-wrapper (``svd_null_space``, which gives the lower level's LICQ test its
-singular values too): its gufuncs are named differently in numpy 1.x and
-2.x.  A QP's rows are stacked with one ``np.concatenate`` and its step
+``negative_curvature`` finds no direction.  ``svd`` does the same for
+``np.linalg.svd`` (``svd_null_space``, and the lower level's LICQ test):
+the LAPACK ``gesdd`` gufuncs ``svd_f`` and ``svd`` where numpy 2 has them,
+same bits, 2.9 against 8.3 us a call for 1-3 rows; numpy 1.x names them
+otherwise, and there the wrapper runs, its ``LinAlgError`` turned into
+nan.  A QP's rows are stacked with one ``np.concatenate`` and its step
 clipped to the bounds with the array's own ``clip``, the call ``np.clip``
 forwards to.
 
@@ -199,6 +201,30 @@ def eigh(a: Array) -> tuple:
     """``np.linalg.eigh(a)`` as ``(eigenvalues, eigenvectors)``, on the
     terms of ``eigvalsh``."""
     return _umath_linalg.eigh_lo(a, signature="d->dd")
+
+
+# numpy 2's SVD gufuncs, full matrices (LAPACK job 'A') and values only
+# (job 'N'); numpy 1.x names its own by the matrix's shape
+_SVD_F = getattr(_umath_linalg, "svd_f", None)
+_SVD_N = getattr(_umath_linalg, "svd", None)
+
+
+def svd(a: Array, compute_uv: bool = True):
+    """``np.linalg.svd(a, compute_uv=compute_uv)`` of a float matrix:
+    ``(u, s, vt)``, full matrices, or ``s``.  The LAPACK gufunc that wrapper
+    runs, so the same bits, but nan where it raises ``LinAlgError`` (no
+    convergence, as for an all-nan matrix).  Call it under
+    ``np.errstate(all="ignore")``: that failure sets numpy's invalid flag."""
+    if _SVD_F is not None:
+        return (_SVD_F(a, signature="d->ddd") if compute_uv
+                else _SVD_N(a, signature="d->d"))
+    try:
+        return np.linalg.svd(a, compute_uv=compute_uv)
+    except np.linalg.LinAlgError:
+        rows, cols = a.shape
+        s = np.full(min(rows, cols), np.nan)
+        return ((np.full((rows, rows), np.nan), s, np.full((cols, cols), np.nan))
+                if compute_uv else s)
 
 
 def norm(v: Array) -> float:
@@ -625,11 +651,12 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 
 def svd_null_space(A: Array, d: int) -> tuple:
     """A's singular values, largest first, and orthonormal columns spanning
-    {u : A u = 0}, from one full SVD; singular values at most _SOC_TOL of
-    the largest count as zero."""
+    {u : A u = 0}, from one full ``svd``; singular values at most _SOC_TOL
+    of the largest count as zero.  Call it under ``np.errstate(all=
+    "ignore")``; a nan A gives nan values and nan columns."""
     if not len(A):
         return np.zeros(0), np.eye(d)
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = svd(A)
     return s, vt[int((s > _SOC_TOL * s[0]).sum()):].T
 
 
@@ -672,7 +699,8 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     active = values >= -_SOC_TOL
     weakly = mults <= _SOC_TOL * (1.0 + mults.max(initial=0.0))
     strong = normals[active & ~weakly]
-    Z = null_space(strong, d)
+    with np.errstate(all="ignore"):     # for svd
+        Z = null_space(strong, d)
     if not Z.shape[1]:
         return None
     H = H + problem.constraints.hessian(z, sol.multipliers)
@@ -680,7 +708,7 @@ def negative_curvature(problem: NlpProblem, sol: NlpSolution):
     inside = _SOC_TOL * np.linalg.norm(weak, axis=1)
     threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
 
-    with np.errstate(all="ignore"):     # for eigvalsh and eigh
+    with np.errstate(all="ignore"):     # for svd, eigvalsh and eigh
         # a face is a subspace of the strongly active null space: without
         # negative curvature there, no face has any
         if not eigvalsh(Z.T @ H @ Z)[0] < threshold:

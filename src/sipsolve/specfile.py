@@ -204,9 +204,9 @@ def _compile_field(ast: Expression, n: int, m: int, layout: str, name: str) -> S
     xs = [("x", i + 1) for i in range(n)]
     ys = [("y", j + 1) for j in range(m)]
     keys = {"xy": xs + ys, "x": xs, "y": ys}[layout]
-    value, gradient, hessian, batch, gradient_batch = compile_functions(ast, keys, name)
+    value, gradient, hessian, batch, fused = compile_functions(ast, keys, name)
     return ScalarField(len(keys), value, gradient, hessian, batch, name=name,
-                       gradient_batch=gradient_batch)
+                       value_and_gradient_batch=fused)
 
 
 def compile_spec(spec: ProblemSpecFile) -> SipProblem:

@@ -547,12 +547,20 @@ def reference_restricted_batch(field, n, x, Y):
 # Lagrangian Hessian before it factors the strongly active rows; the
 # versions in src must match them bit for bit
 
+def reference_null_space(A, d):
+    """``nlp.null_space`` through ``np.linalg.svd``'s wrapper."""
+    from sipsolve.nlp import _SOC_TOL
+    if not len(A):
+        return np.eye(d)
+    _, s, vt = np.linalg.svd(A)
+    return vt[int((s > _SOC_TOL * s[0]).sum()):].T
+
+
 def reference_regularity(kkt_matrix, mu_a, kkt_point):
-    """``lower_level._regularity`` with ``svd(va, compute_uv=False)`` for
-    LICQ and ``null_space`` for SOSC."""
+    """``lower_level._regularity`` with ``np.linalg.svd(va,
+    compute_uv=False)`` for LICQ and ``reference_null_space`` for SOSC."""
     from sipsolve.lower_level import (_LICQ_SVD_CUTOFF, _SOSC_EIG_CUTOFF,
                                       _STRICT_COMP_TOL, RegularityFlags)
-    from sipsolve.nlp import null_space
     m = len(kkt_matrix) - len(mu_a)
     va = kkt_matrix[m:, :m]
     licq = True
@@ -560,7 +568,7 @@ def reference_regularity(kkt_matrix, mu_a, kkt_point):
         svals = np.linalg.svd(va, compute_uv=False)
         licq = bool(len(mu_a) <= m and svals.min(initial=np.inf) >= _LICQ_SVD_CUTOFF)
     strict = bool((mu_a >= _STRICT_COMP_TOL).all())
-    null_basis = null_space(va[mu_a > _STRICT_COMP_TOL], m)
+    null_basis = reference_null_space(va[mu_a > _STRICT_COMP_TOL], m)
     projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
     if len(projected) > 1:
         sosc = bool(np.linalg.eigvalsh(projected)[0] >= _SOSC_EIG_CUTOFF)
@@ -574,7 +582,7 @@ def reference_negative_curvature(problem, sol):
     the threshold built before the strongly active null space."""
     import itertools
 
-    from sipsolve.nlp import _SOC_TOL, eigh, eigvalsh, null_space
+    from sipsolve.nlp import _SOC_TOL, eigh, eigvalsh
     z, d = sol.z, problem.dim
     cvals, jac = sol.constraint_values, sol.constraint_jacobian
     H = problem.objective.hessian(z) + problem.constraints.hessian(z, sol.multipliers)
@@ -588,14 +596,14 @@ def reference_negative_curvature(problem, sol):
     strong, weak = normals[active & ~weakly], normals[active & weakly]
     inside = _SOC_TOL * np.linalg.norm(weak, axis=1)
     threshold = -_SOC_TOL * max(1.0, float(np.abs(H).max()))
-    Z = null_space(strong, d)
+    Z = reference_null_space(strong, d)
     with np.errstate(all="ignore"):
         if not Z.shape[1] or not eigvalsh(Z.T @ H @ Z)[0] < threshold:
             return None
         best = None
         for size in range(min(len(weak), Z.shape[1]) + 1):
             for face in itertools.combinations(range(len(weak)), size):
-                Zf = null_space(np.vstack([strong, weak[list(face)]]), d)
+                Zf = reference_null_space(np.vstack([strong, weak[list(face)]]), d)
                 if not Zf.shape[1]:
                     continue
                 eigvals, eigvecs = eigh(Zf.T @ H @ Zf)

@@ -231,7 +231,23 @@ class TestRun:
             assert last["k"] == "1"
             assert [last[c] for c in ("stationarity_residual", "beta_norm",
                                       "alpha_max")] == ["inf"] * 3
-            assert runs[alg]["final"]["stationarity_residual"] == np.inf
+            # strict JSON has no inf: the summary writes null
+            assert runs[alg]["final"]["stationarity_residual"] is None
+
+    def test_summary_is_strict_json(self, tmp_path, capsys):
+        # the final stationarity residual is inf (its gradient raises):
+        # json.dumps would write Infinity, which a strict parser rejects
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        summary = tmp_path / "s.json"
+        assert main(["run", "--spec", str(GRADIENT_FAILS), "--mode", "known",
+                     "--summary", str(summary)]) == 0
+        capsys.readouterr()
+        doc = json.loads(summary.read_text(), parse_constant=reject)
+        final = doc["runs"]["qcad"]["final"]
+        assert final["stationarity_residual"] is None
+        assert final["x"] == [0.0, 1.0] and final["feasibility"] == 0.0
 
     def test_half_power_of_negative_constant_ends_in_subsolver_failure(
             self, tmp_path, capsys):

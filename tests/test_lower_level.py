@@ -803,6 +803,73 @@ class TestRegularity:
         assert not flags.strict_complementarity
 
 
+    @pytest.mark.parametrize("m, mu_a", [(2, [1.0]), (2, [0.0]),
+                                         (3, [1.0, 2.0]), (3, [1e-7])])
+    def test_nan_matrix_fails_licq_and_sosc_without_raising(self, m, mu_a):
+        # LAPACK does not converge on an all-nan matrix: numpy's svd raises
+        # (and from size 3 its eigvalsh), nlp's gufunc calls give nan
+        kkt = np.full((m + len(mu_a), m + len(mu_a)), np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            flags = lower_level._regularity(kkt, np.array(mu_a), True)
+        assert not flags.licq and not flags.sosc
+        assert flags.kkt_point
+
+
+class TestKeptGridArray:
+    """The grid keeps one (N, n + m) array of the points (x, y) for the
+    run, and each solve rewrites only its x columns."""
+
+    def test_revisited_x_gives_its_records_bit_for_bit(self):
+        for name in ("example1", "example2", "design_centering"):
+            problem = get_problem(name)
+            grid = lower_level.index_grid(problem)
+            x1 = np.asarray(problem.start, dtype=float)
+            x2 = np.asarray(problem.known_solution, dtype=float)
+            first = solve_all_lower_levels(problem, x1, grid)
+            points = grid.points_at(x1)
+            solve_all_lower_levels(problem, x2, grid)
+            assert grid.points_at(x2) is points
+            again = solve_all_lower_levels(problem, x1, grid)
+            fresh = solve_all_lower_levels(problem, x1)
+            for sols in (again, fresh):
+                assert [_record_bytes(s) for s in sols] == \
+                    [_record_bytes(s) for s in first]
+
+    def test_array_holds_the_nodes_and_the_last_x(self, dc):
+        grid = lower_level.index_grid(dc)
+        for x in (np.arange(5.0), np.full(5, -0.5), np.arange(5.0)):
+            points = grid.points_at(x)
+            assert points.tobytes() == np.hstack(
+                [np.tile(x, (len(grid.nodes), 1)), grid.nodes]).tobytes()
+
+    def test_family_poses_its_local_nlp_only_when_a_start_runs(
+            self, dc, local_runs, monkeypatch):
+        posed = []
+        nlp_problem = lower_level.NlpProblem
+
+        def counted(*args, **kwargs):
+            posed.append(1)
+            return nlp_problem(*args, **kwargs)
+
+        monkeypatch.setattr(lower_level, "NlpProblem", counted)
+        result = run_blankenship_falk(
+            dc, opts=DriverOptions(mode="known", tol_dist=1e-4))
+        assert result.final_status == "tolerance_met"
+        # one NLP per family that runs a start, at the first iterate only
+        assert 0 < len(posed) <= len(local_runs)
+        assert len(posed) <= dc.n_si
+
+
+def _record_bytes(sol):
+    """What a lower-level record holds, its arrays as bytes."""
+    return (sol.index, sol.value, sol.active_set, sol.regularity,
+            sol.multiple_global, sol.x.tobytes(), sol.y.tobytes(),
+            sol.multipliers.tobytes(), sol.kkt_matrix.tobytes(),
+            sol.d2_yx.tobytes(),
+            [(y.tobytes(), v) for y, v in sol.local_maxima])
+
+
 class TestIndexSetBox:
     def test_interval_recognized_exactly(self, ex1):
         box = index_set_box(ex1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sipsolve.driver import _family_rows
-from sipsolve.expressions import parse_expression
+from sipsolve.expressions import DomainError, parse_expression
 from sipsolve.model import (FieldEvaluationError, ScalarField, SipProblem,
                             validate_problem, verify_derivatives)
 from sipsolve.problems import get_problem
@@ -71,16 +71,19 @@ def _rowwise_or_raised(call, points):
 
 
 def _assert_batch_is_rowwise(field, points):
-    """``gradient_batch`` gives the stacked per-row gradients bit for bit,
-    or the exception and message of the first row that raises."""
+    """``value_and_gradient_batch`` gives ``value_batch``'s values and the
+    stacked per-row gradients, bit for bit, or the exception and message
+    of the first row whose gradient raises."""
     want = _rowwise_or_raised(
         lambda pts: np.array([field.gradient(z) for z in pts]), points)
-    got = _rowwise_or_raised(field.gradient_batch, points)
+    got = _rowwise_or_raised(field.value_and_gradient_batch, points)
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert got.shape == points.shape
-        assert got.tobytes() == want.tobytes()
+        values, grads = got
+        assert values.tobytes() == field.value_batch(points).tobytes()
+        assert grads.shape == points.shape
+        assert grads.tobytes() == want.tobytes()
 
 
 # spec expressions over (x1, x2, y1): each domain check of the grammar, a
@@ -93,6 +96,9 @@ _DOMAIN_SPECS = ["log(x1) + y1/x1", "sqrt(x1*x2) - y1^0.5",
 
 
 class TestGradientBatch:
+    """The fused ``value_and_gradient_batch``, which the master's row
+    blocks call once per evaluation."""
+
     @staticmethod
     def _points(rng, arity):
         inside = np.abs(rng.normal(size=(40, arity))) + 0.1
@@ -106,12 +112,14 @@ class TestGradientBatch:
                 yield outside
 
     def test_builtin_fields(self):
+        # the built-ins are the three shipped specs
         rng = np.random.default_rng(5)
         for name in ("example1", "example2", "design_centering"):
             p = get_problem(name)
             fields = ([p.objective] + list(p.si_constraints)
                       + list(p.index_constraints) + list(p.finite_constraints))
             for f in fields:
+                assert f._value_and_gradient_batch is not None
                 for points in self._points(rng, f.arity):
                     _assert_batch_is_rowwise(f, points)
 
@@ -124,8 +132,25 @@ class TestGradientBatch:
 
     def test_row_outside_the_domain_raises_the_rows_error(self):
         f = _compile_field(parse_expression("log(x1) + y1/x1"), 1, 1, "xy", "f")
-        with pytest.raises(ArithmeticError, match="log of a nonpositive"):
-            f.gradient_batch(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(DomainError, match="log of a nonpositive"):
+            f.value_and_gradient_batch(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        f = _compile_field(parse_expression("x1 / (y1 - 2)"), 1, 1, "xy", "f")
+        with pytest.raises(DomainError, match="division by zero"):
+            f.value_and_gradient_batch(np.array([[1.0, 3.0], [1.0, 2.0]]))
+
+    def test_values_follow_the_value_batch_on_an_integer_power(self):
+        # an array's ** and libm pow may round x^3 apart in the last bit;
+        # the fused values are value_batch's, its gradients gradient's
+        f = _compile_field(parse_expression("(x1 + 0.3*y1)^3 - x1*y1"), 1, 1,
+                           "xy", "cube")
+        points = np.random.default_rng(11).uniform(-3.0, 3.0, size=(20000, 2))
+        values, grads = f.value_and_gradient_batch(points)
+        batch = f.value_batch(points)
+        assert values.tobytes() == batch.tobytes()
+        assert grads.tobytes() == np.array([f.gradient(z) for z in points]).tobytes()
+        if (batch == np.array([f.value(z) for z in points])).all():
+            # whether the two round apart depends on numpy's build and the CPU
+            pytest.skip("an array's ** and libm pow agree on every point here")
 
     def test_hand_built_fields_use_the_fallback(self):
         rng = np.random.default_rng(9)
@@ -134,7 +159,7 @@ class TestGradientBatch:
                     helpers.narrow_peak_problem()]
         for p in problems:
             for f in [p.objective, *p.si_constraints, *p.index_constraints]:
-                assert f._gradient_batch is None
+                assert f._value_and_gradient_batch is None
                 for points in self._points(rng, f.arity):
                     _assert_batch_is_rowwise(f, points)
 
@@ -142,15 +167,25 @@ class TestGradientBatch:
         g = dc.si_constraints[2]
         points = [np.array([0.3, -0.8]), np.array([-1.0, 0.0])]
         x = np.array([1.0, -0.5, 2.0, 0.7, -1.2])
-        _, jac = _family_rows(g, dc.n, points)[1](x)
+        z = np.array([np.concatenate([x, y]) for y in points])
+        calls = []
+        fused = g._value_and_gradient_batch
+        g._value_and_gradient_batch = lambda pts: calls.append(1) or fused(pts)
+        try:
+            values, jac = _family_rows(g, dc.n, points)[1](x)
+        finally:
+            g._value_and_gradient_batch = fused
+        assert len(calls) == 1      # one field call per evaluation
+        assert values.tobytes() == g.value_batch(z).tobytes()
         assert np.array_equal(
             jac, [g.gradient(np.concatenate([x, y]))[:dc.n] for y in points])
 
     def test_bad_batch_shape_reported(self):
         f = ScalarField(2, lambda x: x[0], lambda x: np.ones(2),
-                        gradient_batch=lambda pts: np.ones(len(pts)))
+                        value_and_gradient_batch=lambda pts: (
+                            pts[:, 0], np.ones(len(pts))))
         with pytest.raises(FieldEvaluationError):
-            f.gradient_batch(np.zeros((3, 2)))
+            f.value_and_gradient_batch(np.zeros((3, 2)))
 
 
 class TestRestrictions:

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -363,9 +364,9 @@ class TestEigenGufuncs:
                     got = nlp.eigvalsh(B)
                     values, vectors = nlp.eigh(B)
                 assert got.tobytes() == np.linalg.eigvalsh(B).tobytes()
-                want = np.linalg.eigh(B)
-                assert values.tobytes() == want.eigenvalues.tobytes()
-                assert vectors.tobytes() == want.eigenvectors.tobytes()
+                want_values, want_vectors = np.linalg.eigh(B)
+                assert values.tobytes() == want_values.tobytes()
+                assert vectors.tobytes() == want_vectors.tobytes()
                 count += 1
         assert count == 4 * 900
 
@@ -385,9 +386,9 @@ class TestEigenGufuncs:
                 got = nlp.eigvalsh(a)
                 values, vectors = nlp.eigh(a)
             assert got.tobytes() == np.linalg.eigvalsh(a).tobytes()
-            want = np.linalg.eigh(a)
-        assert values.tobytes() == want.eigenvalues.tobytes()
-        assert vectors.tobytes() == want.eigenvectors.tobytes()
+            want_values, want_vectors = np.linalg.eigh(a)
+        assert values.tobytes() == want_values.tobytes()
+        assert vectors.tobytes() == want_vectors.tobytes()
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf])
     def test_no_convergence_is_nan_where_numpy_raises(self, entry):
@@ -442,6 +443,72 @@ class TestEigenGufuncs:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert nlp.negative_curvature(p, sol) is None
+
+
+class TestSvdGufunc:
+    """``nlp.svd`` is numpy's LAPACK gufunc without the wrapper of
+    ``np.linalg.svd`` where numpy 2 has it (``svd_f``, ``svd``), and that
+    wrapper, its ``LinAlgError`` turned into nan, where not."""
+
+    @staticmethod
+    def _matrices():
+        """Random matrices of 1-3 rows and 1-3 columns, condition numbers
+        up to 1e15, in C and in Fortran order."""
+        rng = np.random.default_rng(53)
+        for trial in range(3000):
+            rows, cols = rng.integers(1, 4, size=2)
+            u, _, vt = np.linalg.svd(rng.normal(size=(rows, cols)))
+            k = min(rows, cols)
+            s = np.logspace(0.0, -rng.uniform(0.0, 15.0), k) * rng.uniform(0.1, 10.0)
+            a = (u[:, :k] * s) @ vt[:k]
+            yield np.asfortranarray(a) if trial % 2 else a
+
+    @pytest.mark.parametrize("gufunc", [True, False])
+    def test_same_bits_as_numpy(self, monkeypatch, gufunc):
+        assert (nlp._SVD_F is not None) == (np.lib.NumpyVersion(
+            np.__version__) >= "2.0.0")
+        if not gufunc:      # numpy 1.x's path
+            monkeypatch.setattr(nlp, "_SVD_F", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in self._matrices():
+                with np.errstate(all="ignore"):
+                    got = nlp.svd(a)
+                    values = nlp.svd(a, compute_uv=False)
+                want = np.linalg.svd(a)
+                assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+                assert values.tobytes() == np.linalg.svd(
+                    a, compute_uv=False).tobytes()
+
+    @pytest.mark.parametrize("gufunc", [True, False])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 3), (3, 2), (3, 3)])
+    def test_no_convergence_is_nan_where_numpy_raises(self, monkeypatch,
+                                                      gufunc, shape):
+        a = np.full(shape, np.nan)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.svd(a)
+        if not gufunc:
+            monkeypatch.setattr(nlp, "_SVD_F", None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                u, s, vt = nlp.svd(a)
+                values = nlp.svd(a, compute_uv=False)
+        rows, cols = shape
+        assert u.shape == (rows, rows) and vt.shape == (cols, cols)
+        assert s.shape == values.shape == (min(shape),)
+        assert np.isnan(s).all() and np.isnan(values).all()
+
+    def test_nan_rows_have_no_negative_curvature(self):
+        # the strongly active row is nan: numpy's svd raised on it, and
+        # now the check offers no direction, and nothing warns
+        p = _saddle_problem()
+        sol = solve_nlp(p, np.array([0.0, 0.5]))
+        assert sol.converged and nlp.negative_curvature(p, sol) is not None
+        nan_rows = replace(sol, constraint_jacobian=np.full((1, 2), np.nan))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert nlp.negative_curvature(p, nan_rows) is None
 
 
 class TestSameBitsAsNumpySolve:

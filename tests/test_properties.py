@@ -97,20 +97,31 @@ def _same(a, b) -> bool:
 
 
 def assert_matches_reference(field, expr, keys, points):
-    """Compiled value, batch, gradient and Hessian of ``field`` against
+    """Compiled value, batches, gradient and Hessian of ``field`` against
     eval_value and eval_taylor2 on ``expr``: the same floats, or the same
-    error from both."""
+    error from both.  ``value_and_gradient_batch`` gives the batch values
+    and every row's gradient, or the error of the first row that has
+    one."""
     grad, hess = derivative_tables(expr, keys)
     with np.errstate(all="ignore"):
         batch = _outcome(lambda: np.broadcast_to(
             eval_value(expr, dict(zip(keys, points.T))), (len(points),)))
         assert _same(_outcome(field.value_batch, points), batch)
+        rows = []
         for z in points:
             env = dict(zip(keys, z))
             assert _same(_outcome(field.value, z),
                          _outcome(lambda: float(eval_value(expr, env))))
-            assert _same(_outcome(field.gradient, z), _outcome(eval_taylor2, grad, env))
+            rows.append(_outcome(eval_taylor2, grad, env))
+            assert _same(_outcome(field.gradient, z), rows[-1])
             assert _same(_outcome(field.hessian, z), _outcome(eval_taylor2, hess, env))
+        fused = _outcome(field.value_and_gradient_batch, points)
+        failed = [row for row in rows if isinstance(row, str)]
+        if failed:
+            assert fused == failed[0]
+        else:
+            assert _same(fused[0], batch)
+            assert _same(fused[1], np.reshape(rows, points.shape))
 
 
 # zero and one hit the domain checks of log, sqrt and division
