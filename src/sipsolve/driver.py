@@ -31,17 +31,18 @@ of the failure that stopped the run, if one did.  ``check_start`` holds
 the checks of the start point, which ``sipsolve run`` makes too.
 
 A record's stationarity residual, beta norm and alpha max are computed on
-their first read and then kept (``IterateRecord``).  A known-mode run
-computes none of them unless a record is read, and practical mode's
-termination test computes the residual only at an iterate whose
-feasibility meets ``tol_feas``; a field that raises there still ends the
-run.  A record's ``wall_time_ms`` thus holds no diagnostic that nobody
+their first read and then kept (``IterateRecord``'s cached properties).  A
+known-mode run computes none of them unless a record is read, and
+practical mode's termination test computes the residual only at an
+iterate whose feasibility meets ``tol_feas``, assigning it to the record
+itself so that a field that raises there still ends the run.  A record's ``wall_time_ms`` thus holds no diagnostic that nobody
 read, and a read after the run gives inf where a field raises.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -95,55 +96,21 @@ class DiscretizationState:
         return sum(len(fam) for fam in self.points)
 
 
-class _Unread:
-    """The value of a diagnostic that the driver leaves to its first read.
-    There is one, ``_UNREAD``, and a copy of a record keeps it: ``__reduce__``
-    names it, so ``copy.deepcopy`` and pickle return that same object."""
-
-    def __reduce__(self):
-        return "_UNREAD"
-
-
-_UNREAD = _Unread()
-
-
-class _OnFirstRead:
-    """An ``IterateRecord`` diagnostic that may be given as ``_UNREAD``:
-    its first read then computes it (``IterateRecord._diagnose``) and the
-    record keeps the value.  A value given to the constructor is kept as
-    given."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, rec, owner=None):
-        if rec is None:     # no default: the constructor takes a value
-            raise AttributeError(self.name)
-        if rec.__dict__[self.name] is _UNREAD:
-            rec._diagnose(self.name)
-        return rec.__dict__[self.name]
-
-    def __set__(self, rec, value):
-        rec.__dict__[self.name] = value
-
-
 @dataclass
 class IterateRecord:
-    """One iterate.  The driver leaves the stationarity residual, beta norm
-    and alpha max to their first read, which computes them from the
-    record's ``x``, ``lower_level`` and ``lambda_bar`` through
-    ``stationarity_residual`` and ``perturbation_params`` (beta and alpha
-    from one call); a field that raises there makes the values inf."""
+    """One iterate.  Its stationarity residual, beta norm and alpha max are
+    computed on their first read and then kept, from the record's ``x``,
+    ``lower_level`` and ``lambda_bar`` through ``stationarity_residual``
+    and ``perturbation_params`` (beta and alpha from one call, None while
+    ``lambda_bar`` is None); a field that raises there makes the values
+    inf.  A residual assigned to the record is kept as given."""
 
     k: int
     x: Array
     objective: float
     feasibility: float
-    stationarity_residual: float = _OnFirstRead()
     dist_to_known: Optional[float]
     step_norm: Optional[float]
-    beta_norm: Optional[float] = _OnFirstRead()
-    alpha_max: Optional[float] = _OnFirstRead()
     n_constraints_in_master: Optional[int]
     wall_time_ms: Optional[float]
     lower_level: list = field(default_factory=list)
@@ -153,18 +120,26 @@ class IterateRecord:
     problem: Optional[SipProblem] = field(default=None, repr=False,
                                           compare=False)
 
-    def _diagnose(self, name: str) -> None:
+    @cached_property
+    def stationarity_residual(self) -> float:
         try:
-            if name == "stationarity_residual":
-                self.stationarity_residual = stationarity_residual(
-                    self.problem, self.x, self.lower_level)
-            else:
-                params = perturbation_params(self.problem, self.x,
-                                             self.lower_level, self.lambda_bar)
-                self.beta_norm = params.beta_norm
-                self.alpha_max = params.alpha_max
+            return stationarity_residual(self.problem, self.x, self.lower_level)
         except (ArithmeticError, FieldEvaluationError):
-            setattr(self, name, np.inf)
+            return np.inf
+
+    @cached_property
+    def _perturbation(self) -> tuple:
+        if self.lambda_bar is None:
+            return None, None
+        try:
+            params = perturbation_params(self.problem, self.x,
+                                         self.lower_level, self.lambda_bar)
+        except (ArithmeticError, FieldEvaluationError):
+            return np.inf, np.inf
+        return params.beta_norm, params.alpha_max
+
+    beta_norm = property(lambda self: self._perturbation[0])
+    alpha_max = property(lambda self: self._perturbation[1])
 
 
 @dataclass
@@ -376,18 +351,14 @@ def _run(problem: SipProblem, x0, opts: DriverOptions,
             dist = None
             if problem.known_solution is not None:
                 dist = norm(x - problem.known_solution)
-            # beta and alpha exist once a master has given multipliers
-            perturbation = _UNREAD if prev_lambda_bar is not None else None
 
             rec = IterateRecord(
                 k=k, x=x.copy(),
                 objective=problem.objective.value(x),
                 feasibility=feasibility,
-                stationarity_residual=_UNREAD,
                 dist_to_known=dist,
                 step_norm=(norm(x - prev_x)
                            if prev_x is not None else None),
-                beta_norm=perturbation, alpha_max=perturbation,
                 n_constraints_in_master=prev_n_master,
                 wall_time_ms=None,
                 lower_level=ll,

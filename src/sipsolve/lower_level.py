@@ -2,8 +2,10 @@
 
 Y = {y in box : v(y) <= 0}.  ``FamilyProblem`` poses family i's problem at
 x, the local runs' NLP over exactly the grid's box included (posed on
-first use), and evaluates g_i(x, .) with one call of g_i; every path reads
-Y's one membership and active-set rule, ``index_set_rule``.
+first use), and evaluates g_i(x, .) with one call of g_i; it is the one
+object that the polish, ``KktSystem`` and the records read g_i, i and x
+from.  Every path reads Y's one membership and active-set rule,
+``index_set_rule``.
 
 Strategy: evaluate g_i on a uniform grid over the box, refine the best
 nodes in Y with the local SQP solver, then polish each local solution with
@@ -59,11 +61,11 @@ still dominates the grid.
 The box is ``model.index_set_box``: ``y_bounds`` when declared, else read
 off interval-bound index constraints; without either, the first solve
 raises ``LowerLevelError``.  The box and the grid nodes in Y depend on the
-problem only (``index_grid``); the drivers build them once per run, and the
-grid keeps one array of the points (x, y), y the nodes, built with its y
-columns on first use (``IndexGrid.points_at``).  At each x,
-``solve_all_lower_levels`` writes x into that array, and every family reads
-its grid values off it with one ``value_batch`` of g_i.  A family poses the
+problem only (``index_grid``); the drivers build them once per run, with
+the grid's array of the points (x, y), y the nodes (``IndexGrid.points``).
+At each x, ``solve_all_lower_levels`` writes x into that array, and every
+family reads its grid values off it with one ``value_batch`` of g_i; so
+concurrent solves must not share a grid.  A family poses the
 local runs' NLP only when a start runs, and the winning record, made in
 this solve, is given the distinct maxima and the tie flag in place.
 
@@ -80,7 +82,7 @@ import numpy as np
 
 from .model import ScalarField, SipProblem, index_set_box
 from .nlp import (NlpProblem, eigvalsh, field_rows, norm, null_space,
-                  solve_linear, solve_nlp, svd, svd_null_space)
+                  solve_linear, solve_nlp, svd)
 
 Array = np.ndarray
 
@@ -92,7 +94,6 @@ TOL_ACT = 1e-7              # index constraint counted active above -TOL_ACT
 TIE_TOL = 1e-9              # tie tolerance relative to min(1, grid spread)
 
 _LICQ_SVD_CUTOFF = 1e-8
-_LICQ_RECHECK = 1e-10   # relative band about the LICQ cutoff (_regularity)
 _SOSC_EIG_CUTOFF = 1e-8
 _STRICT_COMP_TOL = 1e-6
 
@@ -136,25 +137,14 @@ class LowerLevelSolution:
 @dataclass(frozen=True)
 class IndexGrid:
     """The lower-level grid of one problem: its box, the nodes in Y in grid
-    order, and the node spacing per axis."""
+    order, the node spacing per axis, and the (N, n + m) array of the
+    points (x, y), y the nodes, whose x columns each solve rewrites: it
+    holds the last solve's x, so concurrent solves must not share a grid."""
 
     box: Array
     nodes: Array
     step: Array
-    _points: Optional[Array] = field(default=None, init=False, repr=False,
-                                     compare=False)
-
-    def points_at(self, x: Array) -> Array:
-        """The (N, n + m) array of the points (x, y), y the nodes: one
-        array per grid, built with its y columns on the first call, whose
-        x columns each call rewrites; it holds the last call's x."""
-        points = self._points
-        if points is None or points.shape[1] != len(x) + self.nodes.shape[1]:
-            points = _at_x(x, self.nodes)
-            object.__setattr__(self, "_points", points)
-        else:
-            points[:, :len(x)] = x
-        return points
+    points: Array
 
 
 def index_set_rule(vs, box: Array, y: Array):
@@ -183,12 +173,12 @@ def index_grid(problem: SipProblem) -> IndexGrid:
     axes = np.meshgrid(*(np.linspace(lo, hi, GRID_PER_DIM) for lo, hi in box),
                        indexing="ij")
     nodes = np.stack([a.ravel() for a in axes], axis=1)
-    feasible = index_set_rule(problem.index_constraints, box, nodes)
-    if not feasible.any():
+    nodes = nodes[index_set_rule(problem.index_constraints, box, nodes)]
+    if not len(nodes):
         raise LowerLevelError(
             "no feasible grid node (empty or degenerate index set)")
-    return IndexGrid(box, nodes[feasible],
-                     (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1))
+    return IndexGrid(box, nodes, (box[:, 1] - box[:, 0]) / (GRID_PER_DIM - 1),
+                     _at_x(np.zeros(problem.n), nodes))
 
 
 class FamilyProblem:
@@ -197,10 +187,10 @@ class FamilyProblem:
     point or at the rows of an array, one call of g_i each.  ``nlp`` poses
     the problem for the local runs, on first use: minimize -g_i(x, .) over
     the box s.t. v(y) <= 0, one call of g_i per evaluation.  ``rule`` is
-    ``index_set_rule`` over the box."""
+    ``index_set_rule`` over the box; ``g`` is g_i."""
 
     def __init__(self, problem: SipProblem, i: int, x: Array, box: Array):
-        g = problem.si_constraints[i]
+        self.g = g = problem.si_constraints[i]
         self.problem, self.i, self.x, self.box = problem, i, x, box
 
         def value(y):
@@ -213,14 +203,13 @@ class FamilyProblem:
 
     @cached_property
     def nlp(self) -> NlpProblem:
-        n, m, x = self.problem.n, self.problem.m, self.x
-        g, value, values = self.problem.si_constraints[self.i], self.value, self.values
+        problem, x, g, value = self.problem, self.x, self.g, self.value
+        n, m = problem.n, problem.m
         objective = ScalarField(
             m, lambda y: -value(y),
             lambda y: -g.gradient(np.concatenate([x, y]))[n:],
-            lambda y: -g.hessian(np.concatenate([x, y]))[n:, n:],
-            lambda ys: -values(ys))
-        return NlpProblem(m, objective, field_rows(self.problem.index_constraints),
+            lambda y: -g.hessian(np.concatenate([x, y]))[n:, n:])
+        return NlpProblem(m, objective, field_rows(problem.index_constraints),
                           self.box[:, 0], self.box[:, 1])
 
 
@@ -233,39 +222,36 @@ def _at_x(x: Array, ys: Array) -> Array:
 
 
 class KktSystem:
-    """The active-set KKT system of family i at (x, y), for the index
-    constraints ``active`` and their multipliers ``mu_a``.  ``residual`` is
-    [grad_y g_i - sum_{l in A} mu_l grad v_l ; v_A(y)]; ``jacobian()`` is
+    """The active-set KKT system of ``family`` (g_i at its x) at y, for the
+    index constraints ``active`` and their multipliers ``mu_a``.  ``residual`` is
+    [grad_y g_i - sum_{l in A} mu_l grad v_l ; v_A(y)]; ``jacobian`` is
     ``(jac, D2_yx g_i)``, jac = [[D2_yy L, -Dv_A^T], [Dv_A, 0]] the
     Jacobian of the residual in (y, mu_A), L = g_i - sum_A mu_l v_l, built
-    on the first call.  Both read one array z = (x, y) and one gradient of
+    on the first read.  Both read one array z = (x, y) and one gradient of
     each active v_l, taken with the residual."""
 
-    def __init__(self, problem: SipProblem, i: int, x: Array, y: Array,
-                 active: list, mu_a: Array):
-        n, m = problem.n, problem.m
-        vs = problem.index_constraints
-        self.problem, self.i, self.y, self.active, self.mu_a = (
-            problem, i, y, active, mu_a)
-        self.z = np.concatenate([x, y])
-        grad_y = problem.si_constraints[i].gradient(self.z)[n:]
+    def __init__(self, family: FamilyProblem, y: Array, active: list,
+                 mu_a: Array):
+        n, m = family.problem.n, family.problem.m
+        vs = family.problem.index_constraints
+        self.family, self.y, self.active, self.mu_a = family, y, active, mu_a
+        self.z = np.concatenate([family.x, y])
+        grad_y = family.g.gradient(self.z)[n:]
         self.va = np.empty((len(active), m))     # Dv_A, a row per v_l
         for j, (l, mul) in enumerate(zip(active, mu_a)):
             self.va[j] = vs[l].gradient(y)
             grad_y = grad_y - mul * self.va[j]
         self.residual = np.concatenate([grad_y, [vs[l].value(y) for l in active]])
-        self._jacobian = None
 
+    @cached_property
     def jacobian(self) -> tuple:
-        if self._jacobian is None:
-            self._jacobian = self.jacobian_at(self.mu_a)
-        return self._jacobian
+        return self.jacobian_at(self.mu_a)
 
     def jacobian_at(self, mu_a: Array) -> tuple:
         """``jacobian`` at other multipliers ``mu_a`` of the same set."""
-        problem, m = self.problem, self.problem.m
+        problem, m = self.family.problem, self.family.problem.m
         n, vs, a = problem.n, problem.index_constraints, len(self.active)
-        h = problem.si_constraints[self.i].hessian(self.z)
+        h = self.family.g.hessian(self.z)
         jac = np.zeros((m + a, m + a))
         jac[:m, :m] = h[n:, n:]
         for l, mul in zip(self.active, mu_a):
@@ -285,20 +271,20 @@ def _polish_kkt(family: FamilyProblem, y: Array, active: list, mu: Array,
     zero, or None, also as soon as a Newton step is singular or not
     finite, and when the point is not in Y.  Stationarity rows and
     multiplier signs are measured relative to ``scale``."""
-    problem, i, x, m = family.problem, family.i, family.x, family.problem.m
+    m = family.problem.m
     weight = np.ones(m + len(active))
     weight[:m] = scale
-    system = KktSystem(problem, i, x, y, active, mu[active])
+    system = KktSystem(family, y, active, mu[active])
     res_norm = norm(system.residual / weight)
     best = (res_norm, system)
     with np.errstate(all="ignore"):     # for solve_linear
         for _ in range(8):
             if res_norm <= 1e-13 * (1.0 + res_norm):
                 break
-            delta = solve_linear(system.jacobian()[0], -system.residual)
+            delta = solve_linear(system.jacobian[0], -system.residual)
             if delta is None:
                 return None
-            system = KktSystem(problem, i, x, system.y + delta[:m], active,
+            system = KktSystem(family, system.y + delta[:m], active,
                                system.mu_a + delta[m:])
             res_norm = norm(system.residual / weight)
             if res_norm < best[0]:
@@ -324,28 +310,19 @@ def _regularity(kkt_matrix: Array, mu_a: Array,
     onto the null space of the strongly active constraint gradients
     (``nlp.null_space``, the rule of ``nlp.negative_curvature``) must be
     negative definite (min eigenvalue of the sign-flipped projection >= 1e-8).
-    When every active multiplier is strong, the active rows are the strongly
-    active ones, and one SVD (``nlp.svd_null_space``) gives LICQ's singular
-    values and the null space.  Its singular values (LAPACK job 'A') and
-    those of ``svd(va, compute_uv=False)`` (job 'N') differ by a few ulps
-    (at most 6 in relative terms on 36,000 random matrices of 1-3 rows and
-    condition up to 1e15, numpy 2.4), so LICQ reads job 'N' values only
-    within ``_LICQ_RECHECK`` of the cutoff, where that difference decides.
+    LICQ reads the singular values of the active rows from a values-only
+    SVD (LAPACK job 'N'), and the null space comes from the full SVD of
+    the strongly active rows, also where those are all the active rows:
+    the two jobs' singular values differ by a few ulps, so one
+    factorization for both could move a matrix across the LICQ cutoff.
     The factorizations are ``nlp.svd`` and ``nlp.eigvalsh``, which give nan
     where LAPACK does not converge: a nan matrix fails LICQ and SOSC.
     """
     m = len(kkt_matrix) - len(mu_a)
     va = kkt_matrix[m:, :m]
-    strong = mu_a > _STRICT_COMP_TOL
     with np.errstate(all="ignore"):     # for svd and eigvalsh
-        if strong.all():
-            svals, null_basis = svd_null_space(va, m)
-            if abs(svals.min(initial=np.inf) - _LICQ_SVD_CUTOFF) \
-                    <= _LICQ_RECHECK * _LICQ_SVD_CUTOFF:
-                svals = svd(va, compute_uv=False)
-        else:
-            svals = svd(va, compute_uv=False)
-            null_basis = null_space(va[strong], m)
+        svals = svd(va, compute_uv=False)
+        null_basis = null_space(va[mu_a > _STRICT_COMP_TOL], m)
         projected = -(null_basis.T @ kkt_matrix[:m, :m] @ null_basis)
         # LAPACK's syevd returns a 1 x 1 matrix's entry as its eigenvalue
         lowest = (eigvalsh(projected)[0] if len(projected) > 1
@@ -364,11 +341,11 @@ def _candidate(family: FamilyProblem, system: KktSystem, mu: Array,
     is the system's own, unless the polish clamped a negative multiplier
     to zero: then it is built at ``mu``."""
     mu_a = mu[system.active]
-    kkt_matrix, d2_yx = (system.jacobian() if (system.mu_a == mu_a).all()
+    kkt_matrix, d2_yx = (system.jacobian if (system.mu_a == mu_a).all()
                          else system.jacobian_at(mu_a))
     return LowerLevelSolution(
         index=family.i, x=family.x, y=system.y, multipliers=mu,
-        value=family.problem.si_constraints[family.i].value(system.z),
+        value=family.g.value(system.z),
         active_set=tuple(system.active), kkt_matrix=kkt_matrix, d2_yx=d2_yx,
         regularity=_regularity(kkt_matrix, mu_a, kkt_point))
 
@@ -451,18 +428,16 @@ def solve_lower_level_global(
     cold.
     """
     x = np.array(x, dtype=float)
-    if grid is None:
-        grid = index_grid(problem)
-    return _solve_family(FamilyProblem(problem, i, x, grid.box), grid,
-                         problem.si_constraints[i].value_batch(grid.points_at(x)),
-                         previous)
+    grid = grid or index_grid(problem)
+    grid.points[:, :len(x)] = x
+    return _solve_family(FamilyProblem(problem, i, x, grid.box), grid, previous)
 
 
-def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
+def _solve_family(family: FamilyProblem, grid: IndexGrid,
                   previous: Optional[LowerLevelSolution]) -> LowerLevelSolution:
-    """``solve_lower_level_global`` for ``family`` on ``grid``, given its
-    ``values`` at the grid nodes."""
-    problem, i, x = family.problem, family.i, family.x
+    """``solve_lower_level_global`` for ``family`` on ``grid``, whose
+    points hold the family's x."""
+    values = family.g.value_batch(grid.points)
     picked = _best_nodes(values, N_STARTS)
     starts = grid.nodes[picked]
     grid_best = float(values.max())
@@ -499,9 +474,9 @@ def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
             system, mu, _ = polished
         else:   # kept unpolished: a KKT point if it passes the polish's test
             mu = np.where(is_active, mu, 0.0)
-            system = KktSystem(problem, i, x, y_loc, active, mu[active])
+            system = KktSystem(family, y_loc, active, mu[active])
             res = system.residual.copy()
-            res[:problem.m] /= scale
+            res[:family.problem.m] /= scale
             kkt_point = norm(res) <= 1e-10
         record = _candidate(family, system, mu, kkt_point)
         candidates.append(record)
@@ -514,7 +489,7 @@ def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
 
     if not candidates:
         raise LowerLevelError(
-            f"lower level {i}: all local refinements failed from the grid starts")
+            f"lower level {family.i}: all local refinements failed from the grid starts")
 
     # cluster distinct maxima (keep the best value per cluster)
     candidates.sort(key=lambda c: (-c.value, tuple(c.y)))
@@ -526,7 +501,7 @@ def _solve_family(family: FamilyProblem, grid: IndexGrid, values: Array,
     best_value = clusters[0].value
     if best_value < grid_best - 1e-12:
         raise LowerLevelError(
-            f"lower level {i}: refinement lost the grid optimum "
+            f"lower level {family.i}: refinement lost the grid optimum "
             f"({best_value} < {grid_best})")
     tied = [c for c in clusters if c.value >= best_value - tie_tol]
     best = min(tied, key=lambda c: tuple(c.y))     # a record of this call
@@ -541,12 +516,10 @@ def solve_all_lower_levels(problem: SipProblem, x,
     """One global lower-level solve per semi-infinite constraint;
     ``previous`` is the list this returned at an earlier x, if any.  The
     families read their grid values off the grid's one array of the
-    points (x, y), y the grid nodes (``IndexGrid.points_at``)."""
+    points (x, y), y the grid nodes (``IndexGrid.points``)."""
     x = np.array(x, dtype=float)
-    if grid is None:
-        grid = index_grid(problem)
-    points = grid.points_at(x)
+    grid = grid or index_grid(problem)
+    grid.points[:, :len(x)] = x
     return [_solve_family(FamilyProblem(problem, i, x, grid.box), grid,
-                          g.value_batch(points),
                           previous[i] if previous else None)
-            for i, g in enumerate(problem.si_constraints)]
+            for i in range(problem.n_si)]

@@ -46,7 +46,7 @@ error state their callers set.  Where LAPACK does not converge (an all-nan
 matrix of size 3 or more) a wrapper raises ``LinAlgError`` and the gufunc
 returns nan: the SQP then resets its matrix to the identity, and
 ``negative_curvature`` finds no direction.  ``svd`` does the same for
-``np.linalg.svd`` (``svd_null_space``, and the lower level's LICQ test):
+``np.linalg.svd`` (``null_space``, and the lower level's LICQ test):
 the LAPACK ``gesdd`` gufuncs ``svd_f`` and ``svd`` where numpy 2 has them,
 same bits, 2.9 against 8.3 us a call for 1-3 rows; numpy 1.x names them
 otherwise, and there the wrapper runs, its ``LinAlgError`` turned into
@@ -649,20 +649,14 @@ def solve_nlp(problem: NlpProblem, z0, max_iter: int = 200) -> NlpSolution:
 # Second-order check at a KKT point
 # ---------------------------------------------------------------------------
 
-def svd_null_space(A: Array, d: int) -> tuple:
-    """A's singular values, largest first, and orthonormal columns spanning
-    {u : A u = 0}, from one full ``svd``; singular values at most _SOC_TOL
-    of the largest count as zero.  Call it under ``np.errstate(all=
-    "ignore")``; a nan A gives nan values and nan columns."""
-    if not len(A):
-        return np.zeros(0), np.eye(d)
-    _, s, vt = svd(A)
-    return s, vt[int((s > _SOC_TOL * s[0]).sum()):].T
-
-
 def null_space(A: Array, d: int) -> Array:
-    """Orthonormal columns spanning {u : A u = 0} (``svd_null_space``)."""
-    return svd_null_space(A, d)[1]
+    """Orthonormal columns spanning {u : A u = 0}, from one full ``svd``;
+    singular values at most _SOC_TOL of the largest count as zero.  Call it
+    under ``np.errstate(all="ignore")``; a nan A gives nan columns."""
+    if not len(A):
+        return np.eye(d)
+    _, s, vt = svd(A)
+    return vt[int((s > _SOC_TOL * s[0]).sum()):].T
 
 
 def negative_curvature(problem: NlpProblem, sol: NlpSolution):

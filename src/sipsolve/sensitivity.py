@@ -72,7 +72,8 @@ def compute_sensitivity(problem: SipProblem,
         [ Dv_A         0    ] [ Dmu_A] = [      0     ]
 
     Raises SensitivityError when the matrix is singular or the solve does
-    not reproduce the right-hand side to 1e-8 relative accuracy.
+    not reproduce the right-hand side to 1e-8 relative accuracy, also where
+    the residual is not finite (inf or nan data).
     """
     n, m, i = problem.n, problem.m, sol.index
     active = list(sol.active_set)
@@ -85,18 +86,28 @@ def compute_sensitivity(problem: SipProblem,
     except np.linalg.LinAlgError as exc:
         raise SensitivityError(
             f"singular KKT differentiation system for constraint {i} "
-            f"(condition estimate {np.linalg.cond(kkt):.3e})") from exc
-    residual = np.linalg.norm(kkt @ sol_mat - rhs)
-    if residual > _RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
-        raise SensitivityError(
-            f"KKT differentiation residual {residual:.3e} too large for "
-            f"constraint {i} (condition estimate {np.linalg.cond(kkt):.3e})")
+            f"(condition estimate {_condition(kkt):.3e})") from exc
+    with np.errstate(all="ignore"):     # inf or nan data: a nan residual
+        residual = np.linalg.norm(kkt @ sol_mat - rhs)
+        if not residual <= _RESIDUAL_TOL * (1.0 + np.linalg.norm(rhs)):
+            raise SensitivityError(
+                f"KKT differentiation residual {residual:.3e} too large for "
+                f"constraint {i} (condition estimate {_condition(kkt):.3e})")
 
     dmu_dx = np.zeros((len(problem.index_constraints), n))
     dmu_dx[active] = sol_mat[m:]
     return LinearizedConstraint(
         index=i, x_base=sol.x.copy(), y_base=sol.y.copy(),
         mu_base=sol.multipliers.copy(), dy_dx=sol_mat[:m], dmu_dx=dmu_dx)
+
+
+def _condition(kkt: Array) -> float:
+    """``np.linalg.cond(kkt)``, nan where its SVD does not converge (as on
+    a nan matrix)."""
+    try:
+        return np.linalg.cond(kkt)
+    except np.linalg.LinAlgError:
+        return np.nan
 
 
 def linearized_value_and_gradient(lc: LinearizedConstraint,

@@ -541,11 +541,11 @@ def reference_restricted_batch(field, n, x, Y):
     return field.value_batch(np.hstack([X, Y]))
 
 
-# Reference copies of the two checks as they were before they shared work:
-# the lower level's regularity flags with LICQ's singular values from their
-# own SVD (no vectors), and the second-order check building the full
-# Lagrangian Hessian before it factors the strongly active rows; the
-# versions in src must match them bit for bit
+# Reference copies of the two checks through numpy's wrappers: the lower
+# level's regularity flags with LICQ's singular values from their own SVD
+# (no vectors), and the second-order check building the full Lagrangian
+# Hessian before it factors the strongly active rows; the versions in src
+# must match them bit for bit
 
 def reference_null_space(A, d):
     """``nlp.null_space`` through ``np.linalg.svd``'s wrapper."""

@@ -92,15 +92,16 @@ class TestGlobalMaximizer:
 
     def test_solve_all_matches_per_family(self, monkeypatch):
         # the families read their grid values off one shared array of the
-        # points (x, y), with the bits of each family's own ``values``
+        # points (x, y), with the bits of each family's own ``values``; each
+        # solve ranks its grid values once, with ``_best_nodes``
         shared = []
-        solve_family = lower_level._solve_family
+        best_nodes = lower_level._best_nodes
 
-        def recorded(family, grid, values, previous):
+        def recorded(values, count):
             shared.append(values)
-            return solve_family(family, grid, values, previous)
+            return best_nodes(values, count)
 
-        monkeypatch.setattr(lower_level, "_solve_family", recorded)
+        monkeypatch.setattr(lower_level, "_best_nodes", recorded)
         for name in ("example1", "example2", "design_centering"):
             problem = get_problem(name)
             x = np.asarray(problem.start, dtype=float)
@@ -521,17 +522,18 @@ class TestKktSystem:
                                       "design_centering"])
     def test_same_bits_as_the_separate_builds(self, name):
         p = get_problem(name)
+        box = index_set_box(p)
         for i, x, y, active, mu_a in _kkt_system_cases(
                 p, np.random.default_rng(31)):
-            system = KktSystem(p, i, x, y, active, mu_a)
+            system = KktSystem(FamilyProblem(p, i, x, box), y, active, mu_a)
             want = reference_kkt_residual(p, i, x, y, active, mu_a)
             assert system.residual.tobytes() == want.tobytes()
-            jac, d2_yx = system.jacobian()
+            jac, d2_yx = system.jacobian
             want_jac, want_d2_yx = reference_kkt_jacobian(p, i, x, y, active,
                                                           mu_a)
             assert jac.tobytes() == want_jac.tobytes()
             assert d2_yx.tobytes() == want_d2_yx.tobytes()
-            assert system.jacobian()[0] is jac      # built once
+            assert system.jacobian[0] is jac      # built once
             clamped = np.maximum(mu_a, 0.0)
             jac, d2_yx = system.jacobian_at(clamped)
             want_jac, want_d2_yx = reference_kkt_jacobian(p, i, x, y, active,
@@ -547,16 +549,16 @@ class TestKktSystem:
         sol = solve_lower_level_global(dc, 2, x)
         active = list(sol.active_set)
         family = FamilyProblem(dc, 2, x, index_set_box(dc))
-        system = KktSystem(dc, 2, x, sol.y, active, np.full(len(active), -1e-12))
+        system = KktSystem(family, sol.y, active, np.full(len(active), -1e-12))
         mu = np.zeros(len(dc.index_constraints))
         record = lower_level._candidate(family, system, mu)
         want, _ = reference_kkt_jacobian(dc, 2, x, sol.y, active, mu[active])
         assert record.kkt_matrix.tobytes() == want.tobytes()
-        assert record.kkt_matrix.tobytes() != system.jacobian()[0].tobytes()
+        assert record.kkt_matrix.tobytes() != system.jacobian[0].tobytes()
         # unclamped, the record reads the system's own matrix
-        system = KktSystem(dc, 2, x, sol.y, active, sol.multipliers[active])
+        system = KktSystem(family, sol.y, active, sol.multipliers[active])
         record = lower_level._candidate(family, system, sol.multipliers)
-        assert record.kkt_matrix is system.jacobian()[0]
+        assert record.kkt_matrix is system.jacobian[0]
         assert record.value == sol.value
 
 
@@ -682,9 +684,11 @@ def _kkt_with_rows(rng, m, va):
 
 
 class TestRegularityOneSvd:
-    """With every active multiplier strong, ``_regularity`` reads LICQ's
-    singular values and the null space off one SVD; its flags are those of
-    ``helpers.reference_regularity``, which factors the rows twice."""
+    """``_regularity``'s flags are those of ``helpers.reference_regularity``
+    (``np.linalg.svd``'s wrapper) on active rows at the LICQ cutoff, where
+    LAPACK's values-only and full SVDs round to opposite sides of it: LICQ
+    reads the values-only SVD even where every active multiplier is strong
+    and the null space's full SVD factors the same rows."""
 
     def test_licq_at_the_cutoff(self):
         # 1- and 2-row active sets scaled so that the least singular value
@@ -826,22 +830,34 @@ class TestKeptGridArray:
             grid = lower_level.index_grid(problem)
             x1 = np.asarray(problem.start, dtype=float)
             x2 = np.asarray(problem.known_solution, dtype=float)
+            points = grid.points
             first = solve_all_lower_levels(problem, x1, grid)
-            points = grid.points_at(x1)
             solve_all_lower_levels(problem, x2, grid)
-            assert grid.points_at(x2) is points
+            assert grid.points is points
             again = solve_all_lower_levels(problem, x1, grid)
             fresh = solve_all_lower_levels(problem, x1)
             for sols in (again, fresh):
                 assert [_record_bytes(s) for s in sols] == \
                     [_record_bytes(s) for s in first]
 
-    def test_array_holds_the_nodes_and_the_last_x(self, dc):
+    def test_array_holds_the_nodes_and_the_last_x(self, dc, monkeypatch):
         grid = lower_level.index_grid(dc)
+        assert grid.points.tobytes() == np.hstack(
+            [np.zeros((len(grid.nodes), dc.n)), grid.nodes]).tobytes()
+        # stop each solve at its first family's grid values: what it read
+        seen = []
+
+        def stop(values, count):
+            seen.append(values)
+            raise LowerLevelError("stop")
+        monkeypatch.setattr(lower_level, "_best_nodes", stop)
         for x in (np.arange(5.0), np.full(5, -0.5), np.arange(5.0)):
-            points = grid.points_at(x)
-            assert points.tobytes() == np.hstack(
-                [np.tile(x, (len(grid.nodes), 1)), grid.nodes]).tobytes()
+            with pytest.raises(LowerLevelError, match="stop"):
+                solve_all_lower_levels(dc, x, grid)
+            want = np.hstack([np.tile(x, (len(grid.nodes), 1)), grid.nodes])
+            assert grid.points.tobytes() == want.tobytes()
+            assert seen[-1].tobytes() == \
+                dc.si_constraints[0].value_batch(want).tobytes()
 
     def test_family_poses_its_local_nlp_only_when_a_start_runs(
             self, dc, local_runs, monkeypatch):

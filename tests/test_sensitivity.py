@@ -1,9 +1,13 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sipsolve import driver, lower_level, sensitivity
 from sipsolve.driver import DriverOptions, run_qcad
 from sipsolve.lower_level import solve_lower_level_global
+from sipsolve.problems import get_problem
 from sipsolve.sensitivity import (SensitivityError, compute_sensitivity,
                                   linearization_field,
                                   linearized_value_and_gradient)
@@ -53,6 +57,22 @@ class TestMaximizerSensitivity:
         assert sol.active_set == (0, 1)
         with pytest.raises(SensitivityError):
             compute_sensitivity(p, sol)
+
+    @pytest.mark.parametrize("name, i, x", [("example2", 0, [0.3, -0.2]),
+                                            ("design_centering", 2, None)])
+    @pytest.mark.parametrize("block", ["d2_yx", "kkt_matrix"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_data_raise(self, name, i, x, block, bad):
+        # a nan residual passes no tolerance, and the message's condition
+        # estimate does not raise where numpy's SVD does not converge
+        problem = get_problem(name)
+        x = np.asarray(problem.known_solution if x is None else x, dtype=float)
+        sol = solve_lower_level_global(problem, i, x)
+        sol = replace(sol, **{block: np.full_like(getattr(sol, block), bad)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SensitivityError, match="residual nan"):
+                compute_sensitivity(problem, sol)
 
 
 class TestKktMatrixBuiltOnce:
